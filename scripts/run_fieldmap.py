@@ -13,7 +13,6 @@ def main() -> int:
     ap.add_argument("--mu0-H0-max-T", type=float, default=0.7)
     ap.add_argument("--n-H0", type=int, default=41)
     ap.add_argument("--n-omega", type=int, default=2001)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="out/fieldmap")
     args = ap.parse_args()
 
@@ -22,7 +21,6 @@ def main() -> int:
         "mu0_H0_max_T": str(args.mu0_H0_max_T),
         "n_H0": str(args.n_H0),
         "n_omega": str(args.n_omega),
-        "jobs": str(args.jobs),
     })
     cfg.experiment = "fieldmap"
     cfg.out = args.out

@@ -6,9 +6,9 @@ from .constants import (CONSTANTS, ConfigError, Constants, DomainError,
                         NumericalError, field_to_tesla, tesla_to_field)
 from .material import (MaterialParams, StaticFieldState, SusceptibilityTensor,
                        internal_field, state_from_internal, susceptibility)
-from .modes import (CavityConfig, MagnonMode, PolarizationVectors,
-                    coupling_strength, kittel_frequency, magnon_modes,
-                    mode_field, mode_frequency, mode_potential, quantize_mode)
+from .modes import (CavityConfig, MagnonMode, coupling_strength,
+                    kittel_frequency, magnon_modes, mode_field, mode_frequency,
+                    mode_potential, quantize_mode)
 from .spectral import (FieldSweepMap, SpectralGrid, auto_omega_grid,
                        field_sweep_map, spectral_density, spectral_grid)
 from .dynamics import (EmitterConfig, MemoryKernel, TimeSeries, build_kernel,
@@ -24,7 +24,7 @@ __all__ = [
     "tesla_to_field", "field_to_tesla",
     "MaterialParams", "StaticFieldState", "SusceptibilityTensor",
     "internal_field", "state_from_internal", "susceptibility",
-    "CavityConfig", "MagnonMode", "PolarizationVectors", "coupling_strength",
+    "CavityConfig", "MagnonMode", "coupling_strength",
     "kittel_frequency", "magnon_modes", "mode_field", "mode_frequency",
     "mode_potential", "quantize_mode",
     "FieldSweepMap", "SpectralGrid", "auto_omega_grid", "field_sweep_map",

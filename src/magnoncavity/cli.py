@@ -80,8 +80,6 @@ class RunConfig:
     n_R: int = 17
     # Output.
     out: str = "out"
-    format: str = "csv"                 # csv | json (json adds JSON data dumps)
-    jobs: int = 1
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -143,8 +141,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("one of mu0_H0_T or mu0_He_T is required")
     if cfg.solver not in ("pseudomode", "volterra"):
         raise ConfigError(f"unknown solver {cfg.solver!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"unknown format {cfg.format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,9 @@ def build_emitter(cfg: RunConfig, cavity: CavityConfig) -> EmitterConfig:
 # Output plumbing.
 
 def _config_hash(cfg: RunConfig) -> str:
-    # Hash only the keys that influence the computed numbers; output plumbing
-    # (directory, parallelism) must not change the data bytes.
-    payload = {k: v for k, v in dataclasses.asdict(cfg).items()
-               if k not in ("out", "jobs")}
+    # Hash only the keys that influence the computed numbers; the output
+    # directory must not change the data bytes.
+    payload = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out"}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -315,14 +310,7 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     rows = zip(grid.omegas / TWO_PI / 1e9, grid.values)
     _write_csv(outdir / "spectrum.csv", ["omega_over_2pi_GHz", "J_rad_per_s"],
                rows, mhash, grid.metadata)
-    files = ["spectrum.csv"]
-    if cfg.format == "json":
-        payload = {"metadata": grid.metadata,
-                   "omega_over_2pi_GHz": list(grid.omegas / TWO_PI / 1e9),
-                   "J_rad_per_s": list(grid.values)}
-        (outdir / "spectrum.json").write_text(json.dumps(payload, indent=2) + "\n")
-        files.append("spectrum.json")
-    return files
+    return ["spectrum.csv"]
 
 
 def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
@@ -338,7 +326,7 @@ def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
                           fields=state_from_internal(H0_values[-1], mat), n_max=cfg.n_max)
     omegas = np.linspace(auto_omega_grid(lo_cav)[0], auto_omega_grid(hi_cav)[-1],
                          cfg.n_omega or 2001)
-    sweep = field_sweep_map(H0_values, omegas, emitter, cavity, jobs=cfg.jobs or None)
+    sweep = field_sweep_map(H0_values, omegas, emitter, cavity)
     rows = []
     for i, H0 in enumerate(sweep.H0_values):
         for j, om in enumerate(sweep.omega_values):
@@ -433,16 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("config", "experiment") and v is not None}
+    overrides = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
     try:
         cfg = parse_config(text, overrides)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    cfg.experiment = args.experiment
-    try:
-        _validate(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

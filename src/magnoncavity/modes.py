@@ -55,16 +55,9 @@ BOUNDARY_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PolarizationVectors:
-    """Circular unit vectors e(+-) = (e_x +- i e_y)/sqrt(2)."""
-
-    e_plus: tuple[complex, complex, complex] = (1.0 / _SQRT2, 1j / _SQRT2, 0.0)
-    e_minus: tuple[complex, complex, complex] = (1.0 / _SQRT2, -1j / _SQRT2, 0.0)
-
-
-E_PLUS = np.array(PolarizationVectors().e_plus, dtype=complex)
-E_MINUS = np.array(PolarizationVectors().e_minus, dtype=complex)
+# Circular unit vectors e(+-) = (e_x +- i e_y)/sqrt(2).
+E_PLUS = np.array([1.0 / _SQRT2, 1j / _SQRT2, 0.0], dtype=complex)
+E_MINUS = np.array([1.0 / _SQRT2, -1j / _SQRT2, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -94,13 +94,9 @@ class FieldSweepMap:
     metadata: dict = field(default_factory=dict)
 
 
-def field_sweep_map(H0_values, omega_values, emitter, cavity_template: CavityConfig,
-                    jobs: int | None = None) -> FieldSweepMap:
-    """Sweep the internal field, rebuilding the quantized mode set per column.
-
-    Deterministic for fixed inputs; columns are independent, so evaluation
-    order never affects the result (jobs > 1 threads the column loop).
-    """
+def field_sweep_map(H0_values, omega_values, emitter,
+                    cavity_template: CavityConfig) -> FieldSweepMap:
+    """Sweep the internal field, rebuilding the quantized mode set per column."""
     H0_values = np.asarray(H0_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
     if H0_values.size == 0 or omega_values.size == 0:
@@ -116,13 +112,7 @@ def field_sweep_map(H0_values, omega_values, emitter, cavity_template: CavityCon
                            n_max=cavity_template.n_max)
         return spectral_density(omega_values, emitter, cav)
 
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(column, H0_values))
-    else:
-        rows = [column(H0) for H0 in H0_values]
+    rows = [column(H0) for H0 in H0_values]
 
     meta = {
         "R_m": cavity_template.R,

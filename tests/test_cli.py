@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magnoncavity
 from magnoncavity import ConfigError
 from magnoncavity.cli import RunConfig, main, parse_config, run
 
@@ -200,6 +205,15 @@ def test_main_end_to_end_with_config_file(tmp_path):
     assert main(["modes", "--config", str(cfgfile), "--out", str(out)]) == 0
     _, rows, _ = read_csv(out / "modes.csv")
     assert rows.shape[0] == 2
+
+
+def test_cli_import_leaves_out_ode_integrators():
+    # All dynamics propagate exactly with expm; scipy.integrate stays unloaded.
+    src = str(Path(magnoncavity.__file__).parents[1])
+    code = "import sys, magnoncavity.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_run_config_roundtrip_hash_changes():

@@ -117,6 +117,16 @@ def test_norm_conserved_without_loss(yig_lossless, fields):
     assert np.max(np.abs(total - 1.0)) < 1e-9
 
 
+def test_exceptional_point_closed_form():
+    # g = Gamma/4 gives a double root of the pseudo-mode matrix (defective,
+    # ill-conditioned eigenvectors): P(t) = exp(-Gamma t/2) (1 + Gamma t/4)^2.
+    Gamma = 1e7
+    kernel = MemoryKernel(weights=(Gamma**2 / 16.0,), rates=(-Gamma / 2.0,))
+    ts = evolve_pseudomode(kernel, 40.0 / Gamma, max_stable_dt(kernel) / 2.0)
+    exact = np.exp(-Gamma * ts.times / 2.0) * (1.0 + Gamma * ts.times / 4.0) ** 2
+    assert np.max(np.abs(ts.populations - exact)) < 1e-12
+
+
 def test_markovian_rate_matches_golden_rule(yig, fields):
     # Weak coupling g << Gamma: population decays at 4 g^2/Gamma.
     cavity = CavityConfig(R=30e-9, mat=yig, fields=fields, n_max=1)

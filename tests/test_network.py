@@ -81,6 +81,20 @@ def test_resonant_bright_state_solution(yig_lossless, fields):
     assert np.max(res.P2) > 1.0 - 1e-4  # grid-limited: the true peak is 1
 
 
+def test_resonant_magnon_start_solution(yig_lossless, fields):
+    # Gamma = 0, Delta = 0, excitation starting in the magnon: only the bright
+    # state couples, Pb = cos^2(sqrt(2) g t), P1 = P2 = sin^2(sqrt(2) g t)/2.
+    cavity = lossless_cavity(yig_lossless, fields)
+    cfg = symmetric_pair(cavity, a=1.2 * cavity.R, Delta_over_g=0.0)
+    g = coupling_strength(quantize_mode(1, cavity), cfg.emitter1)
+    t_end = 1.2 * math.pi / (math.sqrt(2.0) * g)
+    res = transfer_dynamics(cfg, t_end=t_end, dt=1e-9, initial_state=(0.0, 0.0, 1.0))
+    s = np.sin(math.sqrt(2.0) * g * res.times)
+    assert np.max(np.abs(res.Pb - (1 - s**2))) < 1e-12
+    assert np.max(np.abs(res.P1 - s**2 / 2.0)) < 1e-12
+    assert np.max(np.abs(res.P2 - s**2 / 2.0)) < 1e-12
+
+
 def test_decoupled_receiver_reduces_to_single_emitter(yig_lossless, fields):
     # dipole_scale = 0 on emitter 2 must reproduce the one-emitter detuned decay.
     from magnoncavity import MemoryKernel, evolve_pseudomode
