@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -95,7 +96,10 @@ def _parse_value(key: str, raw: str):
     if ftype in ("float", "float | None"):
         if raw.lower() == "none" and "None" in ftype:
             return None
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{raw!r} is not finite")
+        return value
     return raw
 
 
@@ -135,12 +139,25 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be positive")
     if cfg.Gamma_rad_per_s < 0:
         raise ConfigError("Gamma_rad_per_s must be non-negative")
-    if cfg.n_max < 1:
-        raise ConfigError("n_max must be >= 1")
+    for key in ("n_max", "n_H0", "n_R", "n_omega"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    _radii_nm(cfg)
     if cfg.mu0_H0_T is None and cfg.mu0_He_T is None:
         raise ConfigError("one of mu0_H0_T or mu0_He_T is required")
     if cfg.solver not in ("pseudomode", "volterra"):
         raise ConfigError(f"unknown solver {cfg.solver!r}")
+
+
+def _radii_nm(cfg: RunConfig) -> list[float]:
+    """The decay radii listed in R_list_nm; each must be a positive number."""
+    try:
+        radii = [float(tok) for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 'R_list_nm': {exc}") from exc
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ConfigError("R_list_nm entries must be positive")
+    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +204,16 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_csv(path: Path, header: list[str], rows, manifest_hash: str, meta: dict) -> None:
-    lines = [f"# manifest_hash={manifest_hash}"]
-    for key, val in meta.items():
-        lines.append(f"# {key}={val}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".12g")
+def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
+    """Write 1-D columns (header row = keys; %d if integer, else %.12g) after '#' meta lines."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    template = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.12g"
+                        for a in arrays) + "\n"
+    with path.open("w") as f:
+        f.write(f"# manifest_hash={manifest_hash}\n")
+        f.writelines(f"# {key}={val}\n" for key, val in meta.items())
+        f.write(",".join(columns) + "\n")
+        f.writelines(template % row for row in zip(*(a.tolist() for a in arrays)))
 
 
 def _derived_quantities(cfg: RunConfig) -> dict:
@@ -278,26 +291,21 @@ def _write_error(outdir: Path, stage: str, exc: Exception) -> None:
 def _run_modes(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     cavity = build_cavity(cfg)
     emitter = build_emitter(cfg, cavity)
-    rows = []
-    for mode in magnon_modes(cavity):
-        rows.append((
-            mode.n,
-            mode.omega / TWO_PI / 1e9,
-            mode.Gamma,
-            mode.Veff * M3_TO_MM3,
-            mode.Hzp,
-            coupling_strength(mode, emitter) / TWO_PI / 1e6,
-        ))
-    _write_csv(outdir / "modes.csv",
-               ["n", "omega_over_2pi_GHz", "Gamma_rad_per_s", "Veff_mm3",
-                "Hzp_A_per_m", "g_over_2pi_MHz"],
-               rows, mhash, {"R_nm": cfg.R_nm})
+    modes = magnon_modes(cavity)
+    _write_csv(outdir / "modes.csv", {
+        "n": [m.n for m in modes],
+        "omega_over_2pi_GHz": [m.omega / TWO_PI / 1e9 for m in modes],
+        "Gamma_rad_per_s": [m.Gamma for m in modes],
+        "Veff_mm3": [m.Veff * M3_TO_MM3 for m in modes],
+        "Hzp_A_per_m": [m.Hzp for m in modes],
+        "g_over_2pi_MHz": [coupling_strength(m, emitter) / TWO_PI / 1e6 for m in modes],
+    }, mhash, {"R_nm": cfg.R_nm})
     return ["modes.csv"]
 
 
 def _omega_grid(cfg: RunConfig, cavity: CavityConfig) -> np.ndarray:
     if cfg.omega_min_GHz is not None and cfg.omega_max_GHz is not None:
-        npts = cfg.n_omega or 2001
+        npts = 2001 if cfg.n_omega is None else cfg.n_omega
         return np.linspace(GHz_to_rad_per_s(cfg.omega_min_GHz),
                            GHz_to_rad_per_s(cfg.omega_max_GHz), npts)
     return auto_omega_grid(cavity)
@@ -307,32 +315,28 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     cavity = build_cavity(cfg)
     emitter = build_emitter(cfg, cavity)
     grid = spectral_grid(_omega_grid(cfg, cavity), emitter, cavity)
-    rows = zip(grid.omegas / TWO_PI / 1e9, grid.values)
-    _write_csv(outdir / "spectrum.csv", ["omega_over_2pi_GHz", "J_rad_per_s"],
-               rows, mhash, grid.metadata)
+    _write_csv(outdir / "spectrum.csv",
+               {"omega_over_2pi_GHz": grid.omegas / TWO_PI / 1e9, "J_rad_per_s": grid.values},
+               mhash, grid.metadata)
     return ["spectrum.csv"]
 
 
 def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     cavity = build_cavity(cfg)
     emitter = build_emitter(cfg, cavity)
-    mat = cavity.mat
     H0_values = np.linspace(tesla_to_field(cfg.mu0_H0_min_T),
                             tesla_to_field(cfg.mu0_H0_max_T), cfg.n_H0)
     # A common absolute grid wide enough for every column's peaks.
-    lo_cav = CavityConfig(R=cavity.R, mat=mat,
-                          fields=state_from_internal(H0_values[0], mat), n_max=cfg.n_max)
-    hi_cav = CavityConfig(R=cavity.R, mat=mat,
-                          fields=state_from_internal(H0_values[-1], mat), n_max=cfg.n_max)
-    omegas = np.linspace(auto_omega_grid(lo_cav)[0], auto_omega_grid(hi_cav)[-1],
-                         cfg.n_omega or 2001)
+    lo, hi = (auto_omega_grid(dataclasses.replace(
+        cavity, fields=state_from_internal(H0, cavity.mat))) for H0 in H0_values[[0, -1]])
+    omegas = np.linspace(lo[0], hi[-1], 2001 if cfg.n_omega is None else cfg.n_omega)
     sweep = field_sweep_map(H0_values, omegas, emitter, cavity)
-    rows = []
-    for i, H0 in enumerate(sweep.H0_values):
-        for j, om in enumerate(sweep.omega_values):
-            rows.append((H0 * CONSTANTS.mu0, om / TWO_PI / 1e9, sweep.J[i, j]))
-    _write_csv(outdir / "fieldmap.csv", ["H0_T", "omega_GHz", "J"],
-               rows, mhash, sweep.metadata)
+    n_H0, n_omega = sweep.J.shape
+    _write_csv(outdir / "fieldmap.csv", {
+        "H0_T": np.repeat(sweep.H0_values * CONSTANTS.mu0, n_omega),
+        "omega_GHz": np.tile(sweep.omega_values / TWO_PI / 1e9, n_H0),
+        "J": sweep.J.ravel(),
+    }, mhash, sweep.metadata)
     return ["fieldmap.csv"]
 
 
@@ -344,10 +348,8 @@ def _time_step(cfg: RunConfig, kernel) -> float:
 
 
 def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
-    mat = build_material(cfg)
     files = []
-    R_values = [float(tok) * NM for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
-    for R in R_values:
+    for R in (r * NM for r in _radii_nm(cfg)):
         cavity = build_cavity(cfg, R=R)
         emitter = build_emitter(cfg, cavity)
         kernel = build_kernel(emitter, cavity)
@@ -355,9 +357,8 @@ def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
         solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
         ts = solver(kernel, cfg.t_end_us * US, dt)
         name = f"decay_R{R / NM:g}nm.csv"
-        _write_csv(outdir / name, ["t_us", "population"],
-                   zip(ts.times / US, ts.populations), mhash,
-                   {"R_nm": R / NM, "solver": cfg.solver})
+        _write_csv(outdir / name, {"t_us": ts.times / US, "population": ts.populations},
+                   mhash, {"R_nm": R / NM, "solver": cfg.solver})
         files.append(name)
     return files
 
@@ -370,29 +371,27 @@ def _run_transfer(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     kernel = build_kernel(pair.emitter1, cavity)
     dt = _time_step(cfg, kernel)
     result = transfer_dynamics(pair, cfg.t_end_us * US, dt)
-    rows = zip(result.times / US, result.P1, result.P2, result.Pb)
-    _write_csv(outdir / "transfer.csv", ["t_us", "P1", "P2", "Pb"], rows, mhash,
-               {"g_rad_per_s": result.metadata["g"],
-                "Delta_rad_per_s": result.metadata["Delta"],
-                "swap_frequency_rad_per_s": result.swap_frequency,
-                "fidelity": result.fidelity})
+    _write_csv(outdir / "transfer.csv",
+               {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
+               mhash, {"g_rad_per_s": result.metadata["g"],
+                       "Delta_rad_per_s": result.metadata["Delta"],
+                       "swap_frequency_rad_per_s": result.swap_frequency,
+                       "fidelity": result.fidelity})
     return ["transfer.csv"]
 
 
 def _run_coupling_sweep(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
-    mat = build_material(cfg)
     cavity = build_cavity(cfg)
     R_values = np.linspace(cfg.R_min_nm * NM, cfg.R_max_nm * NM, cfg.n_R)
-    rows = coupling_vs_separation_sweep(cfg.G_nm * NM, R_values, mat,
+    rows = coupling_vs_separation_sweep(cfg.G_nm * NM, R_values, cavity.mat,
                                         cavity.fields.H0,
                                         Delta_over_g=cfg.Delta_over_g,
                                         dipole_scale=cfg.mu_B_scale)
-    data = [(r["separation_m"] / NM,
-             r["g_eff_rad_per_s"] / TWO_PI,
-             r["g_dip_rad_per_s"] / TWO_PI) for r in rows]
-    _write_csv(outdir / "coupling_sweep.csv",
-               ["separation_nm", "g_eff_Hz", "g_dip_Hz"], data, mhash,
-               {"G_nm": cfg.G_nm, "Delta_over_g": cfg.Delta_over_g})
+    _write_csv(outdir / "coupling_sweep.csv", {
+        "separation_nm": [r["separation_m"] / NM for r in rows],
+        "g_eff_Hz": [r["g_eff_rad_per_s"] / TWO_PI for r in rows],
+        "g_dip_Hz": [r["g_dip_rad_per_s"] / TWO_PI for r in rows],
+    }, mhash, {"G_nm": cfg.G_nm, "Delta_over_g": cfg.Delta_over_g})
     return ["coupling_sweep.csv"]
 
 

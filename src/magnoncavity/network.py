@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI
 from .dynamics import EmitterConfig, MemoryKernel, POPULATION_TOL, _check_dt, propagate
@@ -200,7 +199,7 @@ def _extract_swap(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[floa
         ripple_period = TWO_PI / abs(Delta)
         dt = times[1] - times[0]
         width = max(3, int(round(3.0 * ripple_period / dt)))
-        smooth = uniform_filter1d(P2, size=width, mode="nearest")
+        smooth = _boxcar(P2, width)
     else:
         smooth = P2
     if np.ptp(smooth) < 1e-12:
@@ -211,6 +210,16 @@ def _extract_swap(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[floa
         raise NumericalError("no interior P2 maximum; extend t_end to cover a half swap")
     t_star = float(times[k])
     return math.pi / (2.0 * t_star), float(P2[k])
+
+
+def _boxcar(x: np.ndarray, width: int) -> np.ndarray:
+    """Moving average over `width` samples, edge values repeated past both ends.
+
+    Window i covers x[i - width//2 : i - width//2 + width]; a cumulative sum
+    keeps it O(N) at any width.
+    """
+    csum = np.cumsum(np.pad(x, (width // 2 + 1, (width - 1) // 2), mode="edge"))
+    return (csum[width:] - csum[:-width]) / width
 
 
 def has_fast_ripples(result: TransferResult, min_count: int = 5) -> bool:

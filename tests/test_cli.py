@@ -207,13 +207,44 @@ def test_main_end_to_end_with_config_file(tmp_path):
     assert rows.shape[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["modes", "--R_nm", "nan"],
+    ["decay", "--t_end_us", "inf"],
+    ["fieldmap", "--n_H0", "0"],
+    ["decay", "--R_list_nm", "30,abc"],
+], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token"])
+def test_exit_code_2_for_bad_values(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_checked_in_configs_run(tmp_path):
+    # Each configs/<experiment>.cfg is a working point for that experiment.
+    configs = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        out = tmp_path / path.stem
+        assert main([path.stem, "--config", str(path), "--out", str(out)]) == 0
+
+
 def test_cli_import_leaves_out_ode_integrators():
-    # All dynamics propagate exactly with expm; scipy.integrate stays unloaded.
+    # All dynamics propagate exactly with expm and the swap extractor smooths
+    # with a cumulative sum; neither scipy.integrate nor scipy.ndimage loads.
     src = str(Path(magnoncavity.__file__).parents[1])
-    code = "import sys, magnoncavity.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, magnoncavity.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.ndimage'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_write_csv_columns_exact_text(tmp_path):
+    from magnoncavity.cli import _write_csv
+
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"n": np.arange(1, 5), "x": [0.1, 1e-20, 15.661334567890123, np.nan]},
+               "abc123", {"R_nm": 30.0})
+    assert path.read_text() == ("# manifest_hash=abc123\n# R_nm=30.0\nn,x\n"
+                                "1,0.1\n2,1e-20\n3,15.6613345679\n4,nan\n")
 
 
 def test_run_config_roundtrip_hash_changes():

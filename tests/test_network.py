@@ -9,7 +9,7 @@ from magnoncavity import (CavityConfig, ConfigError, DomainError,
                           dipole_dipole_coupling, effective_coupling,
                           has_fast_ripples, kittel_frequency, quantize_mode,
                           symmetric_pair, transfer_dynamics)
-from magnoncavity.network import _check_single_mode_validity
+from magnoncavity.network import _boxcar, _check_single_mode_validity
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,16 @@ def test_transfer_fidelity_lossless(yig_lossless, fields):
 
 def test_fast_ripples_present(dispersive_run):
     assert has_fast_ripples(dispersive_run)
+
+
+@pytest.mark.parametrize("width", [7, 4, 60])
+def test_boxcar_matches_edge_clamped_moving_average(width):
+    # Odd, even, and wider than the series: the window centred like
+    # scipy.ndimage.uniform_filter1d(mode="nearest"), edges clamped.
+    x = np.random.default_rng(1).random(50)
+    idx = np.arange(x.size)[:, None] - width // 2 + np.arange(width)[None, :]
+    naive = x[np.clip(idx, 0, x.size - 1)].mean(axis=1)
+    np.testing.assert_allclose(_boxcar(x, width), naive, rtol=0, atol=1e-13)
 
 
 def test_magnon_population_bound(dispersive_cfg, dispersive_run):
