@@ -139,7 +139,7 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be positive")
     if cfg.Gamma_rad_per_s < 0:
         raise ConfigError("Gamma_rad_per_s must be non-negative")
-    for key in ("n_max", "n_H0", "n_R", "n_omega"):
+    for key in ("n_max", "n_samples", "n_H0", "n_R", "n_omega"):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
     _radii_nm(cfg)
@@ -196,6 +196,9 @@ def build_emitter(cfg: RunConfig, cavity: CavityConfig) -> EmitterConfig:
 # ---------------------------------------------------------------------------
 # Output plumbing.
 
+WRITE_CHUNK = 4096      # CSV rows per formatting call; 512 and 4096 measured fastest
+
+
 def _config_hash(cfg: RunConfig) -> str:
     # Hash only the keys that influence the computed numbers; the output
     # directory must not change the data bytes.
@@ -205,15 +208,27 @@ def _config_hash(cfg: RunConfig) -> str:
 
 
 def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
-    """Write 1-D columns (header row = keys; %d if integer, else %.12g) after '#' meta lines."""
+    """Write 1-D columns (header row = keys; %d if integer, else %.12g) after '#' meta lines.
+
+    Rows are formatted WRITE_CHUNK at a time by one `%` over a repeated row
+    template, and each block is written as soon as it is formatted.
+    """
     arrays = [np.asarray(c) for c in columns.values()]
     template = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.12g"
                         for a in arrays) + "\n"
+    ncol = len(arrays)
+    # Row-major values from tolist(), so %d columns stay Python ints.
+    flat = [None] * (len(arrays[0]) * ncol)
+    for j, a in enumerate(arrays):
+        flat[j::ncol] = a.tolist()
     with path.open("w") as f:
         f.write(f"# manifest_hash={manifest_hash}\n")
         f.writelines(f"# {key}={val}\n" for key, val in meta.items())
         f.write(",".join(columns) + "\n")
-        f.writelines(template % row for row in zip(*(a.tolist() for a in arrays)))
+        step = WRITE_CHUNK * ncol
+        for i in range(0, len(flat), step):
+            block = flat[i:i + step]
+            f.write((template * (len(block) // ncol)) % tuple(block))
 
 
 def _derived_quantities(cfg: RunConfig) -> dict:
@@ -344,7 +359,7 @@ def _time_step(cfg: RunConfig, kernel) -> float:
     if cfg.dt_ns is not None:
         return cfg.dt_ns * 1e-9
     guard = max_stable_dt(kernel)
-    return min(guard / 2.0, cfg.t_end_us * US / max(cfg.n_samples, 1))
+    return min(guard / 2.0, cfg.t_end_us * US / cfg.n_samples)
 
 
 def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:

@@ -82,11 +82,6 @@ def field_to_tesla(H: float, mu0: float = CONSTANTS.mu0) -> float:
     return H * mu0
 
 
-def rad_per_s_to_GHz(omega: float) -> float:
-    """Angular frequency (rad/s) -> ordinary frequency in GHz."""
-    return omega / TWO_PI / GHZ
-
-
 def GHz_to_rad_per_s(f_GHz: float) -> float:
     """Ordinary frequency in GHz -> angular frequency (rad/s)."""
     return f_GHz * GHZ * TWO_PI

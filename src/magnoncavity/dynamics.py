@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .constants import ConfigError, DomainError, NumericalError
 from .material import state_from_internal
@@ -139,6 +138,8 @@ def propagate(A: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     rows times expm(A t_m), so N samples cost about log2(N) small expm calls
     and no per-sample Python loop.
     """
+    from scipy.linalg import expm   # loaded only by the experiments that propagate
+
     Y = np.empty((times.size, A.shape[0]), dtype=complex)
     Y[0] = y0
     m = 1
@@ -167,12 +168,13 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float) -> TimeSeries
 
     Kgrid = kernel(times)
     K0 = Kgrid[0]
+    Krev = Kgrid[::-1].copy()    # Krev[N - j] = K(t_j), so each history is a contiguous slice
     f_prev = 0.0 + 0.0j          # dc/dt at t_0 (history integral is empty)
     denom = 1.0 + dt * dt * K0 / 4.0
     for k in range(N):
         # Trapezoid over history for the integral at t_{k+1}, excluding the
         # as-yet-unknown endpoint term (dt/2)*K(0)*c_{k+1}.
-        hist = np.dot(Kgrid[k + 1:0:-1], c[: k + 1]) - 0.5 * Kgrid[k + 1] * c[0]
+        hist = np.dot(Krev[N - k - 1:N], c[: k + 1]) - 0.5 * Kgrid[k + 1] * c[0]
         A = dt * hist
         c_next = (c[k] + 0.5 * dt * f_prev - 0.5 * dt * A) / denom
         c[k + 1] = c_next

@@ -9,7 +9,7 @@ import pytest
 
 import magnoncavity
 from magnoncavity import ConfigError
-from magnoncavity.cli import RunConfig, main, parse_config, run
+from magnoncavity.cli import WRITE_CHUNK, RunConfig, main, parse_config, run
 
 
 def read_csv(path):
@@ -212,7 +212,8 @@ def test_main_end_to_end_with_config_file(tmp_path):
     ["decay", "--t_end_us", "inf"],
     ["fieldmap", "--n_H0", "0"],
     ["decay", "--R_list_nm", "30,abc"],
-], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token"])
+    ["decay", "--n_samples", "0"],
+], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0"])
 def test_exit_code_2_for_bad_values(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
 
@@ -228,10 +229,12 @@ def test_checked_in_configs_run(tmp_path):
 
 def test_cli_import_leaves_out_ode_integrators():
     # All dynamics propagate exactly with expm and the swap extractor smooths
-    # with a cumulative sum; neither scipy.integrate nor scipy.ndimage loads.
+    # with a cumulative sum; neither scipy.integrate nor scipy.ndimage loads,
+    # and scipy.linalg loads only when something propagates.
     src = str(Path(magnoncavity.__file__).parents[1])
     code = ("import sys, magnoncavity.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.ndimage'} & set(sys.modules)))")
+            "print(sorted({'scipy.integrate', 'scipy.ndimage', 'scipy.linalg'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
@@ -245,6 +248,24 @@ def test_write_csv_columns_exact_text(tmp_path):
                "abc123", {"R_nm": 30.0})
     assert path.read_text() == ("# manifest_hash=abc123\n# R_nm=30.0\nn,x\n"
                                 "1,0.1\n2,1e-20\n3,15.6613345679\n4,nan\n")
+
+
+@pytest.mark.parametrize("nrows", [
+    0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1, 2 * WRITE_CHUNK + 3,
+], ids=["0", "1", "chunk-1", "chunk", "chunk+1", "2chunk+3"])
+def test_write_csv_block_boundaries(tmp_path, nrows):
+    # Block formatting must give exactly the text of one `template % row` per row.
+    from magnoncavity.cli import _write_csv
+
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 15.661334567890123]
+    n = np.arange(nrows) + (2**53 - 3)     # odd values past 2**53 have no exact float
+    x = np.resize(specials, nrows)
+    y = np.linspace(-1.0, 1.0, nrows)
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"n": n, "x": x, "y": y}, "abc123", {})
+    expected = ["# manifest_hash=abc123", "n,x,y"] + [
+        "%d,%.12g,%.12g" % row for row in zip(n.tolist(), x.tolist(), y.tolist())]
+    assert path.read_text().split("\n") == expected + [""]
 
 
 def test_run_config_roundtrip_hash_changes():
