@@ -143,6 +143,15 @@ def _validate(cfg: RunConfig) -> None:
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
     _radii_nm(cfg)
+    if cfg.experiment == "spectrum":
+        # Both omega bounds (min < max) or neither; n_omega needs both.
+        lo, hi = cfg.omega_min_GHz, cfg.omega_max_GHz
+        if (lo is None) != (hi is None):
+            raise ConfigError("omega_min_GHz and omega_max_GHz must be set together")
+        if lo is None and cfg.n_omega is not None:
+            raise ConfigError("n_omega needs omega_min_GHz and omega_max_GHz")
+        if lo is not None and lo >= hi:
+            raise ConfigError("omega_min_GHz must be below omega_max_GHz")
     if cfg.mu0_H0_T is None and cfg.mu0_He_T is None:
         raise ConfigError("one of mu0_H0_T or mu0_He_T is required")
     if cfg.solver not in ("pseudomode", "volterra"):
@@ -150,13 +159,15 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def _radii_nm(cfg: RunConfig) -> list[float]:
-    """The decay radii listed in R_list_nm; each must be a positive number."""
+    """The decay radii listed in R_list_nm: at least one, each a positive number."""
     try:
         radii = [float(tok) for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for 'R_list_nm': {exc}") from exc
     if not all(math.isfinite(r) and r > 0 for r in radii):
         raise ConfigError("R_list_nm entries must be positive")
+    if not radii:
+        raise ConfigError("R_list_nm lists no radius")
     return radii
 
 
@@ -207,28 +218,38 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
-    """Write 1-D columns (header row = keys; %d if integer, else %.12g) after '#' meta lines.
+def _format_column(values) -> list[str]:
+    """The %.12g text of each value, for an axis that many rows or files share."""
+    return ["%.12g" % v for v in np.asarray(values).tolist()]
 
-    Rows are formatted WRITE_CHUNK at a time by one `%` over a repeated row
-    template, and each block is written as soon as it is formatted.
+
+def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
+    """Write 1-D columns (header row = keys) after '#' meta lines.
+
+    A column given as a list of str (see `_format_column`) is written as is;
+    a numeric column with %d if integer, else %.12g. Rows are formatted
+    WRITE_CHUNK at a time by one `%` over a repeated row template, and each
+    block is written as soon as it is formatted.
     """
-    arrays = [np.asarray(c) for c in columns.values()]
-    template = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.12g"
-                        for a in arrays) + "\n"
-    ncol = len(arrays)
-    # Row-major values from tolist(), so %d columns stay Python ints.
-    flat = [None] * (len(arrays[0]) * ncol)
-    for j, a in enumerate(arrays):
-        flat[j::ncol] = a.tolist()
+    cols = [c if isinstance(c, list) and c and isinstance(c[0], str) else np.asarray(c)
+            for c in columns.values()]
+    template = ",".join("%s" if isinstance(c, list)
+                        else "%d" if np.issubdtype(c.dtype, np.integer) else "%.12g"
+                        for c in cols) + "\n"
+    ncol, nrows = len(cols), len(cols[0])
     with path.open("w") as f:
         f.write(f"# manifest_hash={manifest_hash}\n")
         f.writelines(f"# {key}={val}\n" for key, val in meta.items())
         f.write(",".join(columns) + "\n")
-        step = WRITE_CHUNK * ncol
-        for i in range(0, len(flat), step):
-            block = flat[i:i + step]
-            f.write((template * (len(block) // ncol)) % tuple(block))
+        for i in range(0, nrows, WRITE_CHUNK):
+            rows = min(WRITE_CHUNK, nrows - i)
+            # Row-major values of one block; tolist() keeps %d columns as
+            # Python ints and makes Python objects for this block only.
+            block = [None] * (rows * ncol)
+            for j, c in enumerate(cols):
+                piece = c[i:i + rows]
+                block[j::ncol] = piece if isinstance(piece, list) else piece.tolist()
+            f.write((template * rows) % tuple(block))
 
 
 def _derived_quantities(cfg: RunConfig) -> dict:
@@ -256,6 +277,9 @@ def run(cfg: RunConfig) -> int:
         if not cfg.experiment:
             raise ConfigError("no experiment selected")
         outdir.mkdir(parents=True, exist_ok=True)
+        # A previous run's record must not outlive this run if it fails.
+        for name in ("manifest.json", "error.json"):
+            (outdir / name).unlink(missing_ok=True)
         mhash = _config_hash(cfg)
         derived = _derived_quantities(cfg)
         runner = {
@@ -346,10 +370,12 @@ def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
         cavity, fields=state_from_internal(H0, cavity.mat))) for H0 in H0_values[[0, -1]])
     omegas = np.linspace(lo[0], hi[-1], 2001 if cfg.n_omega is None else cfg.n_omega)
     sweep = field_sweep_map(H0_values, omegas, emitter, cavity)
-    n_H0, n_omega = sweep.J.shape
+    # Each axis value is formatted once; repeating the text copies only pointers.
+    H0_text = _format_column(sweep.H0_values * CONSTANTS.mu0)
+    omega_text = _format_column(sweep.omega_values / TWO_PI / 1e9)
     _write_csv(outdir / "fieldmap.csv", {
-        "H0_T": np.repeat(sweep.H0_values * CONSTANTS.mu0, n_omega),
-        "omega_GHz": np.tile(sweep.omega_values / TWO_PI / 1e9, n_H0),
+        "H0_T": [s for s in H0_text for _ in omega_text],
+        "omega_GHz": omega_text * len(H0_text),
         "J": sweep.J.ravel(),
     }, mhash, sweep.metadata)
     return ["fieldmap.csv"]
@@ -364,6 +390,7 @@ def _time_step(cfg: RunConfig, kernel) -> float:
 
 def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     files = []
+    times = t_text = None
     for R in (r * NM for r in _radii_nm(cfg)):
         cavity = build_cavity(cfg, R=R)
         emitter = build_emitter(cfg, cavity)
@@ -371,10 +398,14 @@ def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
         dt = _time_step(cfg, kernel)
         solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
         ts = solver(kernel, cfg.t_end_us * US, dt)
+        # Radii usually share one time grid; format its text once.
+        if times is None or not np.array_equal(ts.times, times):
+            times, t_text = ts.times, _format_column(ts.times / US)
         name = f"decay_R{R / NM:g}nm.csv"
-        _write_csv(outdir / name, {"t_us": ts.times / US, "population": ts.populations},
+        _write_csv(outdir / name, {"t_us": t_text, "population": ts.populations},
                    mhash, {"R_nm": R / NM, "solver": cfg.solver})
         files.append(name)
+        del ts      # free this radius's amplitudes before the next propagation
     return files
 
 

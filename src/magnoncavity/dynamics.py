@@ -145,7 +145,7 @@ def propagate(A: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     m = 1
     while m < times.size:
         k = min(m, times.size - m)
-        Y[m:m + k] = Y[:k] @ expm(A * times[m]).T
+        np.matmul(Y[:k], expm(A * times[m]).T, out=Y[m:m + k])
         m += k
     return Y
 

@@ -10,6 +10,7 @@ import pytest
 import magnoncavity
 from magnoncavity import ConfigError
 from magnoncavity.cli import WRITE_CHUNK, RunConfig, main, parse_config, run
+from magnoncavity.constants import CONSTANTS, TWO_PI, US
 
 
 def read_csv(path):
@@ -213,9 +214,27 @@ def test_main_end_to_end_with_config_file(tmp_path):
     ["fieldmap", "--n_H0", "0"],
     ["decay", "--R_list_nm", "30,abc"],
     ["decay", "--n_samples", "0"],
-], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0"])
+    ["decay", "--R_list_nm", ","],
+    ["spectrum", "--omega_min_GHz", "20"],
+    ["spectrum", "--omega_max_GHz", "20"],
+    ["spectrum", "--omega_min_GHz", "20", "--omega_max_GHz", "10"],
+    ["spectrum", "--n_omega", "5"],
+], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
+        "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
+        "n_omega-without-bounds"])
 def test_exit_code_2_for_bad_values(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_failed_run_leaves_no_manifest(tmp_path):
+    # A failed run into a directory that holds an earlier success must not
+    # leave that run's manifest behind to look like its own.
+    cfgfile = Path(__file__).parents[1] / "configs" / "transfer.cfg"
+    assert main(["transfer", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "manifest.json").exists()
+    assert main(["transfer", "--out", str(tmp_path)]) == 3   # 1 us is shorter than the swap
+    assert (tmp_path / "error.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_checked_in_configs_run(tmp_path):
@@ -255,17 +274,65 @@ def test_write_csv_columns_exact_text(tmp_path):
 ], ids=["0", "1", "chunk-1", "chunk", "chunk+1", "2chunk+3"])
 def test_write_csv_block_boundaries(tmp_path, nrows):
     # Block formatting must give exactly the text of one `template % row` per row.
-    from magnoncavity.cli import _write_csv
+    # A text column from _format_column must read as the numbers written with %.12g.
+    from magnoncavity.cli import _format_column, _write_csv
 
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 15.661334567890123]
     n = np.arange(nrows) + (2**53 - 3)     # odd values past 2**53 have no exact float
     x = np.resize(specials, nrows)
     y = np.linspace(-1.0, 1.0, nrows)
     path = tmp_path / "t.csv"
-    _write_csv(path, {"n": n, "x": x, "y": y}, "abc123", {})
-    expected = ["# manifest_hash=abc123", "n,x,y"] + [
-        "%d,%.12g,%.12g" % row for row in zip(n.tolist(), x.tolist(), y.tolist())]
+    _write_csv(path, {"n": n, "x": x, "y": y, "x_text": _format_column(x)}, "abc123", {})
+    expected = ["# manifest_hash=abc123", "n,x,y,x_text"] + [
+        "%d,%.12g,%.12g,%.12g" % (*row, row[1])
+        for row in zip(n.tolist(), x.tolist(), y.tolist())]
     assert path.read_text().split("\n") == expected + [""]
+
+
+def _recording(monkeypatch, name):
+    """Replace magnoncavity.cli.<name> by a wrapper that keeps every result."""
+    import magnoncavity.cli as cli
+
+    results = []
+    orig = getattr(cli, name)
+
+    def record(*args, **kwargs):
+        results.append(orig(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, record)
+    return results
+
+
+def _data_lines(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")][1:]
+
+
+def test_fieldmap_text_axes_match_numeric_rows(tmp_path, monkeypatch):
+    # The axes are formatted once and their text repeated; every row must
+    # still read as the %.12g text of its own (H0, omega, J).
+    sweeps = _recording(monkeypatch, "field_sweep_map")
+    assert main(["fieldmap", "--n_H0", "3", "--n_omega", "5", "--out", str(tmp_path)]) == 0
+    (sweep,) = sweeps
+    n_H0, n_omega = sweep.J.shape
+    rows = zip(np.repeat(sweep.H0_values * CONSTANTS.mu0, n_omega).tolist(),
+               np.tile(sweep.omega_values / TWO_PI / 1e9, n_H0).tolist(),
+               sweep.J.ravel().tolist())
+    assert _data_lines(tmp_path / "fieldmap.csv") == ["%.12g,%.12g,%.12g" % row for row in rows]
+
+
+@pytest.mark.parametrize("extra, n_grids", [([], 1), (["--n_max", "1"], 2)],
+                         ids=["shared-grid", "grid-per-radius"])
+def test_decay_time_axis_matches_each_radius(tmp_path, monkeypatch, extra, n_grids):
+    # Radii share one formatted time axis only while their grids are equal;
+    # with n_max = 1 the coupling guard gives each radius its own dt.
+    series = _recording(monkeypatch, "evolve_pseudomode")
+    argv = ["decay", "--R_list_nm", "30,50", "--n_samples", "7", "--out", str(tmp_path)]
+    assert main(argv + extra) == 0
+    assert len({ts.times.size for ts in series}) == n_grids
+    for R, ts in zip((30, 50), series):
+        rows = zip((ts.times / US).tolist(), ts.populations.tolist())
+        assert _data_lines(tmp_path / f"decay_R{R}nm.csv") == ["%.12g,%.12g" % row for row in rows]
 
 
 def test_run_config_roundtrip_hash_changes():
