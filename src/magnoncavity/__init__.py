@@ -6,9 +6,8 @@ from .constants import (CONSTANTS, ConfigError, Constants, DomainError,
                         NumericalError, field_to_tesla, tesla_to_field)
 from .material import (MaterialParams, StaticFieldState, SusceptibilityTensor,
                        internal_field, state_from_internal, susceptibility)
-from .modes import (CavityConfig, MagnonMode, coupling_strength,
-                    kittel_frequency, magnon_modes, mode_field, mode_frequency,
-                    mode_potential, quantize_mode)
+from .modes import (CavityConfig, ModeTable, kittel_frequency, mode_field,
+                    mode_frequency, mode_potential, mode_table)
 from .spectral import (FieldSweepMap, SpectralGrid, auto_omega_grid,
                        field_sweep_map, spectral_density, spectral_grid)
 from .dynamics import (EmitterConfig, MemoryKernel, TimeSeries, build_kernel,
@@ -24,9 +23,8 @@ __all__ = [
     "tesla_to_field", "field_to_tesla",
     "MaterialParams", "StaticFieldState", "SusceptibilityTensor",
     "internal_field", "state_from_internal", "susceptibility",
-    "CavityConfig", "MagnonMode", "coupling_strength",
-    "kittel_frequency", "magnon_modes", "mode_field", "mode_frequency",
-    "mode_potential", "quantize_mode",
+    "CavityConfig", "ModeTable", "kittel_frequency", "mode_field",
+    "mode_frequency", "mode_potential", "mode_table",
     "FieldSweepMap", "SpectralGrid", "auto_omega_grid", "field_sweep_map",
     "spectral_density", "spectral_grid",
     "EmitterConfig", "MemoryKernel", "TimeSeries", "build_kernel",

@@ -30,8 +30,7 @@ from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
 from .dynamics import (EmitterConfig, build_kernel, evolve_pseudomode,
                        evolve_volterra, max_stable_dt)
 from .material import MaterialParams, internal_field, state_from_internal
-from .modes import (CavityConfig, coupling_strength, kittel_frequency,
-                    magnon_modes, quantize_mode)
+from .modes import CavityConfig, kittel_frequency, mode_table
 from .network import (coupling_vs_separation_sweep, effective_coupling,
                       symmetric_pair, transfer_dynamics)
 from .spectral import auto_omega_grid, field_sweep_map, spectral_grid
@@ -84,6 +83,12 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+# Size budget, checked before anything large is allocated: the highest mode
+# order, and the complex state values that one propagation holds,
+# samples * (modes + 1), 16 bytes each (160 MB at the limit).
+_MAX_N_MAX = 1000
+_MAX_STATE_VALUES = 10_000_000
 
 
 def _parse_value(key: str, raw: str):
@@ -139,9 +144,13 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be positive")
     if cfg.Gamma_rad_per_s < 0:
         raise ConfigError("Gamma_rad_per_s must be non-negative")
+    if cfg.dt_ns is not None and cfg.dt_ns <= 0:
+        raise ConfigError("dt_ns must be positive")
     for key in ("n_max", "n_samples", "n_H0", "n_R", "n_omega"):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
+    if cfg.n_max > _MAX_N_MAX:
+        raise ConfigError(f"n_max = {cfg.n_max} exceeds the supported maximum {_MAX_N_MAX}")
     _radii_nm(cfg)
     if cfg.experiment == "spectrum":
         # Both omega bounds (min < max) or neither; n_omega needs both.
@@ -252,15 +261,18 @@ def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> Non
             f.write((template * rows) % tuple(block))
 
 
+def _emitter_modes(cfg: RunConfig, cavity: CavityConfig):
+    """The cavity's mode table with couplings at the configured emitter."""
+    return mode_table(cavity, (emitter_radius(cfg, cavity), 0.0, 0.0), cfg.mu_B_scale)
+
+
 def _derived_quantities(cfg: RunConfig) -> dict:
-    cavity = build_cavity(cfg)
-    emitter = build_emitter(cfg, cavity)
-    mode = quantize_mode(1, cavity)
-    g = coupling_strength(mode, emitter)
+    t = _emitter_modes(cfg, build_cavity(cfg, n_max=1))
+    g = abs(t.g[0])
     return {
-        "omega_K_over_2pi_GHz": mode.omega / TWO_PI / 1e9,
-        "Veff_mm3": mode.Veff * M3_TO_MM3,
-        "Hzp_A_per_m": mode.Hzp,
+        "omega_K_over_2pi_GHz": t.omega[0] / TWO_PI / 1e9,
+        "Veff_mm3": t.Veff[0] * M3_TO_MM3,
+        "Hzp_A_per_m": t.Hzp[0],
         "g_over_2pi_MHz": g / TWO_PI / 1e6,
         "g_eff_over_2pi_kHz": effective_coupling(g, cfg.Delta_over_g * g) / TWO_PI / 1e3,
     }
@@ -280,6 +292,7 @@ def run(cfg: RunConfig) -> int:
         # A previous run's record must not outlive this run if it fails.
         for name in ("manifest.json", "error.json"):
             (outdir / name).unlink(missing_ok=True)
+        _validate(cfg)
         mhash = _config_hash(cfg)
         derived = _derived_quantities(cfg)
         runner = {
@@ -328,16 +341,14 @@ def _write_error(outdir: Path, stage: str, exc: Exception) -> None:
 
 
 def _run_modes(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
-    cavity = build_cavity(cfg)
-    emitter = build_emitter(cfg, cavity)
-    modes = magnon_modes(cavity)
+    t = _emitter_modes(cfg, build_cavity(cfg))
     _write_csv(outdir / "modes.csv", {
-        "n": [m.n for m in modes],
-        "omega_over_2pi_GHz": [m.omega / TWO_PI / 1e9 for m in modes],
-        "Gamma_rad_per_s": [m.Gamma for m in modes],
-        "Veff_mm3": [m.Veff * M3_TO_MM3 for m in modes],
-        "Hzp_A_per_m": [m.Hzp for m in modes],
-        "g_over_2pi_MHz": [coupling_strength(m, emitter) / TWO_PI / 1e6 for m in modes],
+        "n": t.n,
+        "omega_over_2pi_GHz": t.omega / TWO_PI / 1e9,
+        "Gamma_rad_per_s": t.Gamma,
+        "Veff_mm3": t.Veff * M3_TO_MM3,
+        "Hzp_A_per_m": t.Hzp,
+        "g_over_2pi_MHz": np.abs(t.g) / TWO_PI / 1e6,
     }, mhash, {"R_nm": cfg.R_nm})
     return ["modes.csv"]
 
@@ -382,10 +393,18 @@ def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
 
 
 def _time_step(cfg: RunConfig, kernel) -> float:
+    """The output step, checked against the state budget before anything propagates."""
     if cfg.dt_ns is not None:
-        return cfg.dt_ns * 1e-9
-    guard = max_stable_dt(kernel)
-    return min(guard / 2.0, cfg.t_end_us * US / cfg.n_samples)
+        dt = cfg.dt_ns * 1e-9
+    else:
+        dt = min(max_stable_dt(kernel) / 2.0, cfg.t_end_us * US / cfg.n_samples)
+    # A float count: an absurd dt gives inf, not an int overflow or a division by 0.
+    samples = cfg.t_end_us * US / dt + 1.0 if dt > 0 else math.inf
+    values = samples * (len(kernel.weights) + 1)
+    if values > _MAX_STATE_VALUES:
+        raise ConfigError(f"{samples:.3g} samples x {len(kernel.weights) + 1} state values "
+                          f"exceed the budget of {_MAX_STATE_VALUES:g} values")
+    return dt
 
 
 def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:

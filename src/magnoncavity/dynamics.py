@@ -3,7 +3,7 @@
 Rotating-frame amplitude c(t) (c_tilde, slowly varying at omega0) obeys
 
     dc/dt = -Int_0^t K(t - t') c(t') dt',
-    K(tau) = sum_n g_n^2 exp[(i(omega0 - omega_n) - Gamma_n/2) tau],
+    K(tau) = sum_n |g_n|^2 exp[(i(omega0 - omega_n) - Gamma_n/2) tau],
 
 the closed-contour transform of the Lorentzian spectral density. Two
 independent solvers are provided and cross-validated:
@@ -28,8 +28,7 @@ import numpy as np
 
 from .constants import ConfigError, DomainError, NumericalError
 from .material import state_from_internal
-from .modes import CavityConfig, kittel_frequency
-from .spectral import mode_couplings
+from .modes import CavityConfig, kittel_frequency, mode_table
 
 POPULATION_TOL = 1e-9
 
@@ -51,7 +50,7 @@ class EmitterConfig:
 class MemoryKernel:
     """K(tau) = sum_k weights[k] * exp(rates[k] * tau).
 
-    weights are the g_n^2 (rad^2/s^2); rates are i*(omega0 - omega_n) - Gamma_n/2.
+    weights are the |g_n|^2 (rad^2/s^2); rates are i*(omega0 - omega_n) - Gamma_n/2.
     """
 
     weights: tuple[float, ...]
@@ -92,9 +91,9 @@ class TimeSeries:
 
 def build_kernel(emitter: EmitterConfig, cavity: CavityConfig) -> MemoryKernel:
     """One exponential term per retained mode, from the quantized couplings."""
-    omega_n, g_n, Gamma_n = mode_couplings(cavity, emitter)
-    rates = 1j * (emitter.omega0 - omega_n) - Gamma_n / 2.0
-    return MemoryKernel(weights=tuple(g_n**2), rates=tuple(rates))
+    t = mode_table(cavity, emitter.position, emitter.dipole_scale)
+    rates = 1j * (emitter.omega0 - t.omega) - t.Gamma / 2.0
+    return MemoryKernel(weights=tuple(t.weights), rates=tuple(rates))
 
 
 def _dt_bounds(kernel: MemoryKernel) -> dict[str, float]:

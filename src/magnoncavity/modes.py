@@ -1,9 +1,11 @@
 """Magnetostatic modes of a gyrotropic sphere on the (n, m=n) branch.
 
-Scalar potential (quasi-statics, H = -grad(phi)), with w = x - i*y:
+The (n, m = n) family is the equatorial branch of Walker's modes
+(Phys. Rev. 105, 390 (1957)). Scalar potential (quasi-statics,
+H = -grad(phi)), with w = x - i*y:
 
     interior (r < R):   phi_n = w^n
-    exterior (r > R):   phi_n = R^(2n+1) * w^n / r^(2n+1)
+    exterior (r > R):   phi_n = (R/r)^(2n+1) * w^n
 
 Both are harmonic, share the angular dependence sin^n(theta) e^(-i n phi),
 and match at r = R, which fixes the exterior amplitude. The interior field
@@ -21,28 +23,37 @@ normalization (Gamma = 0 inside the integral):
     Int mu0 H*·d(omega[I+chi])/domega|_omega_n ·H d^3r = hbar*omega_n.
 
 For the e(-)-polarized interior field the tensor derivative collapses to
-the scalar D_n = d/domega[omega(1 + chi + kappa)] = 1 + wH*wM/(wH-omega_n)^2,
-and both Dirichlet integrals have closed forms:
+the scalar D_n = d/domega[omega(1 + chi + kappa)] = 1 + wH*wM/(wH-omega_n)^2
+= 1 + (wH/wM)*((2n+1)/n)^2, and both Dirichlet integrals have closed forms:
 
     Int_int |grad phi_n|^2 =  n    * R^(2n+1) * S_n
     Int_ext |grad phi_n|^2 = (n+1) * R^(2n+1) * S_n
     S_n = 2*pi^(3/2) * Gamma(n+1)/Gamma(n+3/2)
 
-so the normalization integral is mu0*s^2*R^(2n+1)*S_n*(n*D_n + n + 1) with
-amplitude s. For n = 1 this reproduces Veff = 3V(Ms + 3H0)/Ms with
-V = 4*pi*R^3/3 and the exterior dipole field Hzp*R^3*(3 r@r/r^5 - I/r^3)·e(-).
+so the normalization integral is mu0*s^2*R^(2n+1)*N_n with amplitude s and
+N_n = S_n*(n*D_n + n + 1). `mode_table` works in rho = r/R, where R enters
+only as an overall power: with s_n = sqrt(hbar*omega_n/(mu0*N_n)),
+
+    Hzp_n  = sqrt(2)*n*s_n * R^(-3/2)         (peak interior |H|, equator surface)
+    Veff_n = N_n/(2 n^2) * R^3                (= hbar*omega_n/(mu0*Hzp_n^2))
+
+For n = 1 this reproduces Veff = 3V(Ms + 3H0)/Ms with V = 4*pi*R^3/3.
 
 The spin-mode coupling takes the co-rotating circular projection of the
-zero-point field at the emitter (transition dipole magnitude sqrt(2)*muB):
+zero-point field at the emitter (transition dipole magnitude sqrt(2)*muB).
+Outside the sphere <e(+), H> = s_n*R^(-3/2)*(2n+1)*u^(n+1)*rho^-(n+2)/sqrt(2)
+with u = (x - i*y)/r, so
 
-    hbar*g = sqrt(2)*mu0*muB*|<e(+), H_mode(r_emitter)>|.
+    hbar*g_n = sqrt(2)*mu0*muB*<e(+), H_mode(r_emitter)>
+             = mu0*muB*(2n+1)*s_n*R^(-3/2)*u^(n+1)*rho^-(n+2),
+
+complex, with the e^(-i(n+1)phi) phase of the (n, n) mode at the emitter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -92,6 +103,61 @@ def kittel_frequency(fields: StaticFieldState, mat: MaterialParams) -> float:
     return mode_frequency(1, fields, mat)
 
 
+@dataclass(frozen=True)
+class ModeTable:
+    """Quantized (n, n) modes as arrays over n = 1..n_max (the last axis).
+
+    Leading axes follow the H0 values the table was built for. omega and
+    Gamma are in rad/s, Veff in m^3, Hzp in A/m; g is the complex coupling
+    in rad/s at the emitter position, or None when none was given.
+    """
+
+    n: np.ndarray
+    omega: np.ndarray
+    Gamma: np.ndarray
+    Veff: np.ndarray
+    Hzp: np.ndarray
+    g: np.ndarray | None
+
+    @property
+    def weights(self) -> np.ndarray:
+        """|g_n|^2, the weight of each mode in the kernel and the spectral density."""
+        return self.g.real**2 + self.g.imag**2
+
+
+def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
+               H0=None) -> ModeTable:
+    """Closed-form mode ladder up to cavity.n_max, optionally at an emitter.
+
+    H0 (A/m, scalar or array) replaces the cavity's internal field; the
+    table's leading axes are then those of H0. dipole_scale multiplies the
+    emitter's transition dipole.
+    """
+    mat, R = cavity.mat, cavity.R
+    n = np.arange(1, cavity.n_max + 1)
+    H0 = np.asarray(cavity.fields.H0 if H0 is None else H0, dtype=float)[..., None]
+    omega = mat.gamma_tilde * (H0 + mat.Ms * n / (2.0 * n + 1.0))
+    D = 1.0 + H0 / mat.Ms * ((2.0 * n + 1.0) / n) ** 2
+    # lgamma keeps S_n finite where n! and Gamma(n + 3/2) alone overflow.
+    S = 2.0 * math.pi * math.sqrt(math.pi) * np.exp(
+        [math.lgamma(k + 1.0) - math.lgamma(k + 1.5) for k in n.tolist()])
+    N = S * (n * D + n + 1.0)
+    s = np.sqrt(CONSTANTS.hbar * omega / (CONSTANTS.mu0 * N))
+    g = None
+    if position is not None:
+        x, y, _ = np.asarray(position, dtype=float)
+        r = float(np.linalg.norm(position))
+        if r <= R:
+            raise DomainError("emitter must sit outside the sphere")
+        # u^(n+1) with |u| <= 1 and rho^-(n+2) <= 1 underflow to 0, never overflow.
+        phase = np.cumprod(np.full(n.size + 1, complex(x, -y) / r))[1:]
+        g = (CONSTANTS.mu0 * CONSTANTS.muB * dipole_scale / CONSTANTS.hbar
+             * (2 * n + 1) * s * R**-1.5 * phase * (R / r) ** (n + 2))
+    return ModeTable(n=n, omega=omega,
+                     Gamma=np.broadcast_to(mat.damping_rate(H0), omega.shape),
+                     Veff=N / (2.0 * n * n) * R**3, Hzp=_SQRT2 * n * s * R**-1.5, g=g)
+
+
 def mode_potential(n: int, r, R: float):
     """Unnormalized scalar potential of the (n, n) mode at points r (..., 3)."""
     if n < 1:
@@ -101,7 +167,7 @@ def mode_potential(n: int, r, R: float):
     w = x - 1j * y
     rad = np.sqrt(x * x + y * y + z * z)
     exterior = rad >= R * (1.0 - BOUNDARY_TOL)
-    phi = np.where(exterior, R ** (2 * n + 1) * w**n / np.where(exterior, rad, 1.0) ** (2 * n + 1), w**n)
+    phi = np.where(exterior, (R / np.where(exterior, rad, R)) ** (2 * n + 1) * w**n, w**n)
     return phi
 
 
@@ -129,10 +195,10 @@ def mode_field(n: int, r, cavity: CavityConfig):
     H[..., 0][interior] = -n * wi
     H[..., 1][interior] = 1j * n * wi
 
-    # Exterior: -grad(R^(2n+1) w^n r^-(2n+1)).
+    # Exterior: -grad((R/r)^(2n+1) w^n); R/r <= 1 keeps the radial factor finite.
     re = rad[exterior]
     we = w[exterior]
-    pref = R ** (2 * n + 1) * re ** -(2 * n + 1)
+    pref = (R / re) ** (2 * n + 1)
     wn1 = we ** (n - 1)
     wn = we**n
     radial = (2 * n + 1) * wn / (re * re)
@@ -140,84 +206,3 @@ def mode_field(n: int, r, cavity: CavityConfig):
     H[..., 1][exterior] = pref * (1j * n * wn1 + radial * y[exterior])
     H[..., 2][exterior] = pref * (radial * z[exterior])
     return H
-
-
-def _angular_integral(n: int) -> float:
-    """S_n = Int |sin^n(theta) e^(-i n phi)|^2 dOmega = 2 pi^(3/2) n! / Gamma(n+3/2)."""
-    return 2.0 * math.pi * math.sqrt(math.pi) * math.gamma(n + 1) / math.gamma(n + 1.5)
-
-
-def dispersive_energy_factor(n: int, cavity: CavityConfig) -> float:
-    """D_n = d/domega[omega(1 + chi + kappa)] at omega_n, Gamma = 0."""
-    wH = cavity.mat.gamma_tilde * cavity.fields.H0
-    wM = cavity.mat.gamma_tilde * cavity.mat.Ms
-    omega = mode_frequency(n, cavity.fields, cavity.mat)
-    return 1.0 + wH * wM / (wH - omega) ** 2
-
-
-@dataclass(frozen=True)
-class MagnonMode:
-    """A quantized (n, m=n) mode: frequency, linewidth, zero-point field.
-
-    scale multiplies the unnormalized mode_field shape so that one quantum
-    carries hbar*omega; Hzp is the peak interior amplitude and
-    Veff = hbar*omega/(mu0*Hzp^2).
-    """
-
-    n: int
-    m: int
-    omega: float
-    Gamma: float
-    Veff: float
-    Hzp: float
-    scale: float
-    cavity: CavityConfig
-
-    def field(self, r) -> np.ndarray:
-        """Zero-point field H(r) in A/m at points r (..., 3); thread-safe."""
-        return self.scale * mode_field(self.n, r, self.cavity)
-
-
-def quantize_mode(n: int, cavity: CavityConfig) -> MagnonMode:
-    """Normalize mode n against the dispersive-energy integral (closed form)."""
-    omega = mode_frequency(n, cavity.fields, cavity.mat)
-    D_n = dispersive_energy_factor(n, cavity)
-    S_n = _angular_integral(n)
-    R = cavity.R
-    shape_integral = R ** (2 * n + 1) * S_n * (n * D_n + n + 1)
-    if not (shape_integral > 0 and math.isfinite(shape_integral)):
-        raise AssertionError("mode normalization integral must be finite and positive")
-    scale = math.sqrt(CONSTANTS.hbar * omega / (CONSTANTS.mu0 * shape_integral))
-    # Peak interior |H| of the shape field: sqrt(2)*n*R^(n-1) at the equator surface.
-    Hzp = scale * _SQRT2 * n * R ** (n - 1)
-    Veff = CONSTANTS.hbar * omega / (CONSTANTS.mu0 * Hzp * Hzp)
-    return MagnonMode(
-        n=n,
-        m=n,
-        omega=omega,
-        Gamma=cavity.mat.damping_rate(cavity.fields.H0),
-        Veff=Veff,
-        Hzp=Hzp,
-        scale=scale,
-        cavity=cavity,
-    )
-
-
-def magnon_modes(cavity: CavityConfig) -> list[MagnonMode]:
-    """All quantized modes up to the configured truncation order."""
-    return [quantize_mode(n, cavity) for n in range(1, cavity.n_max + 1)]
-
-
-def coupling_strength(mode: MagnonMode, emitter) -> float:
-    """Spin-single-magnon coupling g (rad/s, magnitude) at the emitter position.
-
-    Projects the zero-point field on the co-rotating circular unit vector:
-    hbar*g = sqrt(2)*mu0*muB*|<e(+), H(r)>|, scaled by the emitter's dipole factor.
-    """
-    r = np.asarray(emitter.position, dtype=float)
-    if np.linalg.norm(r) <= mode.cavity.R:
-        raise DomainError("emitter must sit outside the sphere")
-    H = mode.field(r)
-    proj = np.vdot(E_PLUS, H)
-    dipole = _SQRT2 * CONSTANTS.muB * getattr(emitter, "dipole_scale", 1.0)
-    return abs(CONSTANTS.mu0 * dipole * proj) / CONSTANTS.hbar

@@ -28,7 +28,7 @@ import numpy as np
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI
 from .dynamics import EmitterConfig, MemoryKernel, POPULATION_TOL, _check_dt, propagate
 from .material import MaterialParams, state_from_internal
-from .modes import CavityConfig, coupling_strength, kittel_frequency, mode_frequency, quantize_mode
+from .modes import CavityConfig, kittel_frequency, mode_frequency, mode_table
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def symmetric_pair(cavity: CavityConfig, a: float, Delta_over_g: float = 10.0,
                    dipole_scale: float = 1.0) -> TwoEmitterConfig:
     """Emitters at (+-a, 0, 0), omega0 = omega_K + Delta with Delta = Delta_over_g * g."""
     omega_K = kittel_frequency(cavity.fields, cavity.mat)
-    probe = EmitterConfig(position=(a, 0.0, 0.0), omega0=omega_K, dipole_scale=dipole_scale)
-    g = coupling_strength(quantize_mode(1, cavity), probe)
+    g = abs(mode_table(cavity, (a, 0.0, 0.0), dipole_scale).g[0])
     Delta = Delta_over_g * g
     omega0 = omega_K + Delta
     e1 = EmitterConfig(position=(a, 0.0, 0.0), omega0=omega0, dipole_scale=dipole_scale)
@@ -93,11 +92,7 @@ def coupling_vs_separation_sweep(G: float, R_values, mat: MaterialParams, H0: fl
             raise DomainError("R values must be positive")
         a = R + G
         cavity = CavityConfig(R=R, mat=mat, fields=fields, n_max=1)
-        mode = quantize_mode(1, cavity)
-        omega_K = mode.omega
-        emitter = EmitterConfig(position=(a, 0.0, 0.0), omega0=omega_K,
-                                dipole_scale=dipole_scale)
-        g = coupling_strength(mode, emitter)
+        g = abs(mode_table(cavity, (a, 0.0, 0.0), dipole_scale).g[0])
         rows.append({
             "R_m": R,
             "separation_m": 2.0 * a,
@@ -133,9 +128,8 @@ def transfer_dynamics(cfg: TwoEmitterConfig, t_end: float, dt: float,
                       initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
                       ) -> TransferResult:
     """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel mode."""
-    mode = quantize_mode(1, cfg.cavity)
-    g1 = coupling_strength(mode, cfg.emitter1)
-    g2 = coupling_strength(mode, cfg.emitter2)
+    g1, g2 = (abs(mode_table(cfg.cavity, e.position, e.dipole_scale).g[0])
+              for e in (cfg.emitter1, cfg.emitter2))
     # Antipodal placement must give equal magnitudes; computed independently
     # and checked rather than assumed.
     if cfg.emitter1.dipole_scale == cfg.emitter2.dipole_scale:

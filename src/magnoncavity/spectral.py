@@ -2,11 +2,11 @@
 
 Lorentzian mode sum with weights from the quantized modes:
 
-    J(omega) = sum_n g_n^2 * (Gamma/(2*pi)) / ((omega - omega_n)^2 + (Gamma/2)^2)
+    J(omega) = sum_n |g_n|^2 * (Gamma/(2*pi)) / ((omega - omega_n)^2 + (Gamma/2)^2)
 
 normalized so that the Markovian golden-rule decay rate is 2*pi*J(omega0)
 (= 4 g^2/Gamma at an isolated resonant peak) and Int J domega over one
-isolated peak recovers g_n^2.
+isolated peak recovers |g_n|^2.
 """
 
 from __future__ import annotations
@@ -16,29 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DomainError, TWO_PI
-from .material import MaterialParams, state_from_internal
-from .modes import CavityConfig, MagnonMode, coupling_strength, magnon_modes
+from .modes import CavityConfig, mode_frequency, mode_table
 
 
-def mode_couplings(cavity: CavityConfig, emitter) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega_n, g_n, Gamma_n) arrays for all retained modes at the emitter."""
-    modes = magnon_modes(cavity)
-    omegas = np.array([m.omega for m in modes])
-    gs = np.array([coupling_strength(m, emitter) for m in modes])
-    Gammas = np.array([m.Gamma for m in modes])
-    return omegas, gs, Gammas
-
-
-def _lorentzian_sum(omega, omega_n, g_n, Gamma_n):
+def _lorentzian_sum(omega, omega_n, weight_n, Gamma_n):
     om = np.asarray(omega, dtype=float)[..., None]
     lor = (Gamma_n / TWO_PI) / ((om - omega_n) ** 2 + (Gamma_n / 2.0) ** 2)
-    return np.sum(g_n**2 * lor, axis=-1)
+    return np.sum(weight_n * lor, axis=-1)
 
 
 def spectral_density(omega, emitter, cavity: CavityConfig):
     """J(omega) in rad/s; omega may be a scalar or an array."""
-    omega_n, g_n, Gamma_n = mode_couplings(cavity, emitter)
-    J = _lorentzian_sum(omega, omega_n, g_n, Gamma_n)
+    t = mode_table(cavity, emitter.position, emitter.dipole_scale)
+    J = _lorentzian_sum(omega, t.omega, t.weights, t.Gamma)
     if np.isscalar(omega) or np.asarray(omega).ndim == 0:
         return float(J)
     return J
@@ -60,8 +50,6 @@ class SpectralGrid:
 def auto_omega_grid(cavity: CavityConfig, pad_linewidths: float = 20.0,
                     points_per_linewidth: float = 10.0) -> np.ndarray:
     """Grid covering all retained peaks, spacing Gamma/points_per_linewidth."""
-    from .modes import mode_frequency
-
     Gamma = cavity.mat.damping_rate(cavity.fields.H0)
     if Gamma <= 0:
         raise DomainError("auto grid needs Gamma > 0 (zero-width peaks)")
@@ -96,7 +84,7 @@ class FieldSweepMap:
 
 def field_sweep_map(H0_values, omega_values, emitter,
                     cavity_template: CavityConfig) -> FieldSweepMap:
-    """Sweep the internal field, rebuilding the quantized mode set per column."""
+    """Sweep the internal field: one mode table over all H0, J one H0 row at a time."""
     H0_values = np.asarray(H0_values, dtype=float)
     omega_values = np.asarray(omega_values, dtype=float)
     if H0_values.size == 0 or omega_values.size == 0:
@@ -104,15 +92,11 @@ def field_sweep_map(H0_values, omega_values, emitter,
     if np.any(H0_values <= 0):
         raise DomainError("all H0 values must be positive")
 
-    mat = cavity_template.mat
-
-    def column(H0: float) -> np.ndarray:
-        fields = state_from_internal(H0, mat)
-        cav = CavityConfig(R=cavity_template.R, mat=mat, fields=fields,
-                           n_max=cavity_template.n_max)
-        return spectral_density(omega_values, emitter, cav)
-
-    rows = [column(H0) for H0 in H0_values]
+    t = mode_table(cavity_template, emitter.position, emitter.dipole_scale, H0=H0_values)
+    # Row by row: a (H0, omega, n) broadcast would hold n times the map in memory.
+    J = np.empty((H0_values.size, omega_values.size))
+    for row, args in zip(J, zip(t.omega, t.weights, t.Gamma)):
+        row[:] = _lorentzian_sum(omega_values, *args)
 
     meta = {
         "R_m": cavity_template.R,
@@ -120,5 +104,4 @@ def field_sweep_map(H0_values, omega_values, emitter,
         "emitter_position_m": list(np.asarray(emitter.position, dtype=float)),
         "color_scale_note": "peak heights span decades; use a nonlinear color scale",
     }
-    return FieldSweepMap(H0_values=H0_values, omega_values=omega_values,
-                         J=np.vstack(rows), metadata=meta)
+    return FieldSweepMap(H0_values=H0_values, omega_values=omega_values, J=J, metadata=meta)

@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 
 from magnoncavity import (CONSTANTS, CavityConfig, EmitterConfig,
-                          MaterialParams, build_kernel, coupling_strength,
+                          MaterialParams, build_kernel,
                           dipole_dipole_coupling, effective_coupling,
                           evolve_pseudomode, evolve_volterra,
                           extract_rabi_frequency, first_revival_time,
                           fit_decay_rate, kittel_frequency, max_stable_dt,
-                          mode_frequency, mode_potential, quantize_mode,
+                          mode_frequency, mode_potential, mode_table,
                           radius_sweep_dynamics, spectral_density,
                           state_from_internal, symmetric_pair, tesla_to_field,
                           transfer_dynamics)
 from magnoncavity.cli import parse_config, run
 from magnoncavity.modes import mode_field
-from magnoncavity.spectral import mode_couplings
 
 from oracles import fd_curl_and_divergence, quantized_mode_oracle
 
@@ -88,7 +87,7 @@ def test_criterion_2a_effective_volume_reference_value():
 def test_criterion_2b_quadrature_matches_closed_form():
     cavity = dynamics_cavity(n_max=1)
     quad = quantized_mode_oracle(1, cavity)["Veff"]
-    closed = quantize_mode(1, cavity).Veff
+    closed = mode_table(cavity).Veff[0]
     rel = abs(quad - closed) / closed
     check("criterion 2b", rel <= 1e-6,
           f"quadrature vs closed-form Veff relative deviation {rel:.2e} <= 1e-6")
@@ -98,7 +97,7 @@ def test_criterion_2b_quadrature_matches_closed_form():
 
 def test_criterion_3_coupling_magnitude():
     cavity = dynamics_cavity(n_max=1)
-    g = coupling_strength(quantize_mode(1, cavity), resonant_emitter(cavity))
+    g = abs(mode_table(cavity, resonant_emitter(cavity).position).g[0])
     g_MHz = g / TWO_PI / 1e6
     check("criterion 3", 1.0 / 3.0 <= g_MHz <= 3.0,
           f"g/(2pi) = {g_MHz:.4f} MHz within a factor 3 of 1 MHz")

@@ -103,14 +103,23 @@ def test_modes_run_headline_numbers(tmp_path, capsys):
 
 
 def test_reruns_byte_identical(tmp_path):
-    outputs = []
-    for sub in ("a", "b"):
-        cfg = parse_config(None)
-        cfg.experiment = "modes"
-        cfg.out = str(tmp_path / sub)
-        assert run(cfg) == 0
-        outputs.append((tmp_path / sub / "modes.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    # Every experiment, at a small size: two runs write the same data bytes.
+    argvs = {
+        "modes": ["modes"],
+        "spectrum": ["spectrum"],
+        "fieldmap": ["fieldmap", "--n_H0", "3", "--n_omega", "5"],
+        "decay": ["decay", "--n_samples", "200"],
+        "transfer": ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3",
+                     "--n_samples", "200"],
+        "coupling-sweep": ["coupling-sweep", "--n_R", "5"],
+    }
+    for name, argv in argvs.items():
+        outputs = []
+        for sub in ("a", "b"):
+            out = tmp_path / name / sub
+            assert main(argv + ["--out", str(out)]) == 0, name
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert outputs[0] and outputs[0] == outputs[1], name
 
 
 def test_spectrum_run(tmp_path):
@@ -219,11 +228,33 @@ def test_main_end_to_end_with_config_file(tmp_path):
     ["spectrum", "--omega_max_GHz", "20"],
     ["spectrum", "--omega_min_GHz", "20", "--omega_max_GHz", "10"],
     ["spectrum", "--n_omega", "5"],
+    ["modes", "--n_max", "1000000"],
+    ["decay", "--t_end_us", "1e6", "--n_samples", "10"],
+    ["decay", "--dt_ns", "1e-9"],
+    ["transfer", "--dt_ns", "1e-320"],
 ], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
         "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
-        "n_omega-without-bounds"])
+        "n_omega-without-bounds", "n_max-over-budget", "samples-over-budget-t_end",
+        "samples-over-budget-dt", "dt-underflows"])
 def test_exit_code_2_for_bad_values(tmp_path, argv):
+    # The size budget rejects its cases before any large array is allocated.
     assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_run_validates_its_config(tmp_path):
+    # A RunConfig built in Python gets the same checks as one parsed from argv.
+    cfg = RunConfig(experiment="spectrum", n_omega=5, out=str(tmp_path))
+    assert run(cfg) == 2
+    assert "n_omega" in json.loads((tmp_path / "error.json").read_text())["error"]
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("R_nm", ["10", "30", "500"])
+def test_modes_far_up_the_ladder(tmp_path, R_nm):
+    assert main(["modes", "--R_nm", R_nm, "--n_max", "200", "--out", str(tmp_path)]) == 0
+    _, rows, _ = read_csv(tmp_path / "modes.csv")
+    assert rows.shape == (200, 6)
+    assert np.all(np.isfinite(rows))
 
 
 def test_failed_run_leaves_no_manifest(tmp_path):

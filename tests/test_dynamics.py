@@ -8,8 +8,7 @@ from magnoncavity import (CavityConfig, ConfigError, EmitterConfig,
                           build_kernel, evolve_pseudomode, evolve_volterra,
                           extract_rabi_frequency, first_revival_time,
                           fit_decay_rate, kittel_frequency, max_stable_dt,
-                          radius_sweep_dynamics)
-from magnoncavity.spectral import mode_couplings
+                          mode_table, radius_sweep_dynamics)
 
 
 def resonant_kernel(cavity, dipole_scale=1.0):
@@ -30,8 +29,8 @@ def test_empty_kernel_freezes_population():
 
 def test_kernel_zero_lag_is_total_weight(cavity_narrow):
     kernel, emitter = resonant_kernel(cavity_narrow)
-    _, g_n, _ = mode_couplings(cavity_narrow, emitter)
-    assert kernel.K0 == pytest.approx(np.sum(g_n**2), rel=1e-12)
+    g_n = mode_table(cavity_narrow, emitter.position).g
+    assert kernel.K0 == pytest.approx(np.sum(np.abs(g_n) ** 2), rel=1e-12)
     assert kernel(0.0) == pytest.approx(kernel.K0)
 
 
@@ -45,11 +44,11 @@ def test_kernel_envelope_decays_at_half_linewidth(cavity_narrow):
 
 def test_kernel_rates_encode_detunings(cavity, emitter):
     kernel = build_kernel(emitter, cavity)
-    omega_n, g_n, Gamma_n = mode_couplings(cavity, emitter)
-    assert np.allclose(kernel.weights, g_n**2)
+    t = mode_table(cavity, emitter.position)
+    assert np.allclose(kernel.weights, np.abs(t.g) ** 2)
     rates = np.array(kernel.rates)
-    assert np.allclose(rates.imag, emitter.omega0 - omega_n)
-    assert np.allclose(rates.real, -Gamma_n / 2.0)
+    assert np.allclose(rates.imag, emitter.omega0 - t.omega)
+    assert np.allclose(rates.real, -t.Gamma / 2.0)
 
 
 def test_negative_weight_rejected():

@@ -5,9 +5,9 @@ import pytest
 
 from magnoncavity import (CavityConfig, ConfigError, DomainError,
                           EmitterConfig, NumericalError, TwoEmitterConfig,
-                          coupling_strength, coupling_vs_separation_sweep,
+                          coupling_vs_separation_sweep,
                           dipole_dipole_coupling, effective_coupling,
-                          has_fast_ripples, kittel_frequency, quantize_mode,
+                          has_fast_ripples, kittel_frequency, mode_table,
                           symmetric_pair, transfer_dynamics)
 from magnoncavity.network import _boxcar, _check_single_mode_validity
 
@@ -36,7 +36,7 @@ def test_symmetric_pair_geometry(dispersive_cfg, cavity_narrow):
     assert cfg.gap == pytest.approx(0.2 * cavity_narrow.R, rel=1e-12)
     omega_K = kittel_frequency(cavity_narrow.fields, cavity_narrow.mat)
     assert cfg.emitter1.omega0 == pytest.approx(omega_K + cfg.Delta, rel=1e-14)
-    g = coupling_strength(quantize_mode(1, cavity_narrow), cfg.emitter1)
+    g = abs(mode_table(cavity_narrow, cfg.emitter1.position).g[0])
     assert cfg.Delta == pytest.approx(10.0 * g, rel=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_resonant_bright_state_solution(yig_lossless, fields):
     # Pb = sin^2(sqrt(2) g t)/2; P2 reaches 1 at t = pi/(sqrt(2) g).
     cavity = lossless_cavity(yig_lossless, fields)
     cfg = symmetric_pair(cavity, a=1.2 * cavity.R, Delta_over_g=0.0)
-    g = coupling_strength(quantize_mode(1, cavity), cfg.emitter1)
+    g = abs(mode_table(cavity, cfg.emitter1.position).g[0])
     t_end = 1.2 * math.pi / (math.sqrt(2.0) * g)
     res = transfer_dynamics(cfg, t_end=t_end, dt=1e-9)
     c = np.cos(math.sqrt(2.0) * g * res.times)
@@ -86,7 +86,7 @@ def test_resonant_magnon_start_solution(yig_lossless, fields):
     # state couples, Pb = cos^2(sqrt(2) g t), P1 = P2 = sin^2(sqrt(2) g t)/2.
     cavity = lossless_cavity(yig_lossless, fields)
     cfg = symmetric_pair(cavity, a=1.2 * cavity.R, Delta_over_g=0.0)
-    g = coupling_strength(quantize_mode(1, cavity), cfg.emitter1)
+    g = abs(mode_table(cavity, cfg.emitter1.position).g[0])
     t_end = 1.2 * math.pi / (math.sqrt(2.0) * g)
     res = transfer_dynamics(cfg, t_end=t_end, dt=1e-9, initial_state=(0.0, 0.0, 1.0))
     s = np.sin(math.sqrt(2.0) * g * res.times)
@@ -102,7 +102,7 @@ def test_decoupled_receiver_reduces_to_single_emitter(yig_lossless, fields):
     cavity = lossless_cavity(yig_lossless, fields)
     omega_K = kittel_frequency(fields, cavity.mat)
     probe = EmitterConfig((1.2 * cavity.R, 0, 0), omega_K)
-    g = coupling_strength(quantize_mode(1, cavity), probe)
+    g = abs(mode_table(cavity, probe.position).g[0])
     Delta = 10.0 * g
     e1 = EmitterConfig((1.2 * cavity.R, 0, 0), omega_K + Delta)
     e2 = EmitterConfig((-1.2 * cavity.R, 0, 0), omega_K + Delta, dipole_scale=0.0)

@@ -5,16 +5,23 @@ import pytest
 
 from magnoncavity import (DomainError, EmitterConfig, SpectralGrid,
                           auto_omega_grid, field_sweep_map, mode_frequency,
-                          spectral_density, spectral_grid, tesla_to_field)
-from magnoncavity.spectral import mode_couplings
+                          mode_table, spectral_density, spectral_grid,
+                          tesla_to_field)
+
+
+def mode_couplings(cavity, emitter):
+    """(omega_n, |g_n|, Gamma_n) of the mode table at the emitter."""
+    t = mode_table(cavity, emitter.position, emitter.dipole_scale)
+    return t.omega, np.abs(t.g), t.Gamma
 
 
 def test_mode_couplings_shapes(cavity, emitter):
-    omega_n, g_n, Gamma_n = mode_couplings(cavity, emitter)
-    assert omega_n.shape == g_n.shape == Gamma_n.shape == (cavity.n_max,)
-    assert np.all(np.diff(omega_n) > 0)
-    assert np.all(g_n > 0)
-    assert np.allclose(Gamma_n, cavity.mat.Gamma)
+    t = mode_table(cavity, emitter.position, emitter.dipole_scale)
+    assert t.omega.shape == t.g.shape == t.Gamma.shape == (cavity.n_max,)
+    assert np.all(np.diff(t.omega) > 0)
+    # On the +x axis every mode's phase factor is 1: g_n is real and positive.
+    assert np.all(t.g.real > 0) and np.all(t.g.imag == 0)
+    assert np.allclose(t.Gamma, cavity.mat.Gamma)
 
 
 def test_density_non_negative(cavity, emitter):
