@@ -33,7 +33,7 @@ from .material import MaterialParams, internal_field, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_table
 from .network import (coupling_vs_separation_sweep, effective_coupling,
                       symmetric_pair, transfer_dynamics)
-from .spectral import auto_omega_grid, field_sweep_map, spectral_grid
+from .spectral import auto_omega_span, field_sweep_map, spectral_grid
 
 EXPERIMENTS = ("modes", "spectrum", "fieldmap", "decay", "transfer", "coupling-sweep")
 
@@ -85,10 +85,18 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 # Size budget, checked before anything large is allocated: the highest mode
-# order, and the complex state values that one propagation holds,
-# samples * (modes + 1), 16 bytes each (160 MB at the limit).
+# order, and the values that one propagation, spectrum or map holds, at most
+# 16 bytes each (160 MB at the limit): samples * (modes + 1) for the
+# pseudo-mode state, samples * (modes + 2) for the Volterra state, frequency
+# points * modes for the Lorentzian terms, and fields * frequency points
+# (or modes) for the field map and its mode table.
 _MAX_N_MAX = 1000
 _MAX_STATE_VALUES = 10_000_000
+
+
+def _check_budget(values: float, what: str) -> None:
+    if values > _MAX_STATE_VALUES:
+        raise ConfigError(f"{what} exceed the budget of {_MAX_STATE_VALUES:g} values")
 
 
 def _parse_value(key: str, raw: str):
@@ -334,8 +342,8 @@ def run(cfg: RunConfig) -> int:
 def _write_error(outdir: Path, stage: str, exc: Exception) -> None:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "error.json").write_text(
-            json.dumps({"stage": stage, "error": str(exc)}, indent=2) + "\n")
+        (outdir / "error.json").write_text(json.dumps(
+            {"stage": stage, "type": type(exc).__name__, "error": str(exc)}, indent=2) + "\n")
     except OSError:
         pass
 
@@ -354,11 +362,14 @@ def _run_modes(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
 
 
 def _omega_grid(cfg: RunConfig, cavity: CavityConfig) -> np.ndarray:
+    """The spectrum's grid, checked against the size budget before it is allocated."""
     if cfg.omega_min_GHz is not None and cfg.omega_max_GHz is not None:
+        lo, hi = GHz_to_rad_per_s(cfg.omega_min_GHz), GHz_to_rad_per_s(cfg.omega_max_GHz)
         npts = 2001 if cfg.n_omega is None else cfg.n_omega
-        return np.linspace(GHz_to_rad_per_s(cfg.omega_min_GHz),
-                           GHz_to_rad_per_s(cfg.omega_max_GHz), npts)
-    return auto_omega_grid(cavity)
+    else:
+        lo, hi, npts = auto_omega_span(cavity)
+    _check_budget(npts * cavity.n_max, f"{npts:.3g} frequency points x {cavity.n_max} modes")
+    return np.linspace(lo, hi, int(npts))
 
 
 def _run_spectrum(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
@@ -374,12 +385,19 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
 def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     cavity = build_cavity(cfg)
     emitter = build_emitter(cfg, cavity)
+    n_omega = 2001 if cfg.n_omega is None else cfg.n_omega
+    # The map and the mode table hold a row per field; each row's Lorentzian
+    # terms hold a value per frequency point and mode.
+    width = max(n_omega, cfg.n_max)
+    _check_budget(cfg.n_H0 * width, f"{cfg.n_H0} fields x {width} frequency points or modes")
+    _check_budget(n_omega * cfg.n_max, f"{n_omega} frequency points x {cfg.n_max} modes")
     H0_values = np.linspace(tesla_to_field(cfg.mu0_H0_min_T),
                             tesla_to_field(cfg.mu0_H0_max_T), cfg.n_H0)
-    # A common absolute grid wide enough for every column's peaks.
-    lo, hi = (auto_omega_grid(dataclasses.replace(
+    # A common absolute grid wide enough for every column's peaks: from the
+    # lowest field's automatic grid start to the highest field's grid end.
+    lo, hi = (auto_omega_span(dataclasses.replace(
         cavity, fields=state_from_internal(H0, cavity.mat))) for H0 in H0_values[[0, -1]])
-    omegas = np.linspace(lo[0], hi[-1], 2001 if cfg.n_omega is None else cfg.n_omega)
+    omegas = np.linspace(lo[0], hi[1], n_omega)
     sweep = field_sweep_map(H0_values, omegas, emitter, cavity)
     # Each axis value is formatted once; repeating the text copies only pointers.
     H0_text = _format_column(sweep.H0_values * CONSTANTS.mu0)
@@ -400,10 +418,9 @@ def _time_step(cfg: RunConfig, kernel) -> float:
         dt = min(max_stable_dt(kernel) / 2.0, cfg.t_end_us * US / cfg.n_samples)
     # A float count: an absurd dt gives inf, not an int overflow or a division by 0.
     samples = cfg.t_end_us * US / dt + 1.0 if dt > 0 else math.inf
-    values = samples * (len(kernel.weights) + 1)
-    if values > _MAX_STATE_VALUES:
-        raise ConfigError(f"{samples:.3g} samples x {len(kernel.weights) + 1} state values "
-                          f"exceed the budget of {_MAX_STATE_VALUES:g} values")
+    # Volterra carries (c, dc/dt, one history term per mode); pseudo-mode (c, b_n).
+    width = len(kernel.weights) + (2 if cfg.solver == "volterra" else 1)
+    _check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
     return dt
 
 
@@ -464,17 +481,15 @@ def _run_coupling_sweep(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
 # Argument parsing.
 
 def _build_parser() -> argparse.ArgumentParser:
+    # One parser: every experiment takes the same keys, so they are declared once.
     parser = argparse.ArgumentParser(prog="magnoncavity",
                                      description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None,
-                       help="key=value configuration file")
-        for fname in _FIELD_TYPES:
-            if fname == "experiment":
-                continue
-            p.add_argument(f"--{fname}", type=str, default=None)
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", type=Path, default=None,
+                        help="key=value configuration file")
+    for fname in _FIELD_TYPES:
+        if fname != "experiment":
+            parser.add_argument(f"--{fname}", type=str, default=None)
     return parser
 
 

@@ -8,19 +8,26 @@ Rotating-frame amplitude c(t) (c_tilde, slowly varying at omega0) obeys
 the closed-contour transform of the Lorentzian spectral density. Two
 independent solvers are provided and cross-validated:
 
-  * evolve_volterra   -- literal trapezoidal-history discretization of the
-                         integro-differential equation, O(N^2).
+  * evolve_volterra   -- Crank-Nicolson discretization of the
+                         integro-differential equation with a trapezoid
+                         rule over the history. Because K is a sum of
+                         exponentials, the history sum is carried by a
+                         recursion of one term per mode, so each step is
+                         one fixed linear map; O(N * modes). The literal
+                         O(N^2) history sum is the test oracle.
   * evolve_pseudomode -- equivalent linear ODE system y' = A y (one damped
                          auxiliary amplitude per Lorentzian), sampled
                          exactly by matrix-exponential propagation,
                          O(N * modes). Production path.
 
-Both evolve_pseudomode and the two-spin transfer solve a constant
-non-Hermitian y' = A y through `propagate`.
+Both solvers and the two-spin transfer fill their samples by the same
+doubling (`_fill_by_doubling`): evolve_pseudomode and the transfer through
+`propagate`, evolve_volterra from the powers of its step map.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -130,54 +137,76 @@ def _check_dt(kernel: MemoryKernel, dt: float) -> None:
         )
 
 
+def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:
+    """Rows y_k = M^k y0 for k < n, where `powers` yields M, M^2, M^4, ...
+
+    Once rows [0, m) are known, rows [m, 2m) are those rows times (M^m)^T,
+    so n samples take about log2(n) matrix products and no per-sample loop.
+    """
+    Y = np.empty((n, len(y0)), dtype=complex)
+    Y[0] = y0
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        np.matmul(Y[:k], next(powers).T, out=Y[m:m + k])
+        m += k
+    return Y
+
+
 def propagate(A: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Exact samples expm(A t_k) y0 of y' = A y, one row per time t_k = k*dt.
 
-    Filled by doubling: once rows [0, m) are known, rows [m, 2m) are those
-    rows times expm(A t_m), so N samples cost about log2(N) small expm calls
-    and no per-sample Python loop.
+    Filled by doubling with M = expm(A dt): about log2(N) small expm calls.
     """
     from scipy.linalg import expm   # loaded only by the experiments that propagate
 
-    Y = np.empty((times.size, A.shape[0]), dtype=complex)
-    Y[0] = y0
-    m = 1
-    while m < times.size:
-        k = min(m, times.size - m)
-        np.matmul(Y[:k], expm(A * times[m]).T, out=Y[m:m + k])
-        m += k
-    return Y
+    # Doubling asks for M^m only while m < times.size, so times[m] exists.
+    powers = (expm(A * times[1 << i]) for i in itertools.count())
+    return _fill_by_doubling(y0, times.size, powers)
+
+
+def _squares(T: np.ndarray):
+    """T, T^2, T^4, ...: each square is formed only when it is asked for."""
+    while True:
+        yield T
+        T = T @ T
 
 
 def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float) -> TimeSeries:
     """Trapezoidal-history integration of the Volterra equation.
 
     Crank-Nicolson in time with a trapezoid rule over the full history;
-    second order in dt, cost O(N^2).
+    second order in dt. With z_m = exp(s_m dt), the history at step k is
+    sum_m w_m P_m(k), where P_m(k) = z_m (P_m(k-1) + c_k) and
+    P_m(-1) = -c_0/2. So x_k = (c_k, f_k, P(k-1)), with f the derivative,
+    advances by one constant (modes + 2)-square map T, and the samples are
+    filled by doubling; cost O(N * modes).
     """
     _check_dt(kernel, dt)
     N = int(round(t_end / dt))
     times = np.arange(N + 1) * dt
-    c = np.zeros(N + 1, dtype=complex)
-    c[0] = 1.0
 
     if not kernel.weights:
         return TimeSeries(times=times, populations=np.ones(N + 1),
                           amplitudes=np.ones(N + 1, dtype=complex))
 
-    Kgrid = kernel(times)
-    K0 = Kgrid[0]
-    Krev = Kgrid[::-1].copy()    # Krev[N - j] = K(t_j), so each history is a contiguous slice
-    f_prev = 0.0 + 0.0j          # dc/dt at t_0 (history integral is empty)
+    z = np.exp(np.array(kernel.rates) * dt)
+    wz = np.array(kernel.weights) * z
+    K0 = kernel.K0
     denom = 1.0 + dt * dt * K0 / 4.0
-    for k in range(N):
-        # Trapezoid over history for the integral at t_{k+1}, excluding the
-        # as-yet-unknown endpoint term (dt/2)*K(0)*c_{k+1}.
-        hist = np.dot(Krev[N - k - 1:N], c[: k + 1]) - 0.5 * Kgrid[k + 1] * c[0]
-        A = dt * hist
-        c_next = (c[k] + 0.5 * dt * f_prev - 0.5 * dt * A) / denom
-        c[k + 1] = c_next
-        f_prev = -(A + 0.5 * dt * K0 * c_next)
+    # dt * history = a . x_k; it leaves out the as-yet-unknown endpoint
+    # term (dt/2) K(0) c_{k+1}.
+    a = dt * np.concatenate(([wz.sum(), 0.0], wz))
+    T = np.zeros((a.size, a.size), dtype=complex)
+    T[0, :2] = 1.0, 0.5 * dt                 # c_{k+1}
+    T[0] = (T[0] - 0.5 * dt * a) / denom
+    T[1] = -(a + 0.5 * dt * K0 * T[0])       # f_{k+1}
+    T[2:, 0] = z                             # P(k) = z (P(k-1) + c_k)
+    T[2:, 2:] = np.diag(z)
+    x0 = np.full(a.size, -0.5, dtype=complex)
+    x0[:2] = 1.0, 0.0
+    # A copy, so the series keeps c and not the whole (N + 1, modes + 2) state.
+    c = _fill_by_doubling(x0, N + 1, _squares(T))[:, 0].copy()
 
     return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
                       metadata={"solver": "volterra", "dt_s": dt})

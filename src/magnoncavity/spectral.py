@@ -47,17 +47,26 @@ class SpectralGrid:
             raise DomainError("frequency grid must be strictly increasing")
 
 
-def auto_omega_grid(cavity: CavityConfig, pad_linewidths: float = 20.0,
-                    points_per_linewidth: float = 10.0) -> np.ndarray:
-    """Grid covering all retained peaks, spacing Gamma/points_per_linewidth."""
+def auto_omega_span(cavity: CavityConfig, pad_linewidths: float = 20.0,
+                    points_per_linewidth: float = 10.0) -> tuple[float, float, float]:
+    """(first, last, count) of `auto_omega_grid`, known before anything is allocated.
+
+    The count is a whole float, so a spacing that underflows gives inf.
+    """
     Gamma = cavity.mat.damping_rate(cavity.fields.H0)
     if Gamma <= 0:
         raise DomainError("auto grid needs Gamma > 0 (zero-width peaks)")
     lo = mode_frequency(1, cavity.fields, cavity.mat) - pad_linewidths * Gamma
     hi = mode_frequency(cavity.n_max, cavity.fields, cavity.mat) + pad_linewidths * Gamma
     step = Gamma / points_per_linewidth
-    npts = int(np.ceil((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, npts)
+    return lo, hi, float(np.ceil((hi - lo) / step)) + 1.0
+
+
+def auto_omega_grid(cavity: CavityConfig, pad_linewidths: float = 20.0,
+                    points_per_linewidth: float = 10.0) -> np.ndarray:
+    """Grid covering all retained peaks, spacing Gamma/points_per_linewidth."""
+    lo, hi, count = auto_omega_span(cavity, pad_linewidths, points_per_linewidth)
+    return np.linspace(lo, hi, int(count))
 
 
 def spectral_grid(omegas: np.ndarray, emitter, cavity: CavityConfig) -> SpectralGrid:

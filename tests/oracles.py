@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms in magnoncavity.modes: the
 normalization integral is evaluated by Gauss-Legendre quadrature with a
 finite-difference tensor derivative, and gradients of the scalar potential
-are taken by central differences.
+are taken by central differences. The Volterra oracle sums the trapezoid
+history literally at every step instead of carrying it by recursion.
 """
 
 import numpy as np
@@ -96,3 +97,31 @@ def fd_curl_and_divergence(field_fn, r, h: float) -> tuple[np.ndarray, complex]:
         J[:, j] = (field_fn(r + dr) - field_fn(r - dr)) / (2.0 * h)
     curl = np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
     return curl, np.trace(J)
+
+
+def volterra_history_oracle(kernel, t_end: float, dt: float) -> np.ndarray:
+    """Amplitudes c_k of the trapezoidal-history Volterra scheme, summed literally.
+
+    Crank-Nicolson in time with the trapezoid history rebuilt at every step
+    from the kernel samples: O(N^2), the reference for evolve_volterra's
+    recursion.
+    """
+    N = int(round(t_end / dt))
+    times = np.arange(N + 1) * dt
+    c = np.zeros(N + 1, dtype=complex)
+    c[0] = 1.0
+
+    Kgrid = kernel(times)
+    K0 = Kgrid[0]
+    Krev = Kgrid[::-1].copy()    # Krev[N - j] = K(t_j), so each history is a contiguous slice
+    f_prev = 0.0 + 0.0j          # dc/dt at t_0 (history integral is empty)
+    denom = 1.0 + dt * dt * K0 / 4.0
+    for k in range(N):
+        # Trapezoid over history for the integral at t_{k+1}, excluding the
+        # as-yet-unknown endpoint term (dt/2)*K(0)*c_{k+1}.
+        hist = np.dot(Krev[N - k - 1:N], c[: k + 1]) - 0.5 * Kgrid[k + 1] * c[0]
+        A = dt * hist
+        c_next = (c[k] + 0.5 * dt * f_prev - 0.5 * dt * A) / denom
+        c[k + 1] = c_next
+        f_prev = -(A + 0.5 * dt * K0 * c_next)
+    return c

@@ -9,7 +9,8 @@ import pytest
 
 import magnoncavity
 from magnoncavity import ConfigError
-from magnoncavity.cli import WRITE_CHUNK, RunConfig, main, parse_config, run
+from magnoncavity.cli import (_MAX_STATE_VALUES, WRITE_CHUNK, RunConfig, main,
+                              parse_config, run)
 from magnoncavity.constants import CONSTANTS, TWO_PI, US
 
 
@@ -191,6 +192,38 @@ def test_coupling_sweep_run(tmp_path):
 
 # -------------------------------------------------------------- exit codes
 
+@pytest.fixture
+def no_big_arrays(monkeypatch):
+    """Fail at once, before allocating, on a grid or a propagation over the budget."""
+    import magnoncavity.dynamics as dynamics
+
+    linspace, fill = np.linspace, dynamics._fill_by_doubling
+
+    def guarded_linspace(start, stop, num=50, *args, **kwargs):
+        assert num <= _MAX_STATE_VALUES, f"linspace of {num} points"
+        return linspace(start, stop, num, *args, **kwargs)
+
+    def guarded_fill(y0, n, powers):
+        assert n * len(y0) <= _MAX_STATE_VALUES, f"{n} x {len(y0)} state values"
+        return fill(y0, n, powers)
+
+    monkeypatch.setattr(np, "linspace", guarded_linspace)
+    monkeypatch.setattr(dynamics, "_fill_by_doubling", guarded_fill)
+
+
+def test_parser_lists_every_key_and_rejects_unknown_experiments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    keys = [k for k in RunConfig.__dataclass_fields__ if k != "experiment"]
+    assert all(f"--{key}" in usage for key in keys + ["config"])
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_exit_code_2_for_config_error(tmp_path, capsys):
     assert main(["modes", "--R_nm", "-5", "--out", str(tmp_path)]) == 2
     assert "R_nm" in capsys.readouterr().err
@@ -217,6 +250,11 @@ def test_main_end_to_end_with_config_file(tmp_path):
     assert rows.shape[0] == 2
 
 
+# 3.34 us at dt = 1 ps: (3.34e6 + 1) x 3 Volterra values just exceed 1e7.
+_VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_list_nm", "30",
+                         "--Gamma_rad_per_s", "1e6", "--t_end_us", "3.34", "--dt_ns", "0.001"]
+
+
 @pytest.mark.parametrize("argv", [
     ["modes", "--R_nm", "nan"],
     ["decay", "--t_end_us", "inf"],
@@ -232,13 +270,46 @@ def test_main_end_to_end_with_config_file(tmp_path):
     ["decay", "--t_end_us", "1e6", "--n_samples", "10"],
     ["decay", "--dt_ns", "1e-9"],
     ["transfer", "--dt_ns", "1e-320"],
+    _VOLTERRA_OVER_BUDGET,
+    ["spectrum", "--Gamma_rad_per_s", "1e2"],
+    ["spectrum", "--Gamma_rad_per_s", "1e-320"],
+    ["spectrum", "--omega_min_GHz", "10", "--omega_max_GHz", "20", "--n_omega", "2000000"],
+    ["fieldmap", "--n_omega", "100000000"],
+    ["fieldmap", "--n_H0", "100000000"],
+    ["fieldmap", "--n_H0", "10001", "--n_omega", "1", "--n_max", "1000"],
 ], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
         "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
         "n_omega-without-bounds", "n_max-over-budget", "samples-over-budget-t_end",
-        "samples-over-budget-dt", "dt-underflows"])
-def test_exit_code_2_for_bad_values(tmp_path, argv):
+        "samples-over-budget-dt", "dt-underflows", "volterra-state-over-budget",
+        "spectrum-auto-grid-over-budget", "spectrum-auto-grid-spacing-underflows",
+        "spectrum-n_omega-over-budget", "fieldmap-n_omega-over-budget",
+        "fieldmap-n_H0-over-budget", "fieldmap-mode-table-over-budget"])
+def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
     # The size budget rejects its cases before any large array is allocated.
     assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+def test_state_budget_counts_each_solvers_state():
+    # 3 340 001 samples at n_max = 1: the Volterra state (c, dc/dt, one
+    # history term) is over the budget, the pseudo-mode state (c, b) is not.
+    from magnoncavity.cli import _time_step, build_cavity, build_emitter, build_kernel
+
+    overrides = dict(zip(_VOLTERRA_OVER_BUDGET[1::2], _VOLTERRA_OVER_BUDGET[2::2]))
+    cfg = parse_config(None, {k.lstrip("-"): v for k, v in overrides.items()})
+    cavity = build_cavity(cfg, R=30e-9)
+    kernel = build_kernel(build_emitter(cfg, cavity), cavity)
+    with pytest.raises(ConfigError, match="3 state values"):
+        _time_step(cfg, kernel)
+    cfg.solver = "pseudomode"
+    assert _time_step(cfg, kernel) == pytest.approx(1e-12)
+
+
+def test_fieldmap_narrow_linewidth_runs(tmp_path, no_big_arrays):
+    # fieldmap reads only the end points of the automatic grids, so a
+    # linewidth whose spectrum grid is over the budget still maps.
+    assert main(["fieldmap", "--Gamma_rad_per_s", "1e2", "--out", str(tmp_path)]) == 0
+    _, rows, _ = read_csv(tmp_path / "fieldmap.csv")
+    assert rows.shape == (41 * 2001, 3)
 
 
 def test_run_validates_its_config(tmp_path):
@@ -264,7 +335,7 @@ def test_failed_run_leaves_no_manifest(tmp_path):
     assert main(["transfer", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "manifest.json").exists()
     assert main(["transfer", "--out", str(tmp_path)]) == 3   # 1 us is shorter than the swap
-    assert (tmp_path / "error.json").exists()
+    assert json.loads((tmp_path / "error.json").read_text())["type"] == "NumericalError"
     assert not (tmp_path / "manifest.json").exists()
 
 

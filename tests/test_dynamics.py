@@ -9,6 +9,7 @@ from magnoncavity import (CavityConfig, ConfigError, EmitterConfig,
                           extract_rabi_frequency, first_revival_time,
                           fit_decay_rate, kittel_frequency, max_stable_dt,
                           mode_table, radius_sweep_dynamics)
+from oracles import volterra_history_oracle
 
 
 def resonant_kernel(cavity, dipole_scale=1.0):
@@ -156,6 +157,37 @@ def test_volterra_second_order_convergence(cavity_narrow):
     coarse = evolve_volterra(kernel, t_end, dt)
     fine = evolve_volterra(kernel, t_end, dt / 2.0)
     assert np.max(np.abs(coarse.populations - fine.populations[::2])) < 1e-5
+
+
+@pytest.mark.parametrize("material, n_max, detuning", [
+    ("yig_narrow", 1, 0.0), ("yig", 7, 0.0), ("yig_lossless", 1, 0.0), ("yig_narrow", 1, 10.0),
+], ids=["n_max-1", "n_max-7", "Gamma-0", "detuned"])
+def test_volterra_matches_literal_history(request, fields, material, n_max, detuning):
+    # The recursion over one history term per mode, filled by doubling, must
+    # give the amplitudes of the literal O(N^2) trapezoid sum; Gamma = 0
+    # puts every |z_m| = exp(Re s_m dt) at 1.
+    cavity = CavityConfig(R=30e-9, mat=request.getfixturevalue(material),
+                          fields=fields, n_max=n_max)
+    kernel, emitter = resonant_kernel(cavity)
+    if detuning:
+        shifted = EmitterConfig(position=emitter.position,
+                                omega0=emitter.omega0 + detuning * math.sqrt(kernel.K0))
+        kernel = build_kernel(shifted, cavity)
+    dt = max_stable_dt(kernel) / 2.0
+    t_end = 3000 * dt
+    c = evolve_volterra(kernel, t_end, dt).amplitudes
+    assert c.size == 3001
+    assert np.max(np.abs(c - volterra_history_oracle(kernel, t_end, dt))) <= 1e-12
+
+
+def test_volterra_at_a_million_samples(cavity_narrow):
+    # Doubling the step map 20 times must not grow its error: at dt = 3 ps
+    # the scheme's own error is far below the tolerance.
+    kernel, _ = resonant_kernel(cavity_narrow)
+    a = evolve_volterra(kernel, 3e-6, 3e-12)
+    b = evolve_pseudomode(kernel, 3e-6, 3e-12)
+    assert a.times.size == 1_000_001
+    assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-8
 
 
 def test_population_bounds_enforced():
