@@ -13,7 +13,7 @@ from .spectral import (FieldSweepMap, SpectralGrid, auto_omega_grid,
 from .dynamics import (EmitterConfig, MemoryKernel, TimeSeries, build_kernel,
                        evolve_pseudomode, evolve_volterra,
                        extract_rabi_frequency, first_revival_time,
-                       fit_decay_rate, max_stable_dt, radius_sweep_dynamics)
+                       fit_decay_rate, max_stable_dt)
 from .network import (TransferResult, TwoEmitterConfig, coupling_vs_separation_sweep,
                       dipole_dipole_coupling, effective_coupling, has_fast_ripples,
                       symmetric_pair, transfer_dynamics)
@@ -30,7 +30,6 @@ __all__ = [
     "EmitterConfig", "MemoryKernel", "TimeSeries", "build_kernel",
     "evolve_pseudomode", "evolve_volterra", "extract_rabi_frequency",
     "first_revival_time", "fit_decay_rate", "max_stable_dt",
-    "radius_sweep_dynamics",
     "TransferResult", "TwoEmitterConfig", "coupling_vs_separation_sweep",
     "dipole_dipole_coupling", "effective_coupling", "has_fast_ripples",
     "symmetric_pair", "transfer_dynamics",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -27,8 +28,8 @@ from . import __version__
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
-from .dynamics import (EmitterConfig, build_kernel, evolve_pseudomode,
-                       evolve_volterra, max_stable_dt)
+from .dynamics import (EmitterConfig, _check_budget, build_kernel, evolve_pseudomode,
+                       evolve_volterra)
 from .material import MaterialParams, internal_field, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_table
 from .network import (coupling_vs_separation_sweep, effective_coupling,
@@ -84,19 +85,11 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
-# Size budget, checked before anything large is allocated: the highest mode
-# order, and the values that one propagation, spectrum or map holds, at most
-# 16 bytes each (160 MB at the limit): samples * (modes + 1) for the
-# pseudo-mode state, samples * (modes + 2) for the Volterra state, frequency
-# points * modes for the Lorentzian terms, and fields * frequency points
-# (or modes) for the field map and its mode table.
+# Size limits, checked before anything large is allocated: the highest mode
+# order here, and `dynamics._check_budget`, which the runners apply to
+# frequency points x modes (Lorentzian terms), fields x frequency points or
+# modes (the field map and its mode table) and radii x row fields (coupling sweep).
 _MAX_N_MAX = 1000
-_MAX_STATE_VALUES = 10_000_000
-
-
-def _check_budget(values: float, what: str) -> None:
-    if values > _MAX_STATE_VALUES:
-        raise ConfigError(f"{what} exceed the budget of {_MAX_STATE_VALUES:g} values")
 
 
 def _parse_value(key: str, raw: str):
@@ -116,30 +109,29 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
+def _file_entries(text: str):
+    """(where, key, raw) for each key=value line; `where` prefixes its errors."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        yield f"line {lineno}: ", key, raw
+
+
 def parse_config(text: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Strict key=value parsing; unknown keys are rejected, flags override the file."""
     cfg = RunConfig()
-    if text:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            try:
-                setattr(cfg, key, _parse_value(key, raw))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    for key, raw in (overrides or {}).items():
+    flags = (("", key, raw) for key, raw in (overrides or {}).items())
+    for where, key, raw in itertools.chain(_file_entries(text or ""), flags):
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown key {key!r}")
+            raise ConfigError(f"{where}unknown key {key!r}")
         try:
             setattr(cfg, key, _parse_value(key, raw))
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+            raise ConfigError(f"{where}bad value for {key!r}: {exc}") from exc
     _validate(cfg)
     return cfg
 
@@ -176,13 +168,13 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def _radii_nm(cfg: RunConfig) -> list[float]:
-    """The decay radii listed in R_list_nm: at least one, each a positive number."""
+    """The decay radii listed in R_list_nm: at least one, each in the supported range."""
     try:
         radii = [float(tok) for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for 'R_list_nm': {exc}") from exc
-    if not all(math.isfinite(r) and r > 0 for r in radii):
-        raise ConfigError("R_list_nm entries must be positive")
+    if not all(10.0 <= r <= 500.0 for r in radii):
+        raise ConfigError("R_list_nm entries must lie in the supported [10, 500] nm")
     if not radii:
         raise ConfigError("R_list_nm lists no radius")
     return radii
@@ -410,30 +402,18 @@ def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     return ["fieldmap.csv"]
 
 
-def _time_step(cfg: RunConfig, kernel) -> float:
-    """The output step, checked against the state budget before anything propagates."""
-    if cfg.dt_ns is not None:
-        dt = cfg.dt_ns * 1e-9
-    else:
-        dt = min(max_stable_dt(kernel) / 2.0, cfg.t_end_us * US / cfg.n_samples)
-    # A float count: an absurd dt gives inf, not an int overflow or a division by 0.
-    samples = cfg.t_end_us * US / dt + 1.0 if dt > 0 else math.inf
-    # Volterra carries (c, dc/dt, one history term per mode); pseudo-mode (c, b_n).
-    width = len(kernel.weights) + (2 if cfg.solver == "volterra" else 1)
-    _check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
-    return dt
-
-
 def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
-    files = []
-    times = t_text = None
+    solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
+    dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
+    # Every radius's kernel first: a domain error leaves no decay file behind.
+    kernels = []
     for R in (r * NM for r in _radii_nm(cfg)):
         cavity = build_cavity(cfg, R=R)
-        emitter = build_emitter(cfg, cavity)
-        kernel = build_kernel(emitter, cavity)
-        dt = _time_step(cfg, kernel)
-        solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
-        ts = solver(kernel, cfg.t_end_us * US, dt)
+        kernels.append((R, build_kernel(build_emitter(cfg, cavity), cavity)))
+    files = []
+    times = t_text = None
+    for R, kernel in kernels:
+        ts = solver(kernel, cfg.t_end_us * US, dt, cfg.n_samples)
         # Radii usually share one time grid; format its text once.
         if times is None or not np.array_equal(ts.times, times):
             times, t_text = ts.times, _format_column(ts.times / US)
@@ -450,9 +430,8 @@ def _run_transfer(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     a = emitter_radius(cfg, cavity)
     pair = symmetric_pair(cavity, a, Delta_over_g=cfg.Delta_over_g,
                           dipole_scale=cfg.mu_B_scale)
-    kernel = build_kernel(pair.emitter1, cavity)
-    dt = _time_step(cfg, kernel)
-    result = transfer_dynamics(pair, cfg.t_end_us * US, dt)
+    dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
+    result = transfer_dynamics(pair, cfg.t_end_us * US, dt, cfg.n_samples)
     _write_csv(outdir / "transfer.csv",
                {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
                mhash, {"g_rad_per_s": result.metadata["g"],
@@ -464,6 +443,8 @@ def _run_transfer(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
 
 def _run_coupling_sweep(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
     cavity = build_cavity(cfg)
+    # Each row holds 5 fields (R, separation, g, g_eff, g_dip).
+    _check_budget(cfg.n_R * 5, f"{cfg.n_R} radii x 5 row fields")
     R_values = np.linspace(cfg.R_min_nm * NM, cfg.R_max_nm * NM, cfg.n_R)
     rows = coupling_vs_separation_sweep(cfg.G_nm * NM, R_values, cavity.mat,
                                         cavity.fields.H0,

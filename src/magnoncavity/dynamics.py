@@ -22,7 +22,9 @@ independent solvers are provided and cross-validated:
 
 Both solvers and the two-spin transfer fill their samples by the same
 doubling (`_fill_by_doubling`): evolve_pseudomode and the transfer through
-`propagate`, evolve_volterra from the powers of its step map.
+`propagate`, evolve_volterra from the powers of its step map. All three take
+their grid from `_time_grid`, the one home of the step rule and of the size
+budget (`_check_budget`, which the CLI also applies to its other grids).
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import ConfigError, DomainError, NumericalError
-from .material import state_from_internal
-from .modes import CavityConfig, kittel_frequency, mode_table
+from .modes import CavityConfig, mode_table
 
 POPULATION_TOL = 1e-9
+
+# Size budget: at most this many values, 16 bytes each (160 MB), in one
+# propagation's state (samples x state width) or one grid the CLI builds.
+_MAX_STATE_VALUES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,8 @@ def max_stable_dt(kernel: MemoryKernel) -> float:
 
 
 def _check_dt(kernel: MemoryKernel, dt: float) -> None:
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ConfigError("dt must be positive and finite")
     bounds = _dt_bounds(kernel)
     limit = min(bounds.values(), default=math.inf)
     if dt > limit:
@@ -135,6 +140,29 @@ def _check_dt(kernel: MemoryKernel, dt: float) -> None:
             f"dt = {dt:g} s exceeds the resolution guard {limit:g} s "
             f"(binding constraint: {binding})"
         )
+
+
+def _check_budget(values: float, what: str) -> None:
+    if values > _MAX_STATE_VALUES:
+        raise ConfigError(f"{what} exceed the budget of {_MAX_STATE_VALUES:g} values")
+
+
+def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
+               n_samples: int | None, width: int) -> tuple[np.ndarray, float]:
+    """Sample times k*dt up to t_end, and dt, for a state of `width` values.
+
+    dt is the given one, else min(guard/2, t_end/n_samples), else guard/2.
+    It must pass the resolution guard, and samples x width the size budget,
+    before the grid is allocated.
+    """
+    if dt is None:
+        dt = max_stable_dt(kernel) / 2.0
+        if n_samples is not None:
+            dt = min(dt, t_end / n_samples)
+    _check_dt(kernel, dt)
+    samples = t_end / dt + 1.0
+    _check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
+    return np.arange(int(round(t_end / dt)) + 1) * dt, dt
 
 
 def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:
@@ -172,7 +200,8 @@ def _squares(T: np.ndarray):
         T = T @ T
 
 
-def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float) -> TimeSeries:
+def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
+                    n_samples: int | None = None) -> TimeSeries:
     """Trapezoidal-history integration of the Volterra equation.
 
     Crank-Nicolson in time with a trapezoid rule over the full history;
@@ -180,15 +209,12 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float) -> TimeSeries
     sum_m w_m P_m(k), where P_m(k) = z_m (P_m(k-1) + c_k) and
     P_m(-1) = -c_0/2. So x_k = (c_k, f_k, P(k-1)), with f the derivative,
     advances by one constant (modes + 2)-square map T, and the samples are
-    filled by doubling; cost O(N * modes).
+    filled by doubling; cost O(N * modes). The step follows `_time_grid`.
     """
-    _check_dt(kernel, dt)
-    N = int(round(t_end / dt))
-    times = np.arange(N + 1) * dt
-
+    times, dt = _time_grid(kernel, t_end, dt, n_samples, len(kernel.weights) + 2)
     if not kernel.weights:
-        return TimeSeries(times=times, populations=np.ones(N + 1),
-                          amplitudes=np.ones(N + 1, dtype=complex))
+        return TimeSeries(times=times, populations=np.ones(times.size),
+                          amplitudes=np.ones(times.size, dtype=complex))
 
     z = np.exp(np.array(kernel.rates) * dt)
     wz = np.array(kernel.weights) * z
@@ -206,19 +232,20 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float) -> TimeSeries
     x0 = np.full(a.size, -0.5, dtype=complex)
     x0[:2] = 1.0, 0.0
     # A copy, so the series keeps c and not the whole (N + 1, modes + 2) state.
-    c = _fill_by_doubling(x0, N + 1, _squares(T))[:, 0].copy()
+    c = _fill_by_doubling(x0, times.size, _squares(T))[:, 0].copy()
 
     return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
                       metadata={"solver": "volterra", "dt_s": dt})
 
 
-def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float) -> TimeSeries:
+def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = None,
+                      n_samples: int | None = None) -> TimeSeries:
     """Exact propagation of the equivalent damped-mode linear system.
 
     y = (c, b_1..b_n): dc/dt = -i sum_n g_n b_n, db_n/dt = -i g_n c + s_n b_n.
+    The step follows `_time_grid`.
     """
-    _check_dt(kernel, dt)
-    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    times, dt = _time_grid(kernel, t_end, dt, n_samples, len(kernel.weights) + 1)
     if not kernel.weights:
         return TimeSeries(times=times, populations=np.ones(times.size),
                           amplitudes=np.ones(times.size, dtype=complex))
@@ -234,26 +261,6 @@ def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float) -> TimeSeri
     return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
                       mode_amplitudes=y[1:],
                       metadata={"solver": "pseudomode", "dt_s": dt})
-
-
-def radius_sweep_dynamics(R_values, mat, H0: float, t_end: float,
-                          a_over_R: float = 1.2, n_max: int = 1,
-                          dt: float | None = None,
-                          dipole_scale: float = 1.0) -> dict[float, TimeSeries]:
-    """Resonant decay dynamics per sphere radius, omega0 retuned to the Kittel mode."""
-    out: dict[float, TimeSeries] = {}
-    fields = state_from_internal(H0, mat)
-    for R in R_values:
-        if not (10e-9 <= R <= 500e-9):
-            raise DomainError(f"R = {R:g} m outside the supported [10, 500] nm range")
-        cavity = CavityConfig(R=R, mat=mat, fields=fields, n_max=n_max)
-        omega0 = kittel_frequency(fields, mat)
-        emitter = EmitterConfig(position=(a_over_R * R, 0.0, 0.0), omega0=omega0,
-                                dipole_scale=dipole_scale)
-        kernel = build_kernel(emitter, cavity)
-        step = dt if dt is not None else max_stable_dt(kernel) / 2.0
-        out[R] = evolve_pseudomode(kernel, t_end, step)
-    return out
 
 
 def extract_rabi_frequency(ts: TimeSeries) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI
-from .dynamics import EmitterConfig, MemoryKernel, POPULATION_TOL, _check_dt, propagate
+from .dynamics import EmitterConfig, MemoryKernel, POPULATION_TOL, _time_grid, propagate
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_frequency, mode_table
 
@@ -124,7 +124,8 @@ class TransferResult:
 COUPLING_SYMMETRY_TOL = 1e-10
 
 
-def transfer_dynamics(cfg: TwoEmitterConfig, t_end: float, dt: float,
+def transfer_dynamics(cfg: TwoEmitterConfig, t_end: float, dt: float | None = None,
+                      n_samples: int | None = None,
                       initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
                       ) -> TransferResult:
     """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel mode."""
@@ -141,11 +142,11 @@ def transfer_dynamics(cfg: TwoEmitterConfig, t_end: float, dt: float,
 
     Gamma = cfg.cavity.mat.damping_rate(cfg.cavity.fields.H0)
     Delta = cfg.Delta
-    # Same resolution guard as the single-emitter solvers.
-    _check_dt(MemoryKernel(weights=(g1 * g1, g2 * g2),
-                           rates=(1j * Delta - Gamma / 2.0,) * 2), dt)
-
-    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    # Same step rule, guard and budget as the single-emitter solvers; the
+    # state is (beta, b, I).
+    times, _ = _time_grid(MemoryKernel(weights=(g1 * g1, g2 * g2),
+                                       rates=(1j * Delta - Gamma / 2.0,) * 2),
+                          t_end, dt, n_samples, 3)
     y0 = np.array(initial_state, dtype=complex)
     norm = np.sum(np.abs(y0) ** 2)
     if abs(norm - 1.0) > POPULATION_TOL:

@@ -9,8 +9,8 @@ import pytest
 
 import magnoncavity
 from magnoncavity import ConfigError
-from magnoncavity.cli import (_MAX_STATE_VALUES, WRITE_CHUNK, RunConfig, main,
-                              parse_config, run)
+from magnoncavity.cli import WRITE_CHUNK, RunConfig, main, parse_config, run
+from magnoncavity.dynamics import _MAX_STATE_VALUES
 from magnoncavity.constants import CONSTANTS, TWO_PI, US
 
 
@@ -277,13 +277,19 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
     ["fieldmap", "--n_omega", "100000000"],
     ["fieldmap", "--n_H0", "100000000"],
     ["fieldmap", "--n_H0", "10001", "--n_omega", "1", "--n_max", "1000"],
+    ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "4000000"],
+    ["decay", "--R_list_nm", "5"],
+    ["decay", "--R_list_nm", "1000"],
+    ["coupling-sweep", "--n_R", "100000000"],
 ], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
         "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
         "n_omega-without-bounds", "n_max-over-budget", "samples-over-budget-t_end",
         "samples-over-budget-dt", "dt-underflows", "volterra-state-over-budget",
         "spectrum-auto-grid-over-budget", "spectrum-auto-grid-spacing-underflows",
         "spectrum-n_omega-over-budget", "fieldmap-n_omega-over-budget",
-        "fieldmap-n_H0-over-budget", "fieldmap-mode-table-over-budget"])
+        "fieldmap-n_H0-over-budget", "fieldmap-mode-table-over-budget",
+        "transfer-state-over-budget", "R_list_nm-below-range", "R_list_nm-above-range",
+        "coupling-sweep-n_R-over-budget"])
 def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
     # The size budget rejects its cases before any large array is allocated.
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -292,16 +298,26 @@ def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
 def test_state_budget_counts_each_solvers_state():
     # 3 340 001 samples at n_max = 1: the Volterra state (c, dc/dt, one
     # history term) is over the budget, the pseudo-mode state (c, b) is not.
-    from magnoncavity.cli import _time_step, build_cavity, build_emitter, build_kernel
+    from magnoncavity.cli import build_cavity, build_emitter, build_kernel
+    from magnoncavity.dynamics import _time_grid, evolve_volterra
 
     overrides = dict(zip(_VOLTERRA_OVER_BUDGET[1::2], _VOLTERRA_OVER_BUDGET[2::2]))
     cfg = parse_config(None, {k.lstrip("-"): v for k, v in overrides.items()})
     cavity = build_cavity(cfg, R=30e-9)
     kernel = build_kernel(build_emitter(cfg, cavity), cavity)
     with pytest.raises(ConfigError, match="3 state values"):
-        _time_step(cfg, kernel)
-    cfg.solver = "pseudomode"
-    assert _time_step(cfg, kernel) == pytest.approx(1e-12)
+        evolve_volterra(kernel, 3.34e-6, 1e-12)
+    times, dt = _time_grid(kernel, 3.34e-6, 1e-12, None, len(kernel.weights) + 1)
+    assert dt == pytest.approx(1e-12)
+    assert times.size == 3_340_001
+
+
+def test_decay_domain_error_writes_no_data(tmp_path):
+    # a = 40 nm is outside the 30 nm sphere but inside the 50 nm one: every
+    # kernel is built before the first propagation, so no radius is written.
+    assert main(["decay", "--a_nm", "40", "--out", str(tmp_path)]) == 3
+    assert json.loads((tmp_path / "error.json").read_text())["type"] == "DomainError"
+    assert not list(tmp_path.glob("decay_R*.csv"))
 
 
 def test_fieldmap_narrow_linewidth_runs(tmp_path, no_big_arrays):

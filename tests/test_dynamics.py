@@ -8,7 +8,7 @@ from magnoncavity import (CavityConfig, ConfigError, EmitterConfig,
                           build_kernel, evolve_pseudomode, evolve_volterra,
                           extract_rabi_frequency, first_revival_time,
                           fit_decay_rate, kittel_frequency, max_stable_dt,
-                          mode_table, radius_sweep_dynamics)
+                          mode_table, state_from_internal, tesla_to_field)
 from oracles import volterra_history_oracle
 
 
@@ -26,6 +26,11 @@ def test_empty_kernel_freezes_population():
     assert np.all(ts.populations == 1.0)
     ts = evolve_volterra(MemoryKernel(weights=(), rates=()), 1e-7, 1e-9)
     assert np.all(ts.populations == 1.0)
+    # No mode, no resolution guard: the step must come from dt or n_samples.
+    ts = evolve_pseudomode(MemoryKernel(weights=(), rates=()), 1e-7, n_samples=100)
+    assert ts.times.size == 101
+    with pytest.raises(ConfigError, match="finite"):
+        evolve_pseudomode(MemoryKernel(weights=(), rates=()), 1e-7)
 
 
 def test_kernel_zero_lag_is_total_weight(cavity_narrow):
@@ -197,34 +202,26 @@ def test_population_bounds_enforced():
 
 # ------------------------------------------------------------- radius sweep
 
-def test_radius_sweep_monotone_with_loss(yig_narrow):
-    from magnoncavity import tesla_to_field
+def radius_sweep_rabi(mat, Rs):
+    """Rabi frequency per radius: one resonant Kittel-mode kernel, guard/2 steps."""
+    fields = state_from_internal(tesla_to_field(0.5), mat)
+    kernels = (resonant_kernel(CavityConfig(R=R, mat=mat, fields=fields, n_max=1))[0]
+               for R in Rs)
+    return [extract_rabi_frequency(evolve_pseudomode(k, 3.2e-6)) for k in kernels]
 
-    H0 = tesla_to_field(0.5)
-    Rs = [30e-9, 50e-9, 70e-9, 100e-9]
-    runs = radius_sweep_dynamics(Rs, yig_narrow, H0, t_end=3.2e-6)
-    omegas = [extract_rabi_frequency(runs[R]) for R in Rs]
+
+def test_radius_sweep_monotone_with_loss(yig_narrow):
+    omegas = radius_sweep_rabi(yig_narrow, [30e-9, 50e-9, 70e-9, 100e-9])
     assert all(b < a for a, b in zip(omegas, omegas[1:]))
 
 
 def test_radius_sweep_coupling_exponent(yig_lossless):
     # Gamma = 0 isolates the geometric scaling; damping biases t_min late.
-    from magnoncavity import tesla_to_field
-
-    H0 = tesla_to_field(0.5)
     Rs = [30e-9, 50e-9, 70e-9, 100e-9]
-    runs = radius_sweep_dynamics(Rs, yig_lossless, H0, t_end=3.2e-6)
-    omegas = [extract_rabi_frequency(runs[R]) for R in Rs]
+    omegas = radius_sweep_rabi(yig_lossless, Rs)
     # Log-log slope of -3/2: g ~ 1/sqrt(Veff) ~ R^-1.5 at fixed a/R.
     slope, _ = np.polyfit(np.log(Rs), np.log(omegas), 1)
     assert slope == pytest.approx(-1.5, abs=0.1)
-
-
-def test_radius_sweep_rejects_out_of_range(yig_narrow):
-    from magnoncavity import tesla_to_field
-
-    with pytest.raises(Exception):
-        radius_sweep_dynamics([5e-9], yig_narrow, tesla_to_field(0.5), t_end=1e-7)
 
 
 def test_coupling_linear_in_dipole_factor(cavity_narrow):
