@@ -28,13 +28,12 @@ from . import __version__
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
-from .dynamics import (EmitterConfig, _check_budget, build_kernel, evolve_pseudomode,
-                       evolve_volterra)
+from .dynamics import EmitterConfig, build_kernel, evolve_pseudomode, evolve_volterra
 from .material import MaterialParams, internal_field, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_table
-from .network import (coupling_vs_separation_sweep, effective_coupling,
+from .network import (coupling_vs_separation_sweep, dispersive_coupling,
                       symmetric_pair, transfer_dynamics)
-from .spectral import auto_omega_span, field_sweep_map, spectral_grid
+from .spectral import field_sweep_map, spectral_grid
 
 EXPERIMENTS = ("modes", "spectrum", "fieldmap", "decay", "transfer", "coupling-sweep")
 
@@ -85,11 +84,10 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
-# Size limits, checked before anything large is allocated: the highest mode
-# order here, and `dynamics._check_budget`, which the runners apply to
-# frequency points x modes (Lorentzian terms), fields x frequency points or
-# modes (the field map and its mode table) and radii x row fields (coupling sweep).
+# The highest mode order and the supported sphere radii (nm). Each experiment's
+# library call checks its own arrays against `constants.check_budget`.
 _MAX_N_MAX = 1000
+_R_MIN_NM, _R_MAX_NM = 10.0, 500.0
 
 
 def _parse_value(key: str, raw: str):
@@ -139,9 +137,12 @@ def parse_config(text: str | None, overrides: dict[str, str] | None = None) -> R
 def _validate(cfg: RunConfig) -> None:
     if cfg.experiment and cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
-    for key in ("R_nm", "mu0_Ms_T", "gamma_GHz_per_T", "t_end_us", "mu_B_scale"):
+    for key in ("mu0_Ms_T", "gamma_GHz_per_T", "t_end_us", "mu_B_scale"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
+    for key in ("R_nm", "R_min_nm", "R_max_nm"):
+        if not _R_MIN_NM <= getattr(cfg, key) <= _R_MAX_NM:
+            raise ConfigError(f"{key} must lie in the supported [10, 500] nm")
     if cfg.Gamma_rad_per_s < 0:
         raise ConfigError("Gamma_rad_per_s must be non-negative")
     if cfg.dt_ns is not None and cfg.dt_ns <= 0:
@@ -161,6 +162,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError("n_omega needs omega_min_GHz and omega_max_GHz")
         if lo is not None and lo >= hi:
             raise ConfigError("omega_min_GHz must be below omega_max_GHz")
+    if cfg.experiment == "fieldmap" and cfg.mu0_H0_min_T >= cfg.mu0_H0_max_T:
+        raise ConfigError("mu0_H0_min_T must be below mu0_H0_max_T")
     if cfg.mu0_H0_T is None and cfg.mu0_He_T is None:
         raise ConfigError("one of mu0_H0_T or mu0_He_T is required")
     if cfg.solver not in ("pseudomode", "volterra"):
@@ -173,7 +176,7 @@ def _radii_nm(cfg: RunConfig) -> list[float]:
         radii = [float(tok) for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for 'R_list_nm': {exc}") from exc
-    if not all(10.0 <= r <= 500.0 for r in radii):
+    if not all(_R_MIN_NM <= r <= _R_MAX_NM for r in radii):
         raise ConfigError("R_list_nm entries must lie in the supported [10, 500] nm")
     if not radii:
         raise ConfigError("R_list_nm lists no radius")
@@ -269,12 +272,13 @@ def _emitter_modes(cfg: RunConfig, cavity: CavityConfig):
 def _derived_quantities(cfg: RunConfig) -> dict:
     t = _emitter_modes(cfg, build_cavity(cfg, n_max=1))
     g = abs(t.g[0])
+    _, g_eff = dispersive_coupling(g, cfg.Delta_over_g)
     return {
         "omega_K_over_2pi_GHz": t.omega[0] / TWO_PI / 1e9,
         "Veff_mm3": t.Veff[0] * M3_TO_MM3,
         "Hzp_A_per_m": t.Hzp[0],
         "g_over_2pi_MHz": g / TWO_PI / 1e6,
-        "g_eff_over_2pi_kHz": effective_coupling(g, cfg.Delta_over_g * g) / TWO_PI / 1e3,
+        "g_eff_over_2pi_kHz": None if g_eff is None else g_eff / TWO_PI / 1e3,
     }
 
 
@@ -282,16 +286,20 @@ def _derived_quantities(cfg: RunConfig) -> dict:
 # Experiment dispatch.
 
 def run(cfg: RunConfig) -> int:
-    """Execute one experiment; writes data + manifest, returns the exit status."""
+    """Execute one experiment; writes data + manifest, returns the exit status.
+
+    A run first removes an earlier run's record from `--out`: its manifest,
+    its error.json and the data files that manifest lists, and nothing else.
+    It writes data files only once every one of them has been computed, so
+    a failed run leaves no data behind.
+    """
     outdir = Path(cfg.out)
     start = time.monotonic()
     try:
         if not cfg.experiment:
             raise ConfigError("no experiment selected")
         outdir.mkdir(parents=True, exist_ok=True)
-        # A previous run's record must not outlive this run if it fails.
-        for name in ("manifest.json", "error.json"):
-            (outdir / name).unlink(missing_ok=True)
+        _remove_previous_run(outdir)
         _validate(cfg)
         mhash = _config_hash(cfg)
         derived = _derived_quantities(cfg)
@@ -303,7 +311,7 @@ def run(cfg: RunConfig) -> int:
             "transfer": _run_transfer,
             "coupling-sweep": _run_coupling_sweep,
         }[cfg.experiment]
-        files = runner(cfg, outdir, mhash)
+        outputs = runner(cfg)
     except (ConfigError,) as exc:
         _write_error(outdir, "configuration", exc)
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -313,12 +321,14 @@ def run(cfg: RunConfig) -> int:
         print(f"error in {cfg.experiment}: {exc}", file=sys.stderr)
         return 3
 
+    for name, (columns, meta) in outputs.items():
+        _write_csv(outdir / name, columns, mhash, meta)
     manifest = {
         "config": dataclasses.asdict(cfg),
         "config_hash": mhash,
         "version": __version__,
         "derived": derived,
-        "files": files,
+        "files": list(outputs),
         "duration_s": round(time.monotonic() - start, 6),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -326,9 +336,22 @@ def run(cfg: RunConfig) -> int:
     print(f"omega_K/(2pi) = {derived['omega_K_over_2pi_GHz']:.4f} GHz")
     print(f"V_eff = {derived['Veff_mm3']:.4e} mm^3")
     print(f"g/(2pi) = {derived['g_over_2pi_MHz']:.4f} MHz")
-    for name in files:
+    for name in outputs:
         print(f"wrote {outdir / name}")
     return 0
+
+
+def _remove_previous_run(outdir: Path) -> None:
+    try:
+        listed = list(json.loads((outdir / "manifest.json").read_text())["files"])
+    except (OSError, ValueError, LookupError, TypeError):
+        listed = []
+    # Bare CSV names only: no manifest makes a run delete anything else.
+    for name in listed:
+        if isinstance(name, str) and name.endswith(".csv") and Path(name).name == name:
+            (outdir / name).unlink(missing_ok=True)
+    for name in ("manifest.json", "error.json"):
+        (outdir / name).unlink(missing_ok=True)
 
 
 def _write_error(outdir: Path, stage: str, exc: Exception) -> None:
@@ -340,122 +363,87 @@ def _write_error(outdir: Path, stage: str, exc: Exception) -> None:
         pass
 
 
-def _run_modes(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
+# Each runner maps a RunConfig to its experiment's library call, and returns
+# {file name: (columns, meta)} for `_write_csv`.
+
+def _run_modes(cfg: RunConfig) -> dict:
     t = _emitter_modes(cfg, build_cavity(cfg))
-    _write_csv(outdir / "modes.csv", {
+    return {"modes.csv": ({
         "n": t.n,
         "omega_over_2pi_GHz": t.omega / TWO_PI / 1e9,
         "Gamma_rad_per_s": t.Gamma,
         "Veff_mm3": t.Veff * M3_TO_MM3,
         "Hzp_A_per_m": t.Hzp,
         "g_over_2pi_MHz": np.abs(t.g) / TWO_PI / 1e6,
-    }, mhash, {"R_nm": cfg.R_nm})
-    return ["modes.csv"]
+    }, {"R_nm": cfg.R_nm})}
 
 
-def _omega_grid(cfg: RunConfig, cavity: CavityConfig) -> np.ndarray:
-    """The spectrum's grid, checked against the size budget before it is allocated."""
-    if cfg.omega_min_GHz is not None and cfg.omega_max_GHz is not None:
-        lo, hi = GHz_to_rad_per_s(cfg.omega_min_GHz), GHz_to_rad_per_s(cfg.omega_max_GHz)
-        npts = 2001 if cfg.n_omega is None else cfg.n_omega
-    else:
-        lo, hi, npts = auto_omega_span(cavity)
-    _check_budget(npts * cavity.n_max, f"{npts:.3g} frequency points x {cavity.n_max} modes")
-    return np.linspace(lo, hi, int(npts))
-
-
-def _run_spectrum(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
+def _run_spectrum(cfg: RunConfig) -> dict:
     cavity = build_cavity(cfg)
-    emitter = build_emitter(cfg, cavity)
-    grid = spectral_grid(_omega_grid(cfg, cavity), emitter, cavity)
-    _write_csv(outdir / "spectrum.csv",
-               {"omega_over_2pi_GHz": grid.omegas / TWO_PI / 1e9, "J_rad_per_s": grid.values},
-               mhash, grid.metadata)
-    return ["spectrum.csv"]
+    bounds = (None if f is None else GHz_to_rad_per_s(f)
+              for f in (cfg.omega_min_GHz, cfg.omega_max_GHz))
+    grid = spectral_grid(build_emitter(cfg, cavity), cavity, *bounds, cfg.n_omega)
+    return {"spectrum.csv": (
+        {"omega_over_2pi_GHz": grid.omegas / TWO_PI / 1e9, "J_rad_per_s": grid.values},
+        grid.metadata)}
 
 
-def _run_fieldmap(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
+def _run_fieldmap(cfg: RunConfig) -> dict:
     cavity = build_cavity(cfg)
-    emitter = build_emitter(cfg, cavity)
-    n_omega = 2001 if cfg.n_omega is None else cfg.n_omega
-    # The map and the mode table hold a row per field; each row's Lorentzian
-    # terms hold a value per frequency point and mode.
-    width = max(n_omega, cfg.n_max)
-    _check_budget(cfg.n_H0 * width, f"{cfg.n_H0} fields x {width} frequency points or modes")
-    _check_budget(n_omega * cfg.n_max, f"{n_omega} frequency points x {cfg.n_max} modes")
-    H0_values = np.linspace(tesla_to_field(cfg.mu0_H0_min_T),
-                            tesla_to_field(cfg.mu0_H0_max_T), cfg.n_H0)
-    # A common absolute grid wide enough for every column's peaks: from the
-    # lowest field's automatic grid start to the highest field's grid end.
-    lo, hi = (auto_omega_span(dataclasses.replace(
-        cavity, fields=state_from_internal(H0, cavity.mat))) for H0 in H0_values[[0, -1]])
-    omegas = np.linspace(lo[0], hi[1], n_omega)
-    sweep = field_sweep_map(H0_values, omegas, emitter, cavity)
+    sweep = field_sweep_map(tesla_to_field(cfg.mu0_H0_min_T), tesla_to_field(cfg.mu0_H0_max_T),
+                            cfg.n_H0, build_emitter(cfg, cavity), cavity, n_omega=cfg.n_omega)
     # Each axis value is formatted once; repeating the text copies only pointers.
     H0_text = _format_column(sweep.H0_values * CONSTANTS.mu0)
     omega_text = _format_column(sweep.omega_values / TWO_PI / 1e9)
-    _write_csv(outdir / "fieldmap.csv", {
+    return {"fieldmap.csv": ({
         "H0_T": [s for s in H0_text for _ in omega_text],
         "omega_GHz": omega_text * len(H0_text),
         "J": sweep.J.ravel(),
-    }, mhash, sweep.metadata)
-    return ["fieldmap.csv"]
+    }, sweep.metadata)}
 
 
-def _run_decay(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
+def _run_decay(cfg: RunConfig) -> dict:
     solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
     dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
-    # Every radius's kernel first: a domain error leaves no decay file behind.
-    kernels = []
+    files, times, t_text = {}, None, None
     for R in (r * NM for r in _radii_nm(cfg)):
         cavity = build_cavity(cfg, R=R)
-        kernels.append((R, build_kernel(build_emitter(cfg, cavity), cavity)))
-    files = []
-    times = t_text = None
-    for R, kernel in kernels:
+        kernel = build_kernel(build_emitter(cfg, cavity), cavity)
         ts = solver(kernel, cfg.t_end_us * US, dt, cfg.n_samples)
         # Radii usually share one time grid; format its text once.
         if times is None or not np.array_equal(ts.times, times):
             times, t_text = ts.times, _format_column(ts.times / US)
-        name = f"decay_R{R / NM:g}nm.csv"
-        _write_csv(outdir / name, {"t_us": t_text, "population": ts.populations},
-                   mhash, {"R_nm": R / NM, "solver": cfg.solver})
-        files.append(name)
-        del ts      # free this radius's amplitudes before the next propagation
+        files[f"decay_R{R / NM:g}nm.csv"] = ({"t_us": t_text, "population": ts.populations},
+                                             {"R_nm": R / NM, "solver": cfg.solver})
+        del ts      # keep the populations, free this radius's amplitudes
     return files
 
 
-def _run_transfer(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
+def _run_transfer(cfg: RunConfig) -> dict:
     cavity = build_cavity(cfg, n_max=1)
-    a = emitter_radius(cfg, cavity)
-    pair = symmetric_pair(cavity, a, Delta_over_g=cfg.Delta_over_g,
+    pair = symmetric_pair(cavity, emitter_radius(cfg, cavity), Delta_over_g=cfg.Delta_over_g,
                           dipole_scale=cfg.mu_B_scale)
     dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
     result = transfer_dynamics(pair, cfg.t_end_us * US, dt, cfg.n_samples)
-    _write_csv(outdir / "transfer.csv",
-               {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
-               mhash, {"g_rad_per_s": result.metadata["g"],
-                       "Delta_rad_per_s": result.metadata["Delta"],
-                       "swap_frequency_rad_per_s": result.swap_frequency,
-                       "fidelity": result.fidelity})
-    return ["transfer.csv"]
+    return {"transfer.csv": (
+        {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
+        {"g_rad_per_s": result.metadata["g"],
+         "Delta_rad_per_s": result.metadata["Delta"],
+         "swap_frequency_rad_per_s": result.swap_frequency,
+         "fidelity": result.fidelity})}
 
 
-def _run_coupling_sweep(cfg: RunConfig, outdir: Path, mhash: str) -> list[str]:
+def _run_coupling_sweep(cfg: RunConfig) -> dict:
     cavity = build_cavity(cfg)
-    # Each row holds 5 fields (R, separation, g, g_eff, g_dip).
-    _check_budget(cfg.n_R * 5, f"{cfg.n_R} radii x 5 row fields")
-    R_values = np.linspace(cfg.R_min_nm * NM, cfg.R_max_nm * NM, cfg.n_R)
-    rows = coupling_vs_separation_sweep(cfg.G_nm * NM, R_values, cavity.mat,
-                                        cavity.fields.H0,
-                                        Delta_over_g=cfg.Delta_over_g,
-                                        dipole_scale=cfg.mu_B_scale)
-    _write_csv(outdir / "coupling_sweep.csv", {
-        "separation_nm": [r["separation_m"] / NM for r in rows],
-        "g_eff_Hz": [r["g_eff_rad_per_s"] / TWO_PI for r in rows],
-        "g_dip_Hz": [r["g_dip_rad_per_s"] / TWO_PI for r in rows],
-    }, mhash, {"G_nm": cfg.G_nm, "Delta_over_g": cfg.Delta_over_g})
-    return ["coupling_sweep.csv"]
+    sweep = coupling_vs_separation_sweep(cfg.G_nm * NM, cfg.R_min_nm * NM, cfg.R_max_nm * NM,
+                                         cfg.n_R, cavity.mat, cavity.fields.H0,
+                                         Delta_over_g=cfg.Delta_over_g,
+                                         dipole_scale=cfg.mu_B_scale)
+    return {"coupling_sweep.csv": ({
+        "separation_nm": sweep["separation_m"] / NM,
+        "g_eff_Hz": sweep["g_eff_rad_per_s"] / TWO_PI,
+        "g_dip_Hz": sweep["g_dip_rad_per_s"] / TWO_PI,
+    }, {"G_nm": cfg.G_nm, "Delta_over_g": cfg.Delta_over_g})}
 
 
 # ---------------------------------------------------------------------------

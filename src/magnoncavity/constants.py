@@ -37,6 +37,16 @@ NM = 1e-9
 US = 1e-6
 GHZ = 1e9
 
+# Size budget: at most this many values, 16 bytes each (160 MB), in one
+# propagation's state (samples x state width) or one grid an experiment builds.
+MAX_STATE_VALUES = 10_000_000
+
+
+def check_budget(values: float, what: str) -> None:
+    """ConfigError unless `values` (a count known before allocating) fits the budget."""
+    if not values <= MAX_STATE_VALUES:
+        raise ConfigError(f"{what} exceed the budget of {MAX_STATE_VALUES:g} values")
+
 
 @dataclass(frozen=True)
 class Constants:

@@ -23,8 +23,8 @@ independent solvers are provided and cross-validated:
 Both solvers and the two-spin transfer fill their samples by the same
 doubling (`_fill_by_doubling`): evolve_pseudomode and the transfer through
 `propagate`, evolve_volterra from the powers of its step map. All three take
-their grid from `_time_grid`, the one home of the step rule and of the size
-budget (`_check_budget`, which the CLI also applies to its other grids).
+their grid from `_time_grid`, the one home of the step rule, which also
+checks the state against the size budget (`constants.check_budget`).
 """
 
 from __future__ import annotations
@@ -35,14 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ConfigError, DomainError, NumericalError
+from .constants import ConfigError, DomainError, NumericalError, check_budget
 from .modes import CavityConfig, mode_table
 
 POPULATION_TOL = 1e-9
-
-# Size budget: at most this many values, 16 bytes each (160 MB), in one
-# propagation's state (samples x state width) or one grid the CLI builds.
-_MAX_STATE_VALUES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -142,11 +138,6 @@ def _check_dt(kernel: MemoryKernel, dt: float) -> None:
         )
 
 
-def _check_budget(values: float, what: str) -> None:
-    if values > _MAX_STATE_VALUES:
-        raise ConfigError(f"{what} exceed the budget of {_MAX_STATE_VALUES:g} values")
-
-
 def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
                n_samples: int | None, width: int) -> tuple[np.ndarray, float]:
     """Sample times k*dt up to t_end, and dt, for a state of `width` values.
@@ -161,7 +152,7 @@ def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
             dt = min(dt, t_end / n_samples)
     _check_dt(kernel, dt)
     samples = t_end / dt + 1.0
-    _check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
+    check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
     return np.arange(int(round(t_end / dt)) + 1) * dt, dt
 
 

@@ -126,14 +126,16 @@ class ModeTable:
 
 
 def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
-               H0=None) -> ModeTable:
+               H0=None, R=None) -> ModeTable:
     """Closed-form mode ladder up to cavity.n_max, optionally at an emitter.
 
-    H0 (A/m, scalar or array) replaces the cavity's internal field; the
-    table's leading axes are then those of H0. dipole_scale multiplies the
-    emitter's transition dipole.
+    H0 (A/m) and R (m), scalars or arrays, replace the cavity's internal
+    field and radius, and the table takes their broadcast leading axes.
+    position is (x, y, z) or an array (..., 3) that broadcasts with R.
+    dipole_scale multiplies the emitter's transition dipole.
     """
-    mat, R = cavity.mat, cavity.R
+    mat = cavity.mat
+    R = cavity.R if R is None else np.asarray(R, dtype=float)[..., None]
     n = np.arange(1, cavity.n_max + 1)
     H0 = np.asarray(cavity.fields.H0 if H0 is None else H0, dtype=float)[..., None]
     omega = mat.gamma_tilde * (H0 + mat.Ms * n / (2.0 * n + 1.0))
@@ -145,12 +147,14 @@ def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
     s = np.sqrt(CONSTANTS.hbar * omega / (CONSTANTS.mu0 * N))
     g = None
     if position is not None:
-        x, y, _ = np.asarray(position, dtype=float)
-        r = float(np.linalg.norm(position))
-        if r <= R:
+        position = np.asarray(position, dtype=float)
+        x, y = position[..., :1], position[..., 1:2]
+        r = np.linalg.norm(position, axis=-1)[..., None]
+        if np.any(r <= R):
             raise DomainError("emitter must sit outside the sphere")
+        u = x / r - 1j * (y / r)
         # u^(n+1) with |u| <= 1 and rho^-(n+2) <= 1 underflow to 0, never overflow.
-        phase = np.cumprod(np.full(n.size + 1, complex(x, -y) / r))[1:]
+        phase = np.cumprod(np.repeat(u, n.size + 1, axis=-1), axis=-1)[..., 1:]
         g = (CONSTANTS.mu0 * CONSTANTS.muB * dipole_scale / CONSTANTS.hbar
              * (2 * n + 1) * s * R**-1.5 * phase * (R / r) ** (n + 2))
     return ModeTable(n=n, omega=omega,

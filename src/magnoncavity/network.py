@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI
+from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI, check_budget
 from .dynamics import EmitterConfig, MemoryKernel, POPULATION_TOL, _time_grid, propagate
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_frequency, mode_table
@@ -53,25 +53,30 @@ class TwoEmitterConfig:
 def symmetric_pair(cavity: CavityConfig, a: float, Delta_over_g: float = 10.0,
                    dipole_scale: float = 1.0) -> TwoEmitterConfig:
     """Emitters at (+-a, 0, 0), omega0 = omega_K + Delta with Delta = Delta_over_g * g."""
-    omega_K = kittel_frequency(cavity.fields, cavity.mat)
     g = abs(mode_table(cavity, (a, 0.0, 0.0), dipole_scale).g[0])
-    Delta = Delta_over_g * g
-    omega0 = omega_K + Delta
+    Delta, _ = dispersive_coupling(g, Delta_over_g)
+    omega0 = kittel_frequency(cavity.fields, cavity.mat) + Delta
     e1 = EmitterConfig(position=(a, 0.0, 0.0), omega0=omega0, dipole_scale=dipole_scale)
     e2 = EmitterConfig(position=(-a, 0.0, 0.0), omega0=omega0, dipole_scale=dipole_scale)
     return TwoEmitterConfig(cavity=cavity, emitter1=e1, emitter2=e2, Delta=Delta)
 
 
-def effective_coupling(g: float, Delta: float) -> float:
-    """Dispersive magnon-mediated coupling g_eff = g^2/Delta (rad/s)."""
-    if Delta == 0:
+def effective_coupling(g, Delta):
+    """Dispersive magnon-mediated coupling g_eff = g^2/Delta (rad/s); arrays allowed."""
+    if np.any(Delta == 0):
         raise DomainError("dispersive formula g^2/Delta is invalid at Delta = 0")
     return g * g / Delta
 
 
-def dipole_dipole_coupling(separation: float) -> float:
-    """Vacuum dipole-dipole coupling at distance `separation`, in rad/s."""
-    if separation <= 0:
+def dispersive_coupling(g, Delta_over_g: float):
+    """(Delta = Delta_over_g * g, g_eff = g^2/Delta) in rad/s; g_eff is None at Delta = 0."""
+    Delta = Delta_over_g * g
+    return Delta, (None if np.any(Delta == 0) else effective_coupling(g, Delta))
+
+
+def dipole_dipole_coupling(separation):
+    """Vacuum dipole-dipole coupling at distance `separation` (m; arrays allowed), in rad/s."""
+    if np.any(separation <= 0):
         raise DomainError("separation must be positive")
     g_dip_hz = CONSTANTS.mu0 * CONSTANTS.muB**2 / (
         CONSTANTS.hbar * TWO_PI**2 * separation**3
@@ -79,28 +84,27 @@ def dipole_dipole_coupling(separation: float) -> float:
     return TWO_PI * g_dip_hz
 
 
-def coupling_vs_separation_sweep(G: float, R_values, mat: MaterialParams, H0: float,
+def coupling_vs_separation_sweep(G: float, R_min: float, R_max: float, n_R: int,
+                                 mat: MaterialParams, H0: float,
                                  Delta_over_g: float = 10.0,
-                                 dipole_scale: float = 1.0) -> list[dict]:
-    """Rows of (2a, g, g_eff, g_dip) for a = R + G across sphere radii."""
+                                 dipole_scale: float = 1.0) -> dict[str, np.ndarray]:
+    """Columns R, 2a, g, g_eff, g_dip (m, rad/s) for a = R + G over n_R radii R_min..R_max."""
     if G < 0:
         raise DomainError("gap G must be non-negative")
-    fields = state_from_internal(H0, mat)
-    rows = []
-    for R in R_values:
-        if R <= 0:
-            raise DomainError("R values must be positive")
-        a = R + G
-        cavity = CavityConfig(R=R, mat=mat, fields=fields, n_max=1)
-        g = abs(mode_table(cavity, (a, 0.0, 0.0), dipole_scale).g[0])
-        rows.append({
-            "R_m": R,
-            "separation_m": 2.0 * a,
-            "g_rad_per_s": g,
-            "g_eff_rad_per_s": effective_coupling(g, Delta_over_g * g),
-            "g_dip_rad_per_s": dipole_dipole_coupling(2.0 * a),
-        })
-    return rows
+    if min(R_min, R_max) <= 0:
+        raise DomainError("R values must be positive")
+    check_budget(n_R * 5, f"{n_R} radii x 5 row fields")
+    R = np.linspace(R_min, R_max, n_R)
+    a = R + G
+    position = np.outer(a, (1.0, 0.0, 0.0))
+    # The table below replaces the cavity's radius by each of R.
+    cavity = CavityConfig(R=R_max, mat=mat, fields=state_from_internal(H0, mat), n_max=1)
+    g = np.abs(mode_table(cavity, position, dipole_scale, R=R).g[:, 0])
+    _, g_eff = dispersive_coupling(g, Delta_over_g)
+    if g_eff is None:
+        raise DomainError("g_eff = g^2/Delta is undefined at Delta = 0")
+    return {"R_m": R, "separation_m": 2.0 * a, "g_rad_per_s": g,
+            "g_eff_rad_per_s": g_eff, "g_dip_rad_per_s": dipole_dipole_coupling(2.0 * a)}
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,11 @@ def _extract_swap(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[floa
     """
     if Delta != 0:
         ripple_period = TWO_PI / abs(Delta)
-        dt = times[1] - times[0]
-        width = max(3, int(round(3.0 * ripple_period / dt)))
-        smooth = _boxcar(P2, width)
+        window = 3.0 * ripple_period / (times[1] - times[0])     # in samples
+        if not window < times.size:
+            raise NumericalError("smoothing over 3 detuning ripple periods needs more than "
+                                 "the whole horizon; extend t_end or raise |Delta|")
+        smooth = _boxcar(P2, max(3, int(round(window))))
     else:
         smooth = P2
     if np.ptp(smooth) < 1e-12:

@@ -11,12 +11,13 @@ isolated peak recovers |g_n|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DomainError, TWO_PI
-from .modes import CavityConfig, mode_frequency, mode_table
+from .constants import DomainError, TWO_PI, check_budget
+from .modes import CavityConfig, mode_table
 
 
 def _lorentzian_sum(omega, omega_n, weight_n, Gamma_n):
@@ -47,29 +48,39 @@ class SpectralGrid:
             raise DomainError("frequency grid must be strictly increasing")
 
 
-def auto_omega_span(cavity: CavityConfig, pad_linewidths: float = 20.0,
-                    points_per_linewidth: float = 10.0) -> tuple[float, float, float]:
-    """(first, last, count) of `auto_omega_grid`, known before anything is allocated.
+DEFAULT_N_OMEGA = 2001     # points of a grid given by its bounds, and of a field map's
 
-    The count is a whole float, so a spacing that underflows gives inf.
+
+def omega_grid(cavity: CavityConfig, omega_min: float | None = None,
+               omega_max: float | None = None, n_omega: int | None = None,
+               H0_span: tuple[float, float] | None = None) -> np.ndarray:
+    """Frequency grid (rad/s), checked against the size budget (points x modes) first.
+
+    Given bounds, n_omega points (default DEFAULT_N_OMEGA). Else from the
+    Kittel line at the lower internal field of H0_span (default the cavity's)
+    to the n_max line at the higher, padded by 20 linewidths and spaced by
+    a tenth of the narrower linewidth unless n_omega is given.
     """
-    Gamma = cavity.mat.damping_rate(cavity.fields.H0)
-    if Gamma <= 0:
-        raise DomainError("auto grid needs Gamma > 0 (zero-width peaks)")
-    lo = mode_frequency(1, cavity.fields, cavity.mat) - pad_linewidths * Gamma
-    hi = mode_frequency(cavity.n_max, cavity.fields, cavity.mat) + pad_linewidths * Gamma
-    step = Gamma / points_per_linewidth
-    return lo, hi, float(np.ceil((hi - lo) / step)) + 1.0
+    npts = DEFAULT_N_OMEGA if n_omega is None else n_omega
+    if omega_min is None:
+        t = mode_table(cavity, H0=H0_span or (cavity.fields.H0,) * 2)
+        Gamma = float(t.Gamma.min())
+        if Gamma <= 0:
+            raise DomainError("auto grid needs Gamma > 0 (zero-width peaks)")
+        omega_min = float(t.omega[0, 0] - 20.0 * t.Gamma[0, 0])
+        omega_max = float(t.omega[1, -1] + 20.0 * t.Gamma[1, -1])
+        if not math.isfinite(omega_max - omega_min):
+            raise DomainError(f"mode frequencies up to {omega_max:g} rad/s are not finite")
+        if n_omega is None:     # a whole float, so a spacing that underflows gives inf
+            npts = float(np.ceil((omega_max - omega_min) / (Gamma / 10.0))) + 1.0
+    check_budget(npts * cavity.n_max, f"{npts:.3g} frequency points x {cavity.n_max} modes")
+    return np.linspace(omega_min, omega_max, int(npts))
 
 
-def auto_omega_grid(cavity: CavityConfig, pad_linewidths: float = 20.0,
-                    points_per_linewidth: float = 10.0) -> np.ndarray:
-    """Grid covering all retained peaks, spacing Gamma/points_per_linewidth."""
-    lo, hi, count = auto_omega_span(cavity, pad_linewidths, points_per_linewidth)
-    return np.linspace(lo, hi, int(count))
-
-
-def spectral_grid(omegas: np.ndarray, emitter, cavity: CavityConfig) -> SpectralGrid:
+def spectral_grid(emitter, cavity: CavityConfig, omega_min: float | None = None,
+                  omega_max: float | None = None, n_omega: int | None = None) -> SpectralGrid:
+    """J on `omega_grid(cavity, omega_min, omega_max, n_omega)`, with run metadata."""
+    omegas = omega_grid(cavity, omega_min, omega_max, n_omega)
     values = spectral_density(omegas, emitter, cavity)
     meta = {
         "R_m": cavity.R,
@@ -78,7 +89,7 @@ def spectral_grid(omegas: np.ndarray, emitter, cavity: CavityConfig) -> Spectral
         "Gamma_rad_per_s": cavity.mat.damping_rate(cavity.fields.H0),
         "emitter_position_m": list(np.asarray(emitter.position, dtype=float)),
     }
-    return SpectralGrid(omegas=np.asarray(omegas, dtype=float), values=values, metadata=meta)
+    return SpectralGrid(omegas=omegas, values=values, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -91,15 +102,25 @@ class FieldSweepMap:
     metadata: dict = field(default_factory=dict)
 
 
-def field_sweep_map(H0_values, omega_values, emitter,
-                    cavity_template: CavityConfig) -> FieldSweepMap:
-    """Sweep the internal field: one mode table over all H0, J one H0 row at a time."""
-    H0_values = np.asarray(H0_values, dtype=float)
-    omega_values = np.asarray(omega_values, dtype=float)
-    if H0_values.size == 0 or omega_values.size == 0:
+def field_sweep_map(H0_min: float, H0_max: float, n_H0: int, emitter,
+                    cavity_template: CavityConfig, omega_min: float | None = None,
+                    omega_max: float | None = None,
+                    n_omega: int | None = None) -> FieldSweepMap:
+    """J over n_H0 fields from H0_min to H0_max on one `omega_grid` of n_omega points.
+
+    The grid spans every field's peaks unless bounds are given.
+    """
+    n_omega = DEFAULT_N_OMEGA if n_omega is None else n_omega
+    if n_H0 < 1 or n_omega < 1:
         raise DomainError("sweep ranges must be non-empty")
-    if np.any(H0_values <= 0):
+    # The map and the mode table hold a row per field.
+    width = max(n_omega, cavity_template.n_max)
+    check_budget(n_H0 * width, f"{n_H0} fields x {width} frequency points or modes")
+    if min(H0_min, H0_max) <= 0:
         raise DomainError("all H0 values must be positive")
+    H0_values = np.linspace(H0_min, H0_max, n_H0)
+    omega_values = omega_grid(cavity_template, omega_min, omega_max, n_omega,
+                              H0_span=(H0_min, H0_max))
 
     t = mode_table(cavity_template, emitter.position, emitter.dipole_scale, H0=H0_values)
     # Row by row: a (H0, omega, n) broadcast would hold n times the map in memory.

@@ -1,17 +1,21 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import magnoncavity
 from magnoncavity import ConfigError
-from magnoncavity.cli import WRITE_CHUNK, RunConfig, main, parse_config, run
-from magnoncavity.dynamics import _MAX_STATE_VALUES
-from magnoncavity.constants import CONSTANTS, TWO_PI, US
+from magnoncavity.cli import EXPERIMENTS, WRITE_CHUNK, RunConfig, main, parse_config, run
+from magnoncavity.constants import CONSTANTS, MAX_STATE_VALUES, TWO_PI, US
 
 
 def read_csv(path):
@@ -200,11 +204,11 @@ def no_big_arrays(monkeypatch):
     linspace, fill = np.linspace, dynamics._fill_by_doubling
 
     def guarded_linspace(start, stop, num=50, *args, **kwargs):
-        assert num <= _MAX_STATE_VALUES, f"linspace of {num} points"
+        assert num <= MAX_STATE_VALUES, f"linspace of {num} points"
         return linspace(start, stop, num, *args, **kwargs)
 
     def guarded_fill(y0, n, powers):
-        assert n * len(y0) <= _MAX_STATE_VALUES, f"{n} x {len(y0)} state values"
+        assert n * len(y0) <= MAX_STATE_VALUES, f"{n} x {len(y0)} state values"
         return fill(y0, n, powers)
 
     monkeypatch.setattr(np, "linspace", guarded_linspace)
@@ -281,6 +285,10 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
     ["decay", "--R_list_nm", "5"],
     ["decay", "--R_list_nm", "1000"],
     ["coupling-sweep", "--n_R", "100000000"],
+    ["modes", "--R_nm", "1e300"],
+    ["coupling-sweep", "--R_min_nm", "5"],
+    ["coupling-sweep", "--R_max_nm", "1000"],
+    ["fieldmap", "--mu0_H0_min_T", "0.7", "--mu0_H0_max_T", "0.3"],
 ], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
         "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
         "n_omega-without-bounds", "n_max-over-budget", "samples-over-budget-t_end",
@@ -289,10 +297,38 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
         "spectrum-n_omega-over-budget", "fieldmap-n_omega-over-budget",
         "fieldmap-n_H0-over-budget", "fieldmap-mode-table-over-budget",
         "transfer-state-over-budget", "R_list_nm-below-range", "R_list_nm-above-range",
-        "coupling-sweep-n_R-over-budget"])
+        "coupling-sweep-n_R-over-budget", "R_nm-above-range", "R_min_nm-below-range",
+        "R_max_nm-above-range", "fieldmap-H0-range-reversed"])
 def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
     # The size budget rejects its cases before any large array is allocated.
     assert main(argv + ["--out", str(tmp_path)]) == 2
+
+
+# Sizes stay small, so no fuzzed run allocates much.
+_FUZZ_SIZES = {"n_samples": 200, "n_omega": 50, "n_H0": 3, "n_R": 5, "n_max": 3}
+_FUZZ_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("experiment", "out")]
+_FUZZ_VALUES = ["0", "-1", "-1e300", "1e-300", "1e300", "0.5", "2", "none", "volterra"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(EXPERIMENTS),
+       st.fixed_dictionaries({k: st.integers(1, cap) for k, cap in _FUZZ_SIZES.items()}),
+       st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES), max_size=3))
+def test_any_argv_exits_0_2_or_3(experiment, sizes, values):
+    # spectrum takes n_omega only with both omega bounds.
+    if experiment == "spectrum":
+        sizes.pop("n_omega")
+    argv = [experiment]
+    for key, value in {**sizes, **values}.items():
+        argv += [f"--{key}", str(value)]
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + ["--out", out])
+        except SystemExit as exc:       # argparse: "--key -1e300" reads as a missing value
+            code = exc.code
+    assert code in (0, 2, 3), argv
 
 
 def test_state_budget_counts_each_solvers_state():
@@ -313,11 +349,42 @@ def test_state_budget_counts_each_solvers_state():
 
 
 def test_decay_domain_error_writes_no_data(tmp_path):
-    # a = 40 nm is outside the 30 nm sphere but inside the 50 nm one: every
-    # kernel is built before the first propagation, so no radius is written.
+    # a = 40 nm is outside the 30 nm sphere but inside the 50 nm one: the
+    # 30 nm file written before the failure is removed with the failed run.
     assert main(["decay", "--a_nm", "40", "--out", str(tmp_path)]) == 3
     assert json.loads((tmp_path / "error.json").read_text())["type"] == "DomainError"
     assert not list(tmp_path.glob("decay_R*.csv"))
+    # The same for a size error: R = 100 nm propagates, R = 10 nm is over the budget.
+    argv = ["decay", "--n_max", "1", "--R_list_nm", "100,10", "--t_end_us", "1000",
+            "--n_samples", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert json.loads((tmp_path / "error.json").read_text())["type"] == "ConfigError"
+    assert not list(tmp_path.glob("decay_R*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--Delta_over_g", "0"],
+    ["modes", "--a_over_R", "1e300"],
+    ["decay", "--R_list_nm", "30", "--mu_B_scale", "1e-320", "--n_samples", "10"],
+    ["transfer", "--Delta_over_g", "0", "--Gamma_rad_per_s", "0", "--t_end_us", "0.5"],
+], ids=["Delta-zero", "coupling-underflows", "dipole-underflows", "transfer-resonant"])
+def test_undefined_g_eff_is_null(tmp_path, argv):
+    # g_eff = g^2/Delta has no value at Delta = 0; runs that do not use it still succeed.
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["derived"]["g_eff_over_2pi_kHz"] is None
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["coupling-sweep", "--Delta_over_g", "0"], "DomainError"),
+    (["spectrum", "--mu0_H0_T", "1e300"], "DomainError"),
+    (["transfer", "--t_end_us", "1e-300"], "NumericalError"),
+    (["transfer", "--Delta_over_g", "1e-300"], "NumericalError"),
+], ids=["sweep-g_eff-undefined", "mode-frequencies-overflow", "swap-horizon-underflows",
+        "swap-ripple-period-overflows"])
+def test_exit_code_3_for_unresolvable_inputs(tmp_path, argv, error):
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert json.loads((tmp_path / "error.json").read_text())["type"] == error
 
 
 def test_fieldmap_narrow_linewidth_runs(tmp_path, no_big_arrays):
@@ -347,12 +414,19 @@ def test_modes_far_up_the_ladder(tmp_path, R_nm):
 def test_failed_run_leaves_no_manifest(tmp_path):
     # A failed run into a directory that holds an earlier success must not
     # leave that run's manifest behind to look like its own.
+    # Nor that run's data; files no manifest lists are never touched.
+    (tmp_path / "notes.csv").write_text("kept\n")
     cfgfile = Path(__file__).parents[1] / "configs" / "transfer.cfg"
     assert main(["transfer", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "manifest.json").exists()
     assert main(["transfer", "--out", str(tmp_path)]) == 3   # 1 us is shorter than the swap
     assert json.loads((tmp_path / "error.json").read_text())["type"] == "NumericalError"
     assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "transfer.csv").exists()
+    assert (tmp_path / "notes.csv").read_text() == "kept\n"
+    # A later success replaces error.json and the earlier run's files.
+    assert main(["modes", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "modes.csv", "notes.csv"]
 
 
 def test_checked_in_configs_run(tmp_path):

@@ -201,24 +201,48 @@ def test_dipole_dipole_distance_law():
 def test_separation_sweep_enhancement(yig_narrow):
     from magnoncavity import tesla_to_field
 
-    rows = coupling_vs_separation_sweep(
-        G=6e-9, R_values=[30e-9, 50e-9, 70e-9, 100e-9],
+    cols = coupling_vs_separation_sweep(
+        G=6e-9, R_min=30e-9, R_max=90e-9, n_R=4,
         mat=yig_narrow, H0=tesla_to_field(0.5))
-    assert [r["R_m"] for r in rows] == [30e-9, 50e-9, 70e-9, 100e-9]
-    assert rows[0]["separation_m"] == pytest.approx(72e-9, rel=1e-12)
-    ratios = [r["g_eff_rad_per_s"] / r["g_dip_rad_per_s"] for r in rows]
+    assert cols["R_m"].tolist() == [30e-9, 50e-9, 70e-9, 90e-9]
+    assert cols["separation_m"][0] == pytest.approx(72e-9, rel=1e-12)
+    ratios = (cols["g_eff_rad_per_s"] / cols["g_dip_rad_per_s"]).tolist()
     # Magnon-mediated coupling beats the vacuum baseline by orders of magnitude,
     # and the margin grows with the sphere size at fixed gap.
     assert 500 < ratios[0] < 5000
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
+def test_separation_sweep_matches_per_radius_tables(yig_narrow):
+    # The sweep evaluates one mode table broadcast over the radius; each
+    # radius's own one-mode table is the reference. Only the order of the
+    # power evaluation may differ, so a few units in the last place.
+    from magnoncavity import CavityConfig, state_from_internal, tesla_to_field
+
+    H0 = tesla_to_field(0.5)
+    cols = coupling_vs_separation_sweep(G=6e-9, R_min=10e-9, R_max=500e-9, n_R=50,
+                                        mat=yig_narrow, H0=H0, Delta_over_g=7.0,
+                                        dipole_scale=3.0)
+    fields = state_from_internal(H0, yig_narrow)
+    for R, g, g_eff in zip(cols["R_m"], cols["g_rad_per_s"], cols["g_eff_rad_per_s"]):
+        cavity = CavityConfig(R=R, mat=yig_narrow, fields=fields, n_max=1)
+        ref = abs(mode_table(cavity, (R + 6e-9, 0.0, 0.0), 3.0).g[0])
+        assert g == pytest.approx(ref, rel=1e-14)
+        assert g_eff == pytest.approx(effective_coupling(ref, 7.0 * ref), rel=1e-14)
+    np.testing.assert_allclose(cols["g_dip_rad_per_s"],
+                               [dipole_dipole_coupling(s) for s in cols["separation_m"]],
+                               rtol=1e-14)
+
+
 def test_separation_sweep_validation(yig_narrow):
     from magnoncavity import tesla_to_field
 
     with pytest.raises(DomainError):
-        coupling_vs_separation_sweep(G=-1e-9, R_values=[30e-9], mat=yig_narrow,
+        coupling_vs_separation_sweep(G=-1e-9, R_min=30e-9, R_max=30e-9, n_R=1, mat=yig_narrow,
                                      H0=tesla_to_field(0.5))
     with pytest.raises(DomainError):
-        coupling_vs_separation_sweep(G=6e-9, R_values=[-30e-9], mat=yig_narrow,
+        coupling_vs_separation_sweep(G=6e-9, R_min=-30e-9, R_max=-30e-9, n_R=1, mat=yig_narrow,
                                      H0=tesla_to_field(0.5))
+    with pytest.raises(DomainError, match="Delta = 0"):
+        coupling_vs_separation_sweep(G=6e-9, R_min=30e-9, R_max=30e-9, n_R=1, mat=yig_narrow,
+                                     H0=tesla_to_field(0.5), Delta_over_g=0.0)

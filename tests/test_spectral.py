@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from magnoncavity import (DomainError, EmitterConfig, SpectralGrid,
-                          auto_omega_grid, field_sweep_map, mode_frequency,
-                          mode_table, spectral_density, spectral_grid,
+                          field_sweep_map, mode_frequency, mode_table,
+                          omega_grid, spectral_density, spectral_grid,
                           tesla_to_field)
 
 
@@ -25,7 +25,7 @@ def test_mode_couplings_shapes(cavity, emitter):
 
 
 def test_density_non_negative(cavity, emitter):
-    grid = auto_omega_grid(cavity)
+    grid = omega_grid(cavity)
     J = spectral_density(grid, emitter, cavity)
     assert np.all(J >= 0)
 
@@ -41,7 +41,7 @@ def test_scalar_and_array_paths_agree(cavity, emitter):
 
 def test_peaks_sit_at_mode_frequencies(cavity, emitter):
     omega_n, _, _ = mode_couplings(cavity, emitter)
-    grid = auto_omega_grid(cavity)
+    grid = omega_grid(cavity)
     J = spectral_density(grid, emitter, cavity)
     step = grid[1] - grid[0]
     interior = (J[1:-1] >= J[:-2]) & (J[1:-1] > J[2:])
@@ -90,7 +90,7 @@ def test_peak_heights_fall_with_distance(cavity, emitter):
 
 
 def test_auto_grid_covers_all_peaks(cavity, emitter):
-    grid = auto_omega_grid(cavity)
+    grid = omega_grid(cavity)
     Gamma = cavity.mat.Gamma
     assert grid[0] < mode_frequency(1, cavity.fields, cavity.mat) - 10 * Gamma
     assert grid[-1] > mode_frequency(cavity.n_max, cavity.fields, cavity.mat) + 10 * Gamma
@@ -102,12 +102,12 @@ def test_auto_grid_rejects_zero_linewidth(cavity, yig_lossless, fields):
 
     cav = CavityConfig(R=cavity.R, mat=yig_lossless, fields=fields, n_max=1)
     with pytest.raises(DomainError):
-        auto_omega_grid(cav)
+        omega_grid(cav)
 
 
 def test_spectral_grid_metadata_and_validation(cavity, emitter):
-    grid = np.linspace(9e10, 1.1e11, 101)
-    sg = spectral_grid(grid, emitter, cavity)
+    sg = spectral_grid(emitter, cavity, 9e10, 1.1e11, 101)
+    assert np.array_equal(sg.omegas, np.linspace(9e10, 1.1e11, 101))
     assert sg.metadata["R_m"] == cavity.R
     assert sg.metadata["n_max"] == cavity.n_max
     with pytest.raises(DomainError):
@@ -115,30 +115,39 @@ def test_spectral_grid_metadata_and_validation(cavity, emitter):
 
 
 def test_field_sweep_columns_match_single_evaluations(cavity, emitter):
-    H0s = tesla_to_field(0.5) * np.array([0.9, 1.0, 1.1])
-    omegas = np.linspace(9e10, 1.1e11, 401)
-    m = field_sweep_map(H0s, omegas, emitter, cavity)
+    H0 = tesla_to_field(0.5)
+    m = field_sweep_map(0.9 * H0, 1.1 * H0, 3, emitter, cavity, 9e10, 1.1e11, 401)
     assert m.J.shape == (3, 401)
+    assert m.H0_values[1] == cavity.fields.H0
     # The middle row must equal a direct evaluation at the template cavity.
-    direct = spectral_density(omegas, emitter, cavity)
+    direct = spectral_density(m.omega_values, emitter, cavity)
     assert np.array_equal(m.J[1], direct)
 
 
 def test_field_sweep_peak_tracks_kittel_line(cavity, emitter, yig):
     H0s = [tesla_to_field(v) for v in (0.4, 0.5, 0.6)]
-    rows = []
     for H0 in H0s:
         w1 = yig.gamma_tilde * (H0 + yig.Ms / 3.0)
-        rows.append(np.linspace(w1 - 5e8, w1 + 5e8, 2001))
-    for H0, omegas in zip(H0s, rows):
-        m = field_sweep_map([H0], omegas, emitter, cavity)
+        m = field_sweep_map(H0, H0, 1, emitter, cavity, w1 - 5e8, w1 + 5e8, 2001)
+        omegas = m.omega_values
         peak = omegas[int(np.argmax(m.J[0]))]
-        w1 = yig.gamma_tilde * (H0 + yig.Ms / 3.0)
         assert peak == pytest.approx(w1, abs=2 * (omegas[1] - omegas[0]))
 
 
 def test_field_sweep_input_validation(cavity, emitter):
     with pytest.raises(DomainError):
-        field_sweep_map([], np.linspace(1e10, 2e10, 5), emitter, cavity)
+        field_sweep_map(1.0, 2.0, 0, emitter, cavity)
     with pytest.raises(DomainError):
-        field_sweep_map([-1.0], np.linspace(1e10, 2e10, 5), emitter, cavity)
+        field_sweep_map(-1.0, -1.0, 1, emitter, cavity)
+
+
+def test_field_sweep_auto_grid_spans_every_field(cavity, emitter):
+    # Without bounds the common grid covers the lowest field's Kittel peak
+    # and the highest field's n_max peak, each with room to spare.
+    H_lo, H_hi = tesla_to_field(0.3), tesla_to_field(0.7)
+    m = field_sweep_map(H_lo, H_hi, 5, emitter, cavity)
+    assert m.omega_values.size == 2001
+    lo, hi = (mode_table(cavity, H0=H).omega for H in (H_lo, H_hi))
+    Gamma = cavity.mat.Gamma
+    assert m.omega_values[0] < lo[0] - 10 * Gamma
+    assert m.omega_values[-1] > hi[-1] + 10 * Gamma
