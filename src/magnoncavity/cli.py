@@ -19,12 +19,14 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._text import TextColumn, block_text, join_rows
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
@@ -82,7 +84,7 @@ class RunConfig:
     out: str = "out"
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 # The highest mode order and the supported sphere radii (nm). Each experiment's
 # library call checks its own arrays against `constants.check_budget`.
@@ -91,15 +93,14 @@ _R_MIN_NM, _R_MAX_NM = 10.0, 500.0
 
 
 def _parse_value(key: str, raw: str):
-    ftype = _FIELD_TYPES[key]
+    # A key typed `T | None` takes "none"; its values are parsed as T.
+    types = typing.get_args(_FIELD_TYPES[key]) or (_FIELD_TYPES[key],)
     raw = raw.strip()
-    if ftype in ("int", "int | None"):
-        if raw.lower() == "none" and "None" in ftype:
-            return None
+    if type(None) in types and raw.lower() == "none":
+        return None
+    if int in types:
         return int(raw)
-    if ftype in ("float", "float | None"):
-        if raw.lower() == "none" and "None" in ftype:
-            return None
+    if float in types:
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError(f"{raw!r} is not finite")
@@ -219,7 +220,7 @@ def build_emitter(cfg: RunConfig, cavity: CavityConfig) -> EmitterConfig:
 # ---------------------------------------------------------------------------
 # Output plumbing.
 
-WRITE_CHUNK = 4096      # CSV rows per formatting call; 512 and 4096 measured fastest
+WRITE_CHUNK = 4096      # CSV rows per encoded block
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -230,38 +231,30 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _format_column(values) -> list[str]:
-    """The %.12g text of each value, for an axis that many rows or files share."""
-    return ["%.12g" % v for v in np.asarray(values).tolist()]
+def _format_column(values, index=None) -> TextColumn:
+    """The %.12g text of an axis that many rows or files share, encoded once.
+
+    Written row i holds value index[i], or value i without an index.
+    """
+    return TextColumn(values, index, WRITE_CHUNK)
 
 
 def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
     """Write 1-D columns (header row = keys) after '#' meta lines.
 
-    A column given as a list of str (see `_format_column`) is written as is;
-    a numeric column with %d if integer, else %.12g. Rows are formatted
-    WRITE_CHUNK at a time by one `%` over a repeated row template, and each
-    block is written as soon as it is formatted.
+    A TextColumn (see `_format_column`) is written as its text; a numeric
+    column with %d if integer, else %.12g. Rows are encoded WRITE_CHUNK at
+    a time, and each block is written as soon as it is encoded.
     """
-    cols = [c if isinstance(c, list) and c and isinstance(c[0], str) else np.asarray(c)
-            for c in columns.values()]
-    template = ",".join("%s" if isinstance(c, list)
-                        else "%d" if np.issubdtype(c.dtype, np.integer) else "%.12g"
-                        for c in cols) + "\n"
-    ncol, nrows = len(cols), len(cols[0])
-    with path.open("w") as f:
-        f.write(f"# manifest_hash={manifest_hash}\n")
-        f.writelines(f"# {key}={val}\n" for key, val in meta.items())
-        f.write(",".join(columns) + "\n")
-        for i in range(0, nrows, WRITE_CHUNK):
-            rows = min(WRITE_CHUNK, nrows - i)
-            # Row-major values of one block; tolist() keeps %d columns as
-            # Python ints and makes Python objects for this block only.
-            block = [None] * (rows * ncol)
-            for j, c in enumerate(cols):
-                piece = c[i:i + rows]
-                block[j::ncol] = piece if isinstance(piece, list) else piece.tolist()
-            f.write((template * rows) % tuple(block))
+    cols = [c if isinstance(c, TextColumn) else np.asarray(c) for c in columns.values()]
+    seps = [","] * (len(cols) - 1) + ["\n"]
+    head = [f"# manifest_hash={manifest_hash}", *(f"# {k}={v}" for k, v in meta.items()),
+            ",".join(columns)]
+    with path.open("wb") as f:
+        f.write(("\n".join(head) + "\n").encode())
+        for i in range(0, len(cols[0]), WRITE_CHUNK):
+            f.write(join_rows([block_text(c, i, i + WRITE_CHUNK, sep)
+                               for c, sep in zip(cols, seps)]))
 
 
 def _emitter_modes(cfg: RunConfig, cavity: CavityConfig):
@@ -392,12 +385,13 @@ def _run_fieldmap(cfg: RunConfig) -> dict:
     cavity = build_cavity(cfg)
     sweep = field_sweep_map(tesla_to_field(cfg.mu0_H0_min_T), tesla_to_field(cfg.mu0_H0_max_T),
                             cfg.n_H0, build_emitter(cfg, cavity), cavity, n_omega=cfg.n_omega)
-    # Each axis value is formatted once; repeating the text copies only pointers.
-    H0_text = _format_column(sweep.H0_values * CONSTANTS.mu0)
-    omega_text = _format_column(sweep.omega_values / TWO_PI / 1e9)
+    # Each axis value is encoded once; rows gather their text by index.
+    n_H0, n_omega = sweep.J.shape
     return {"fieldmap.csv": ({
-        "H0_T": [s for s in H0_text for _ in omega_text],
-        "omega_GHz": omega_text * len(H0_text),
+        "H0_T": _format_column(sweep.H0_values * CONSTANTS.mu0,
+                               np.repeat(np.arange(n_H0), n_omega)),
+        "omega_GHz": _format_column(sweep.omega_values / TWO_PI / 1e9,
+                                    np.tile(np.arange(n_omega), n_H0)),
         "J": sweep.J.ravel(),
     }, sweep.metadata)}
 
@@ -410,7 +404,7 @@ def _run_decay(cfg: RunConfig) -> dict:
         cavity = build_cavity(cfg, R=R)
         kernel = build_kernel(build_emitter(cfg, cavity), cavity)
         ts = solver(kernel, cfg.t_end_us * US, dt, cfg.n_samples)
-        # Radii usually share one time grid; format its text once.
+        # Radii usually share one time grid; encode its text once.
         if times is None or not np.array_equal(ts.times, times):
             times, t_text = ts.times, _format_column(ts.times / US)
         files[f"decay_R{R / NM:g}nm.csv"] = ({"t_us": t_text, "population": ts.populations},
@@ -462,8 +456,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with each '--key value' pair written '--key=value'.
+
+    argparse reads a value such as -1e300 or -inf as an option, because it
+    starts with '-' and is not a plain negative number; joined to its key it
+    is parsed and validated like any other value. A key followed by another
+    option, or by nothing, is left for argparse to report.
+    """
+    keys = {"--config"} | {f"--{k}" for k in _FIELD_TYPES if k != "experiment"}
+    options = keys | {"-h", "--help"}
+    out, i = [], 0
+    while i < len(argv):
+        if argv[i] in keys and i + 1 < len(argv) and argv[i + 1] not in options:
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         text = args.config.read_text() if args.config else None
     except OSError as exc:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,9 @@ def test_parser_lists_every_key_and_rejects_unknown_experiments(capsys):
 def test_exit_code_2_for_config_error(tmp_path, capsys):
     assert main(["modes", "--R_nm", "-5", "--out", str(tmp_path)]) == 2
     assert "R_nm" in capsys.readouterr().err
+    # A value argparse alone would read as an option reaches the validation too.
+    assert main(["modes", "--R_nm", "-1e300", "--out", str(tmp_path)]) == 2
+    assert "R_nm must lie in" in capsys.readouterr().err
 
 
 def test_exit_code_2_for_missing_config_file(tmp_path, capsys):
@@ -286,6 +290,7 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
     ["decay", "--R_list_nm", "1000"],
     ["coupling-sweep", "--n_R", "100000000"],
     ["modes", "--R_nm", "1e300"],
+    ["modes", "--R_nm", "-1e300"],
     ["coupling-sweep", "--R_min_nm", "5"],
     ["coupling-sweep", "--R_max_nm", "1000"],
     ["fieldmap", "--mu0_H0_min_T", "0.7", "--mu0_H0_max_T", "0.3"],
@@ -297,7 +302,8 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
         "spectrum-n_omega-over-budget", "fieldmap-n_omega-over-budget",
         "fieldmap-n_H0-over-budget", "fieldmap-mode-table-over-budget",
         "transfer-state-over-budget", "R_list_nm-below-range", "R_list_nm-above-range",
-        "coupling-sweep-n_R-over-budget", "R_nm-above-range", "R_min_nm-below-range",
+        "coupling-sweep-n_R-over-budget", "R_nm-above-range", "R_nm-exponent-below-range",
+        "R_min_nm-below-range",
         "R_max_nm-above-range", "fieldmap-H0-range-reversed"])
 def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
     # The size budget rejects its cases before any large array is allocated.
@@ -324,11 +330,26 @@ def test_any_argv_exits_0_2_or_3(experiment, sizes, values):
         argv += [f"--{key}", str(value)]
     with tempfile.TemporaryDirectory() as out, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv + ["--out", out])
-        except SystemExit as exc:       # argparse: "--key -1e300" reads as a missing value
-            code = exc.code
+        code = main(argv + ["--out", out])
     assert code in (0, 2, 3), argv
+
+
+def test_coupling_sweep_budget_counts_the_broadcast(tmp_path, monkeypatch, capsys):
+    # The radius broadcast peaks at 8.5 budget values per radius (its
+    # positions, phases and cumprod temporaries), counted as 9: 1 111 111
+    # radii are the most the budget admits. Both sides are checked before
+    # any radius grid exists.
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(np, "linspace", admitted)
+    assert main(["coupling-sweep", "--n_R", "1111112", "--out", str(tmp_path)]) == 2
+    assert "1111112 radii x 9 values" in capsys.readouterr().err
+    with pytest.raises(Admitted):
+        main(["coupling-sweep", "--n_R", "1111111", "--out", str(tmp_path)])
 
 
 def test_state_budget_counts_each_solvers_state():
@@ -479,6 +500,59 @@ def test_write_csv_block_boundaries(tmp_path, nrows):
         "%d,%.12g,%.12g,%.12g" % (*row, row[1])
         for row in zip(n.tolist(), x.tolist(), y.tolist())]
     assert path.read_text().split("\n") == expected + [""]
+
+
+def _write_g12(path, values):
+    """Write `values` as one float column, with every warning an error."""
+    from magnoncavity.cli import _write_csv
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _write_csv(path, {"x": np.asarray(values, dtype=float)}, "abc123", {})
+    return path.read_text()
+
+
+def _g12_text(values):
+    return "# manifest_hash=abc123\nx\n" + "".join("%.12g\n" % v for v in values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_write_csv_floats_exactly_as_percent_g(values):
+    # The bulk encoder writes the bytes of '%.12g' % x for any float.
+    with tempfile.TemporaryDirectory() as out:
+        assert _write_g12(Path(out) / "t.csv", values) == _g12_text(values)
+
+
+def test_write_csv_random_bit_patterns(tmp_path):
+    # 10**6 float64 bit patterns: every exponent, sign and special value.
+    rng = np.random.default_rng(20240601)
+    values = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    values = values.tolist()
+    assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
+
+
+def _neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+@pytest.mark.parametrize("family", [
+    _neighbours([10.0**k for k in range(-300, 301)]),
+    _neighbours([1e-4, 1e-5, 9.99999999999e-5, 9.999999999995e-5, 9.9999999999995e-5,
+                 1e11, 1e12, 999999999999.0, 999999999999.4, 999999999999.5, 999999999999.6,
+                 99999999999.95]),
+    _neighbours([999999999999.5 * 10.0**j for j in range(-300, 290)]),
+    _neighbours([123456789012.5 * 10.0**j for j in range(-300, 290)]),
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1e-290, 1e290, 1.7976931348623157e308, -1.7976931348623157e308],
+], ids=["powers-of-ten", "notation-switch", "round-half-999", "round-half-123", "specials"])
+def test_write_csv_boundary_floats(tmp_path, family):
+    # Decade edges, the fixed/exponent switch at 1e-4 and 1e12, 12-digit
+    # round-half values and their neighbouring floats, and the specials.
+    values = [-v for v in np.asarray(family).tolist()] + np.asarray(family).tolist()
+    assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
 
 
 def _recording(monkeypatch, name):
