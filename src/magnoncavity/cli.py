@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -40,56 +41,66 @@ from .spectral import field_sweep_map, spectral_grid
 EXPERIMENTS = ("modes", "spectrum", "fieldmap", "decay", "transfer", "coupling-sweep")
 
 
+# A ranged key declares its closed range, a half-open (0, x] as [_TINY, x], next
+# to its default. Fields and a_over_R have no cap; see `_check_finite`.
+_TINY = math.ulp(0.0)
+
+
+def _key(default, lo, hi=math.inf):
+    return dataclasses.field(default=default, metadata={"range": (lo, hi)})
+
+
 @dataclass
 class RunConfig:
     """Resolved run configuration; every physical key uses the unit in its name."""
 
     experiment: str = ""
     # Geometry and material.
-    R_nm: float = 30.0
-    mu0_H0_T: float | None = 0.5
-    mu0_He_T: float | None = None
-    mu0_Ms_T: float = 0.178
-    gamma_GHz_per_T: float = 28.0
-    Gamma_rad_per_s: float = 1e7
-    alpha: float | None = None
-    n_max: int = 7
-    mu_B_scale: float = 1.0
+    R_nm: float = _key(30.0, 10.0, 500.0)
+    mu0_H0_T: float | None = _key(0.5, _TINY)
+    mu0_He_T: float | None = _key(None, _TINY)
+    mu0_Ms_T: float = _key(0.178, _TINY, 10.0)        # no magnet saturates above ~2.5 T
+    gamma_GHz_per_T: float = _key(28.0, _TINY, 1e3)   # 1e3 GHz/T is g ~ 70; spins have g < ~20
+    Gamma_rad_per_s: float = _key(1e7, 0.0)
+    alpha: float | None = _key(None, 0.0, 1.0)        # above 1 precession is overdamped
+    n_max: int = _key(7, 1, 1000)
+    mu_B_scale: float = _key(1.0, _TINY, 1e6)         # 1e6 mu_B is a nanomagnet, not a spin
     # Emitter placement and tuning.
-    a_nm: float | None = None
-    a_over_R: float = 1.2
-    omega0_GHz: float | None = None     # None: tuned to the Kittel mode
+    a_nm: float | None = _key(None, _TINY)
+    a_over_R: float = _key(1.2, _TINY)
+    omega0_GHz: float | None = _key(None, _TINY, 1e4)   # None: tuned to the Kittel mode
     # Dispersive network.
     Delta_over_g: float = 10.0
-    G_nm: float = 6.0
+    G_nm: float = _key(6.0, 0.0, 1e6)   # magnetostatics needs G << 2 cm, the 16 GHz wavelength
     # Time grid.
-    t_end_us: float = 1.0
-    dt_ns: float | None = None
-    n_samples: int = 100000
+    t_end_us: float = _key(1.0, _TINY)
+    dt_ns: float | None = _key(None, _TINY)
+    n_samples: int = _key(100000, 1)
     solver: str = "pseudomode"          # pseudomode | volterra
-    # Frequency grid (spectrum).
-    omega_min_GHz: float | None = None
-    omega_max_GHz: float | None = None
-    n_omega: int | None = None
+    # Frequency grid (spectrum). 10 THz, also omega0's cap, tops every magnon band.
+    omega_min_GHz: float | None = _key(None, 0.0, 1e4)
+    omega_max_GHz: float | None = _key(None, 0.0, 1e4)
+    n_omega: int | None = _key(None, 1)
     # Field sweep (fieldmap).
-    mu0_H0_min_T: float = 0.3
-    mu0_H0_max_T: float = 0.7
-    n_H0: int = 41
+    mu0_H0_min_T: float = _key(0.3, _TINY)
+    mu0_H0_max_T: float = _key(0.7, _TINY)
+    n_H0: int = _key(41, 1)
     # Radius sweeps.
     R_list_nm: str = "30,50,70,100"
-    R_min_nm: float = 20.0
-    R_max_nm: float = 100.0
-    n_R: int = 17
+    R_min_nm: float = _key(20.0, 10.0, 500.0)
+    R_max_nm: float = _key(100.0, 10.0, 500.0)
+    n_R: int = _key(17, 1)
     # Output.
     out: str = "out"
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
+_RANGES = {f.name: f.metadata["range"] for f in dataclasses.fields(RunConfig) if f.metadata}
 
-# The highest mode order and the supported sphere radii (nm). Each experiment's
-# library call checks its own arrays against `constants.check_budget`.
-_MAX_N_MAX = 1000
-_R_MIN_NM, _R_MAX_NM = 10.0, 500.0
+
+def _range_text(key: str) -> str:
+    lo, hi = _RANGES[key]
+    return ("(0" if lo == _TINY else f"[{lo:g}") + (f", {hi:g}]" if hi < math.inf else ", inf)")
 
 
 def _parse_value(key: str, raw: str):
@@ -138,21 +149,10 @@ def parse_config(text: str | None, overrides: dict[str, str] | None = None) -> R
 def _validate(cfg: RunConfig) -> None:
     if cfg.experiment and cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
-    for key in ("mu0_Ms_T", "gamma_GHz_per_T", "t_end_us", "mu_B_scale"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
-    for key in ("R_nm", "R_min_nm", "R_max_nm"):
-        if not _R_MIN_NM <= getattr(cfg, key) <= _R_MAX_NM:
-            raise ConfigError(f"{key} must lie in the supported [10, 500] nm")
-    if cfg.Gamma_rad_per_s < 0:
-        raise ConfigError("Gamma_rad_per_s must be non-negative")
-    if cfg.dt_ns is not None and cfg.dt_ns <= 0:
-        raise ConfigError("dt_ns must be positive")
-    for key in ("n_max", "n_samples", "n_H0", "n_R", "n_omega"):
-        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if cfg.n_max > _MAX_N_MAX:
-        raise ConfigError(f"n_max = {cfg.n_max} exceeds the supported maximum {_MAX_N_MAX}")
+    for key, (lo, hi) in _RANGES.items():
+        value = getattr(cfg, key)
+        if value is not None and not lo <= value <= hi:
+            raise ConfigError(f"{key} must lie in {_range_text(key)}, got {value!r}")
     _radii_nm(cfg)
     if cfg.experiment == "spectrum":
         # Both omega bounds (min < max) or neither; n_omega needs both.
@@ -177,8 +177,9 @@ def _radii_nm(cfg: RunConfig) -> list[float]:
         radii = [float(tok) for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad value for 'R_list_nm': {exc}") from exc
-    if not all(_R_MIN_NM <= r <= _R_MAX_NM for r in radii):
-        raise ConfigError("R_list_nm entries must lie in the supported [10, 500] nm")
+    lo, hi = _RANGES["R_nm"]
+    if not all(lo <= r <= hi for r in radii):
+        raise ConfigError(f"R_list_nm entries must lie in R_nm's {_range_text('R_nm')}")
     if not radii:
         raise ConfigError("R_list_nm lists no radius")
     return radii
@@ -305,6 +306,7 @@ def run(cfg: RunConfig) -> int:
             "coupling-sweep": _run_coupling_sweep,
         }[cfg.experiment]
         outputs = runner(cfg)
+        _check_finite(outputs, derived)
     except (ConfigError,) as exc:
         _write_error(outdir, "configuration", exc)
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -332,6 +334,19 @@ def run(cfg: RunConfig) -> int:
     for name in outputs:
         print(f"wrote {outdir / name}")
     return 0
+
+
+def _check_finite(outputs: dict, derived: dict) -> None:
+    """Refuse a non-finite data column or `derived` value before anything is written.
+
+    A TextColumn axis comes from `_time_grid` or `omega_grid`, which check it."""
+    checked = [(f"{name} column {key!r}", col) for name, (columns, _) in outputs.items()
+               for key, col in columns.items() if not isinstance(col, TextColumn)]
+    checked += [(f"manifest.json derived {key!r}", v) for key, v in derived.items()
+                if v is not None]
+    for where, values in checked:
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"{where} holds a non-finite value")
 
 
 def _remove_previous_run(outdir: Path) -> None:
@@ -443,16 +458,19 @@ def _run_coupling_sweep(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # One parser: every experiment takes the same keys, so they are declared once.
+    # One parser per process: every experiment takes the same keys, so they are declared once.
     parser = argparse.ArgumentParser(prog="magnoncavity",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value configuration file")
-    for fname in _FIELD_TYPES:
-        if fname != "experiment":
-            parser.add_argument(f"--{fname}", type=str, default=None)
+    for f in dataclasses.fields(RunConfig):
+        if f.name != "experiment":
+            domain = f"in {_range_text(f.name)}; " if f.name in _RANGES else ""
+            parser.add_argument(f"--{f.name}", type=str, default=None,
+                                help=f"{domain}default {f.default}")
     return parser
 
 

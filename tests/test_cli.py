@@ -2,10 +2,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import typing
 import warnings
 from pathlib import Path
 
@@ -223,10 +225,22 @@ def test_parser_lists_every_key_and_rejects_unknown_experiments(capsys):
     usage = capsys.readouterr().out
     keys = [k for k in RunConfig.__dataclass_fields__ if k != "experiment"]
     assert all(f"--{key}" in usage for key in keys + ["config"])
+    assert "in [10, 500]; default 30.0" in usage      # R_nm's declared range and default
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_parser_built_once_and_flags_do_not_leak(tmp_path):
+    # main reuses one parser per process: one call's flags must not reach the next run.
+    from magnoncavity.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert main(["modes", "--R_nm", "50", "--n_max", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main(["modes", "--out", str(tmp_path / "b")]) == 0
+    config = json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]
+    assert config == dataclasses.asdict(RunConfig(experiment="modes", out=str(tmp_path / "b")))
 
 
 def test_exit_code_2_for_config_error(tmp_path, capsys):
@@ -294,6 +308,14 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
     ["coupling-sweep", "--R_min_nm", "5"],
     ["coupling-sweep", "--R_max_nm", "1000"],
     ["fieldmap", "--mu0_H0_min_T", "0.7", "--mu0_H0_max_T", "0.3"],
+    ["modes", "--mu0_Ms_T", "1e300"],
+    ["modes", "--gamma_GHz_per_T", "1e300"],
+    ["modes", "--alpha", "1e300"],
+    ["modes", "--mu_B_scale", "1e300"],
+    ["spectrum", "--omega_min_GHz", "-1e300", "--omega_max_GHz", "1e300"],
+    ["spectrum", "--omega_min_GHz", "1", "--omega_max_GHz", "1e300"],
+    ["decay", "--alpha", "1e300"],
+    ["decay", "--omega0_GHz", "1e300"],
 ], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
         "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
         "n_omega-without-bounds", "n_max-over-budget", "samples-over-budget-t_end",
@@ -304,7 +326,10 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
         "transfer-state-over-budget", "R_list_nm-below-range", "R_list_nm-above-range",
         "coupling-sweep-n_R-over-budget", "R_nm-above-range", "R_nm-exponent-below-range",
         "R_min_nm-below-range",
-        "R_max_nm-above-range", "fieldmap-H0-range-reversed"])
+        "R_max_nm-above-range", "fieldmap-H0-range-reversed", "mu0_Ms_T-above-range",
+        "gamma-above-range", "alpha-above-range", "mu_B_scale-above-range",
+        "spectrum-window-out-of-range", "omega_max_GHz-above-range", "decay-alpha-above-range",
+        "decay-omega0_GHz-above-range"])
 def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
     # The size budget rejects its cases before any large array is allocated.
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -314,13 +339,73 @@ def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
 _FUZZ_SIZES = {"n_samples": 200, "n_omega": 50, "n_H0": 3, "n_R": 5, "n_max": 3}
 _FUZZ_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("experiment", "out")]
 _FUZZ_VALUES = ["0", "-1", "-1e300", "1e-300", "1e300", "0.5", "2", "none", "volterra"]
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _domain_edges(field):
+    """A ranged key's ends and the nearest value outside each, the finite ones as flag text."""
+    lo, hi = field.metadata["range"]
+    if int in (typing.get_args(_FIELD_TYPES[field.name]) or (_FIELD_TYPES[field.name],)):
+        outside = (lo - 1, hi + 1)
+    else:
+        outside = (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+    return [[repr(v) for v in values if math.isfinite(v)] for values in ((lo, hi), outside)]
+
+
+_EDGES = {f.name: _domain_edges(f) for f in dataclasses.fields(RunConfig) if "range" in f.metadata}
+
+
+def _fuzz_values(field):
+    """The generic values, and for a ranged key its ends, their outer neighbours and its default."""
+    if field.name not in _EDGES:
+        return _FUZZ_VALUES
+    ends, outside = _EDGES[field.name]
+    return _FUZZ_VALUES + ends + outside + ([] if field.default is None else [repr(field.default)])
+
+
+_FUZZ_CHOICES = {f.name: _fuzz_values(f) for f in dataclasses.fields(RunConfig)}
+_FUZZ_ARG = st.sampled_from(_FUZZ_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(_FUZZ_CHOICES[key])))
+
+
+@pytest.mark.parametrize("key", sorted(_EDGES))
+def test_declared_range_admits_its_ends_and_names_the_key_outside(key):
+    ends, outside = _EDGES[key]
+    for value in ends:
+        parse_config(None, {key: value})
+    for value in outside:
+        with pytest.raises(ConfigError, match=f"^{key} must lie in "):
+            parse_config(None, {key: value})
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    """Every number an exit-0 run writes is finite, but for the two no-value outputs.
+
+    Those are the manifest's `g_eff_over_2pi_kHz: null` (not a number) and
+    transfer's `swap_frequency_rad_per_s=nan` header when nothing swaps.
+    """
+    def refuse(token):
+        raise AssertionError(f"manifest.json holds {token}")
+
+    json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    for path in out.glob("*.csv"):
+        _, rows, meta = read_csv(path)
+        assert np.all(np.isfinite(rows)), path.name
+        for key, text in meta.items():
+            try:
+                value = float(text)
+            except ValueError:
+                continue
+            exempt = key == "manifest_hash" or (path.name, key) == (
+                "transfer.csv", "swap_frequency_rad_per_s")
+            assert exempt or math.isfinite(value), (path.name, key, text)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(EXPERIMENTS),
        st.fixed_dictionaries({k: st.integers(1, cap) for k, cap in _FUZZ_SIZES.items()}),
-       st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES), max_size=3))
+       st.lists(_FUZZ_ARG, max_size=3).map(dict))
 def test_any_argv_exits_0_2_or_3(experiment, sizes, values):
     # spectrum takes n_omega only with both omega bounds.
     if experiment == "spectrum":
@@ -328,10 +413,12 @@ def test_any_argv_exits_0_2_or_3(experiment, sizes, values):
     argv = [experiment]
     for key, value in {**sizes, **values}.items():
         argv += [f"--{key}", str(value)]
-    with tempfile.TemporaryDirectory() as out, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--out", out])
-    assert code in (0, 2, 3), argv
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out", out])
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            _assert_finite_outputs(Path(out))
 
 
 def test_coupling_sweep_budget_counts_the_broadcast(tmp_path, monkeypatch, capsys):
@@ -396,16 +483,21 @@ def test_undefined_g_eff_is_null(tmp_path, argv):
     assert manifest["derived"]["g_eff_over_2pi_kHz"] is None
 
 
-@pytest.mark.parametrize("argv, error", [
-    (["coupling-sweep", "--Delta_over_g", "0"], "DomainError"),
-    (["spectrum", "--mu0_H0_T", "1e300"], "DomainError"),
-    (["transfer", "--t_end_us", "1e-300"], "NumericalError"),
-    (["transfer", "--Delta_over_g", "1e-300"], "NumericalError"),
+@pytest.mark.parametrize("argv, error, cause", [
+    (["coupling-sweep", "--Delta_over_g", "0"], "DomainError", "Delta = 0"),
+    (["spectrum", "--mu0_H0_T", "1e300"], "DomainError", "not finite"),
+    (["transfer", "--t_end_us", "1e-300"], "NumericalError", "horizon"),
+    (["transfer", "--Delta_over_g", "1e-300"], "NumericalError", "horizon"),
+    (["modes", "--mu0_H0_T", "1e300"], "NumericalError",
+     "modes.csv column 'omega_over_2pi_GHz' holds a non-finite value"),
 ], ids=["sweep-g_eff-undefined", "mode-frequencies-overflow", "swap-horizon-underflows",
-        "swap-ripple-period-overflows"])
-def test_exit_code_3_for_unresolvable_inputs(tmp_path, argv, error):
+        "swap-ripple-period-overflows", "mode-table-overflows"])
+def test_exit_code_3_for_unresolvable_inputs(tmp_path, argv, error, cause):
     assert main(argv + ["--out", str(tmp_path)]) == 3
-    assert json.loads((tmp_path / "error.json").read_text())["type"] == error
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["type"] == error
+    assert cause in record["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
 
 
 def test_fieldmap_narrow_linewidth_runs(tmp_path, no_big_arrays):
