@@ -14,7 +14,7 @@ from .dynamics import (EmitterConfig, MemoryKernel, TimeSeries, build_kernel,
                        evolve_pseudomode, evolve_volterra,
                        extract_rabi_frequency, first_revival_time,
                        fit_decay_rate, max_stable_dt)
-from .network import (TransferResult, TwoEmitterConfig, coupling_vs_separation_sweep,
+from .network import (TransferResult, coupling_vs_separation_sweep,
                       dipole_dipole_coupling, dispersive_coupling, effective_coupling,
                       has_fast_ripples, symmetric_pair, transfer_dynamics)
 
@@ -30,7 +30,7 @@ __all__ = [
     "EmitterConfig", "MemoryKernel", "TimeSeries", "build_kernel",
     "evolve_pseudomode", "evolve_volterra", "extract_rabi_frequency",
     "first_revival_time", "fit_decay_rate", "max_stable_dt",
-    "TransferResult", "TwoEmitterConfig", "coupling_vs_separation_sweep",
+    "TransferResult", "coupling_vs_separation_sweep",
     "dipole_dipole_coupling", "dispersive_coupling", "effective_coupling", "has_fast_ripples",
     "symmetric_pair", "transfer_dynamics",
 ]

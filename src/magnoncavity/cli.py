@@ -165,8 +165,9 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError("omega_min_GHz must be below omega_max_GHz")
     if cfg.experiment == "fieldmap" and cfg.mu0_H0_min_T >= cfg.mu0_H0_max_T:
         raise ConfigError("mu0_H0_min_T must be below mu0_H0_max_T")
-    if cfg.mu0_H0_T is None and cfg.mu0_He_T is None:
-        raise ConfigError("one of mu0_H0_T or mu0_He_T is required")
+    if (cfg.mu0_H0_T is None) == (cfg.mu0_He_T is None):
+        raise ConfigError("set exactly one of mu0_H0_T or mu0_He_T; mu0_H0_T defaults to 0.5, "
+                          "so mu0_He_T needs --mu0_H0_T none (mu0_H0_T = none in a file)")
     if cfg.solver not in ("pseudomode", "volterra"):
         raise ConfigError(f"unknown solver {cfg.solver!r}")
 
@@ -430,10 +431,11 @@ def _run_decay(cfg: RunConfig) -> dict:
 
 def _run_transfer(cfg: RunConfig) -> dict:
     cavity = build_cavity(cfg, n_max=1)
-    pair = symmetric_pair(cavity, emitter_radius(cfg, cavity), Delta_over_g=cfg.Delta_over_g,
-                          dipole_scale=cfg.mu_B_scale)
+    positions, Delta = symmetric_pair(cavity, emitter_radius(cfg, cavity), cfg.Delta_over_g,
+                                      cfg.mu_B_scale)
     dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
-    result = transfer_dynamics(pair, cfg.t_end_us * US, dt, cfg.n_samples)
+    result = transfer_dynamics(cavity, positions, Delta, cfg.t_end_us * US, dt, cfg.n_samples,
+                               cfg.mu_B_scale)
     return {"transfer.csv": (
         {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
         {"g_rad_per_s": result.metadata["g"],

@@ -59,12 +59,17 @@ class MemoryKernel:
     """K(tau) = sum_k weights[k] * exp(rates[k] * tau).
 
     weights are the |g_n|^2 (rad^2/s^2); rates are i*(omega0 - omega_n) - Gamma_n/2.
+    Both must be finite: an overflowed mode table is refused here, before any
+    time grid is sized from it.
     """
 
     weights: tuple[float, ...]
     rates: tuple[complex, ...]
 
     def __post_init__(self) -> None:
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.rates))):
+            raise DomainError("kernel weights and rates must be finite; a mode frequency, "
+                              "coupling or detuning overflowed")
         if any(w < 0 for w in self.weights):
             raise DomainError("kernel weights must be non-negative")
 
@@ -100,7 +105,8 @@ class TimeSeries:
 def build_kernel(emitter: EmitterConfig, cavity: CavityConfig) -> MemoryKernel:
     """One exponential term per retained mode, from the quantized couplings."""
     t = mode_table(cavity, emitter.position, emitter.dipole_scale)
-    rates = 1j * (emitter.omega0 - t.omega) - t.Gamma / 2.0
+    with np.errstate(invalid="ignore"):     # inf - inf: refused by MemoryKernel
+        rates = 1j * (emitter.omega0 - t.omega) - t.Gamma / 2.0
     return MemoryKernel(weights=tuple(t.weights), rates=tuple(rates))
 
 
@@ -125,19 +131,6 @@ def max_stable_dt(kernel: MemoryKernel) -> float:
     return min(_dt_bounds(kernel).values(), default=math.inf)
 
 
-def _check_dt(kernel: MemoryKernel, dt: float) -> None:
-    if not 0 < dt < math.inf:
-        raise ConfigError("dt must be positive and finite")
-    bounds = _dt_bounds(kernel)
-    limit = min(bounds.values(), default=math.inf)
-    if dt > limit:
-        binding = min(bounds, key=bounds.get)
-        raise ConfigError(
-            f"dt = {dt:g} s exceeds the resolution guard {limit:g} s "
-            f"(binding constraint: {binding})"
-        )
-
-
 def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
                n_samples: int | None, width: int) -> tuple[np.ndarray, float]:
     """Sample times k*dt up to t_end, and dt, for a state of `width` values.
@@ -146,11 +139,17 @@ def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
     It must pass the resolution guard, and samples x width the size budget,
     before the grid is allocated.
     """
+    bounds = _dt_bounds(kernel)
+    limit = min(bounds.values(), default=math.inf)
     if dt is None:
-        dt = max_stable_dt(kernel) / 2.0
+        dt = limit / 2.0
         if n_samples is not None:
             dt = min(dt, t_end / n_samples)
-    _check_dt(kernel, dt)
+    if not 0 < dt < math.inf:
+        raise ConfigError("dt must be positive and finite")
+    if dt > limit:
+        raise ConfigError(f"dt = {dt:g} s exceeds the resolution guard {limit:g} s "
+                          f"(binding constraint: {min(bounds, key=bounds.get)})")
     samples = t_end / dt + 1.0
     check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
     return np.arange(int(round(t_end / dt)) + 1) * dt, dt

@@ -125,6 +125,8 @@ class ModeTable:
         return self.g.real**2 + self.g.imag**2
 
 
+# Overflows stay silent here: MemoryKernel, omega_grid and the CLI's gate refuse them.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
                H0=None, R=None) -> ModeTable:
     """Closed-form mode ladder up to cavity.n_max, optionally at an emitter.
@@ -132,7 +134,7 @@ def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
     H0 (A/m) and R (m), scalars or arrays, replace the cavity's internal
     field and radius, and the table takes their broadcast leading axes.
     position is (x, y, z) or an array (..., 3) that broadcasts with R.
-    dipole_scale multiplies the emitter's transition dipole.
+    dipole_scale (an array broadcasts with g) multiplies the transition dipole.
     """
     mat = cavity.mat
     R = cavity.R if R is None else np.asarray(R, dtype=float)[..., None]

@@ -1,11 +1,12 @@
 """Two spins dispersively coupled through the single dipolar magnon mode.
 
 Single-excitation amplitudes (c1, c2, b) in the frame rotating at the common
-spin frequency omega0, with Delta = omega0 - omega_K:
+spin frequency omega0, with Delta = omega0 - omega_K, and g1, g2 and Gamma read
+from one `mode_table` over the two emitter positions:
 
-    dc1/dt = -i g b
-    dc2/dt = -i g b
-    db/dt  = -i g (c1 + c2) + (i Delta - Gamma/2) b
+    dc1/dt = -i g1 b
+    dc2/dt = -i g2 b
+    db/dt  = -i (g1 c1 + g2 c2) + (i Delta - Gamma/2) b
 
 Magnon loss enters as the non-Hermitian -i Gamma/2 term, equivalent to the
 Lindblad evolution restricted to at most one excitation. The magnon sees the
@@ -26,39 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI, check_budget
-from .dynamics import EmitterConfig, MemoryKernel, POPULATION_TOL, _time_grid, propagate
+from .dynamics import MemoryKernel, POPULATION_TOL, _time_grid, propagate
 from .material import MaterialParams, state_from_internal
-from .modes import CavityConfig, kittel_frequency, mode_frequency, mode_table
-
-
-@dataclass(frozen=True)
-class TwoEmitterConfig:
-    """Cavity plus two antipodal emitters and the common detuning Delta = omega0 - omega_K."""
-
-    cavity: CavityConfig
-    emitter1: EmitterConfig
-    emitter2: EmitterConfig
-    Delta: float
-
-    def __post_init__(self) -> None:
-        for e in (self.emitter1, self.emitter2):
-            if np.linalg.norm(e.position) <= self.cavity.R:
-                raise DomainError("both emitters must sit outside the sphere")
-
-    @property
-    def gap(self) -> float:
-        return float(np.linalg.norm(self.emitter1.position)) - self.cavity.R
+from .modes import CavityConfig, mode_table
 
 
 def symmetric_pair(cavity: CavityConfig, a: float, Delta_over_g: float = 10.0,
-                   dipole_scale: float = 1.0) -> TwoEmitterConfig:
-    """Emitters at (+-a, 0, 0), omega0 = omega_K + Delta with Delta = Delta_over_g * g."""
+                   dipole_scale: float = 1.0) -> tuple[np.ndarray, float]:
+    """Positions (+-a, 0, 0) (m) and the detuning Delta = Delta_over_g * g (rad/s)."""
     g = abs(mode_table(cavity, (a, 0.0, 0.0), dipole_scale).g[0])
-    Delta, _ = dispersive_coupling(g, Delta_over_g)
-    omega0 = kittel_frequency(cavity.fields, cavity.mat) + Delta
-    e1 = EmitterConfig(position=(a, 0.0, 0.0), omega0=omega0, dipole_scale=dipole_scale)
-    e2 = EmitterConfig(position=(-a, 0.0, 0.0), omega0=omega0, dipole_scale=dipole_scale)
-    return TwoEmitterConfig(cavity=cavity, emitter1=e1, emitter2=e2, Delta=Delta)
+    return np.array([(a, 0.0, 0.0), (-a, 0.0, 0.0)]), dispersive_coupling(g, Delta_over_g)[0]
 
 
 def effective_coupling(g, Delta):
@@ -69,9 +47,12 @@ def effective_coupling(g, Delta):
 
 
 def dispersive_coupling(g, Delta_over_g: float):
-    """(Delta = Delta_over_g * g, g_eff = g^2/Delta) in rad/s; g_eff is None at Delta = 0."""
-    Delta = Delta_over_g * g
-    return Delta, (None if np.any(Delta == 0) else effective_coupling(g, Delta))
+    """(Delta = Delta_over_g * g, g_eff = g^2/Delta) in rad/s; g_eff is None where it
+    has no finite value: at Delta = 0, or where g^2/Delta overflows."""
+    with np.errstate(over="ignore"):        # an overflowed g_eff is None, below
+        Delta = Delta_over_g * g
+        g_eff = None if np.any(Delta == 0) else effective_coupling(g, Delta)
+    return Delta, (None if g_eff is None or not np.all(np.isfinite(g_eff)) else g_eff)
 
 
 def dipole_dipole_coupling(separation):
@@ -110,7 +91,7 @@ def coupling_vs_separation_sweep(G: float, R_min: float, R_max: float, n_R: int,
     g = np.abs(mode_table(cavity, position, dipole_scale, R=R).g[:, 0])
     _, g_eff = dispersive_coupling(g, Delta_over_g)
     if g_eff is None:
-        raise DomainError("g_eff = g^2/Delta is undefined at Delta = 0")
+        raise DomainError("g_eff = g^2/Delta is not finite: Delta = 0 or g^2/Delta overflows")
     return {"R_m": R, "separation_m": 2.0 * a, "g_rad_per_s": g,
             "g_eff_rad_per_s": g_eff, "g_dip_rad_per_s": dipole_dipole_coupling(2.0 * a)}
 
@@ -136,24 +117,32 @@ class TransferResult:
 COUPLING_SYMMETRY_TOL = 1e-10
 
 
-def transfer_dynamics(cfg: TwoEmitterConfig, t_end: float, dt: float | None = None,
-                      n_samples: int | None = None,
+def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: float,
+                      dt: float | None = None, n_samples: int | None = None, dipole_scale=1.0,
                       initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
                       ) -> TransferResult:
-    """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel mode."""
-    g1, g2 = (abs(mode_table(cfg.cavity, e.position, e.dipole_scale).g[0])
-              for e in (cfg.emitter1, cfg.emitter2))
-    # Antipodal placement must give equal magnitudes; computed independently
-    # and checked rather than assumed.
-    if cfg.emitter1.dipole_scale == cfg.emitter2.dipole_scale:
-        ref = max(g1, g2)
-        if ref > 0 and abs(g1 - g2) > COUPLING_SYMMETRY_TOL * ref:
-            raise NumericalError("antipodal couplings differ beyond tolerance")
+    """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel mode.
 
-    _check_single_mode_validity(cfg)
+    positions (2, 3) in m, Delta = omega0 - omega_K in rad/s, dipole_scale one
+    factor or one per emitter."""
+    if np.shape(positions) != (2, 3):
+        raise DomainError(f"positions must have shape (2, 3), got {np.shape(positions)}")
+    scale = np.broadcast_to(np.asarray(dipole_scale, dtype=float), (2,))
+    table = mode_table(cavity, positions, scale[:, None])
+    g1, g2 = np.abs(table.g[:, 0])
+    # Antipodal emitters of equal dipole must get equal |g|: checked, not assumed.
+    if scale[0] == scale[1] and abs(g1 - g2) > COUPLING_SYMMETRY_TOL * max(g1, g2):
+        raise NumericalError("antipodal couplings differ beyond tolerance")
 
-    Gamma = cfg.cavity.mat.damping_rate(cfg.cavity.fields.H0)
-    Delta = cfg.Delta
+    # A higher mode within 10x the Kittel detuning breaks the single-mode picture.
+    det = np.abs(table.omega[0] + Delta - table.omega[1:])
+    if np.any(det < 10.0 * abs(Delta)):
+        k = int(np.argmin(det))
+        warnings.warn(f"mode n = {table.n[k + 1]} detuned by only {det[k]:g} rad/s "
+                      f"(< 10x the Kittel detuning {abs(Delta):g}); "
+                      "single-mode approximation may be inaccurate", stacklevel=2)
+
+    Gamma = table.Gamma[0]
     # Same step rule, guard and budget as the single-emitter solvers; the
     # state is (beta, b, I).
     times, _ = _time_grid(MemoryKernel(weights=(g1 * g1, g2 * g2),
@@ -180,20 +169,6 @@ def transfer_dynamics(cfg: TwoEmitterConfig, t_end: float, dt: float | None = No
     return TransferResult(times=times, P1=P1, P2=P2, Pb=Pb,
                           swap_frequency=swap, fidelity=fidelity,
                           metadata={"g": g1, "Delta": Delta, "Gamma": Gamma})
-
-
-def _check_single_mode_validity(cfg: TwoEmitterConfig) -> None:
-    """Warn when higher modes are not far detuned compared with the Kittel detuning."""
-    omega0 = cfg.emitter1.omega0
-    for n in range(2, cfg.cavity.n_max + 1):
-        det = abs(omega0 - mode_frequency(n, cfg.cavity.fields, cfg.cavity.mat))
-        if det < 10.0 * abs(cfg.Delta):
-            warnings.warn(
-                f"mode n = {n} detuned by only {det:g} rad/s "
-                f"(< 10x the Kittel detuning {abs(cfg.Delta):g}); "
-                "single-mode approximation may be inaccurate",
-                stacklevel=2,
-            )
 
 
 def _extract_swap(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[float, float]:

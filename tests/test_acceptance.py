@@ -205,10 +205,10 @@ def test_criterion_6_spectral_structure():
 
 def test_criterion_7_dispersive_transfer():
     cavity = dynamics_cavity(Gamma=0.0)
-    cfg = symmetric_pair(cavity, a=36e-9, Delta_over_g=10.0)
-    res = transfer_dynamics(cfg, t_end=3.0e-6, dt=1.0e-9)
+    positions, Delta = symmetric_pair(cavity, a=36e-9, Delta_over_g=10.0)
+    res = transfer_dynamics(cavity, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
     g = res.metadata["g"]
-    g_eff = effective_coupling(g, cfg.Delta)
+    g_eff = effective_coupling(g, Delta)
     rel_swap = abs(res.swap_frequency - g_eff) / g_eff
 
     from magnoncavity import has_fast_ripples

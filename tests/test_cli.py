@@ -371,11 +371,24 @@ _FUZZ_ARG = st.sampled_from(_FUZZ_KEYS).flatmap(
 @pytest.mark.parametrize("key", sorted(_EDGES))
 def test_declared_range_admits_its_ends_and_names_the_key_outside(key):
     ends, outside = _EDGES[key]
+    # mu0_He_T applies only with mu0_H0_T unset (it defaults to 0.5).
+    other = {"mu0_H0_T": "none"} if key == "mu0_He_T" else {}
     for value in ends:
-        parse_config(None, {key: value})
+        parse_config(None, {**other, key: value})
     for value in outside:
         with pytest.raises(ConfigError, match=f"^{key} must lie in "):
-            parse_config(None, {key: value})
+            parse_config(None, {**other, key: value})
+
+
+def test_He_field_alone_is_refused(tmp_path, capsys):
+    # mu0_H0_T defaults to 0.5 T and would win over mu0_He_T in build_cavity.
+    assert main(["modes", "--mu0_He_T", "0.9", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "mu0_H0_T" in err and "mu0_He_T" in err and "--mu0_H0_T none" in err
+    assert not (tmp_path / "modes.csv").exists()
+    assert main(["modes", "--mu0_He_T", "0.9", "--mu0_H0_T", "none",
+                 "--out", str(tmp_path)]) == 0
+    assert "25.2000 GHz" in capsys.readouterr().out
 
 
 def _assert_finite_outputs(out: Path) -> None:
@@ -475,9 +488,12 @@ def test_decay_domain_error_writes_no_data(tmp_path):
     ["modes", "--a_over_R", "1e300"],
     ["decay", "--R_list_nm", "30", "--mu_B_scale", "1e-320", "--n_samples", "10"],
     ["transfer", "--Delta_over_g", "0", "--Gamma_rad_per_s", "0", "--t_end_us", "0.5"],
-], ids=["Delta-zero", "coupling-underflows", "dipole-underflows", "transfer-resonant"])
+    ["modes", "--Delta_over_g", "1e-320"],
+], ids=["Delta-zero", "coupling-underflows", "dipole-underflows", "transfer-resonant",
+        "g_eff-overflows"])
 def test_undefined_g_eff_is_null(tmp_path, argv):
-    # g_eff = g^2/Delta has no value at Delta = 0; runs that do not use it still succeed.
+    # g_eff = g^2/Delta has no finite value at Delta = 0 or where it overflows; runs
+    # that do not use it still succeed.
     assert main(argv + ["--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["derived"]["g_eff_over_2pi_kHz"] is None
@@ -490,8 +506,14 @@ def test_undefined_g_eff_is_null(tmp_path, argv):
     (["transfer", "--Delta_over_g", "1e-300"], "NumericalError", "horizon"),
     (["modes", "--mu0_H0_T", "1e300"], "NumericalError",
      "modes.csv column 'omega_over_2pi_GHz' holds a non-finite value"),
+    (["decay", "--mu0_H0_T", "1e300"], "DomainError", "kernel weights and rates must be finite"),
+    (["transfer", "--mu0_H0_T", "1e300"], "DomainError",
+     "kernel weights and rates must be finite"),
+    (["coupling-sweep", "--Delta_over_g", "1e-320"], "DomainError",
+     "Delta = 0 or g^2/Delta overflows"),
 ], ids=["sweep-g_eff-undefined", "mode-frequencies-overflow", "swap-horizon-underflows",
-        "swap-ripple-period-overflows", "mode-table-overflows"])
+        "swap-ripple-period-overflows", "mode-table-overflows", "decay-kernel-overflows",
+        "transfer-kernel-overflows", "sweep-g_eff-overflows"])
 def test_exit_code_3_for_unresolvable_inputs(tmp_path, argv, error, cause):
     assert main(argv + ["--out", str(tmp_path)]) == 3
     record = json.loads((tmp_path / "error.json").read_text())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from magnoncavity import (CavityConfig, ConfigError, EmitterConfig,
+from magnoncavity import (CavityConfig, ConfigError, DomainError, EmitterConfig,
                           MemoryKernel, NumericalError, TimeSeries,
                           build_kernel, evolve_pseudomode, evolve_volterra,
                           extract_rabi_frequency, first_revival_time,
@@ -60,6 +60,16 @@ def test_kernel_rates_encode_detunings(cavity, emitter):
 def test_negative_weight_rejected():
     with pytest.raises(Exception):
         MemoryKernel(weights=(-1.0,), rates=(0.0 + 0.0j,))
+
+
+@pytest.mark.parametrize("weights, rates", [
+    ((math.nan,), (0.0j,)), ((math.inf,), (0.0j,)),
+    ((1.0,), (complex(0.0, math.inf),)), ((1.0, 1.0), (0.0j, complex(math.nan, 0.0))),
+], ids=["nan-weight", "inf-weight", "inf-rate", "nan-rate"])
+def test_non_finite_kernel_rejected(weights, rates):
+    # An overflowed mode table is refused where its kernel is built.
+    with pytest.raises(DomainError, match="must be finite"):
+        MemoryKernel(weights=weights, rates=rates)
 
 
 # ----------------------------------------------------------------- dt guard
