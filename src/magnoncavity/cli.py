@@ -430,7 +430,7 @@ def _run_decay(cfg: RunConfig) -> dict:
 
 
 def _run_transfer(cfg: RunConfig) -> dict:
-    cavity = build_cavity(cfg, n_max=1)
+    cavity = build_cavity(cfg)
     positions, Delta = symmetric_pair(cavity, emitter_radius(cfg, cavity), cfg.Delta_over_g,
                                       cfg.mu_B_scale)
     dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None

@@ -59,13 +59,12 @@ class Constants:
     mu0: float = 4e-7 * math.pi          # T·m/A
     muB: float = 9.2740100783e-24        # J/T
     hbar: float = 1.054571817e-34        # J·s
-    c_light: float = 299792458.0         # m/s
     gamma_over_2pi_GHz_per_T: float = 28.0
 
     def __post_init__(self) -> None:
         if self.gamma_over_2pi_GHz_per_T <= 0:
             raise DomainError("gyromagnetic ratio must be positive")
-        for name in ("mu0", "muB", "hbar", "c_light"):
+        for name in ("mu0", "muB", "hbar"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
 
@@ -78,18 +77,18 @@ class Constants:
 CONSTANTS = Constants()
 
 
-def tesla_to_field(muH: float, mu0: float = CONSTANTS.mu0) -> float:
+def tesla_to_field(muH: float) -> float:
     """Convert a magnetic induction mu0*H (T) into a field H (A/m)."""
     if not math.isfinite(muH):
         raise DomainError(f"non-finite magnetic induction: {muH!r}")
-    return muH / mu0
+    return muH / CONSTANTS.mu0
 
 
-def field_to_tesla(H: float, mu0: float = CONSTANTS.mu0) -> float:
+def field_to_tesla(H: float) -> float:
     """Convert a field H (A/m) into the induction mu0*H (T)."""
     if not math.isfinite(H):
         raise DomainError(f"non-finite field: {H!r}")
-    return H * mu0
+    return H * CONSTANTS.mu0
 
 
 def GHz_to_rad_per_s(f_GHz: float) -> float:

@@ -253,26 +253,33 @@ def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = Non
                       metadata={"solver": "pseudomode", "dt_s": dt})
 
 
+def local_extrema(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the interior local minima and maxima of p, each ascending.
+
+    k is a minimum where p[k] < p[k-1] and p[k] <= p[k+1], and a maximum
+    where p[k] > p[k-1] and p[k] >= p[k+1]; a NaN at or beside k rules it out.
+    """
+    mid, left, right = p[1:-1], p[:-2], p[2:]
+    minima = np.flatnonzero((mid < left) & (mid <= right)) + 1
+    maxima = np.flatnonzero((mid > left) & (mid >= right)) + 1
+    return minima, maxima
+
+
 def extract_rabi_frequency(ts: TimeSeries) -> float:
     """Omega = pi/t_min from the first local minimum of the population."""
-    p = ts.populations
-    for k in range(1, p.size - 1):
-        if p[k] < p[k - 1] and p[k] <= p[k + 1]:
-            return math.pi / ts.times[k]
-    raise NumericalError("no population minimum found; horizon too short?")
+    minima, _ = local_extrema(ts.populations)
+    if not minima.size:
+        raise NumericalError("no population minimum found; horizon too short?")
+    return math.pi / ts.times[minima[0]]
 
 
 def first_revival_time(ts: TimeSeries) -> float:
     """Time of the first local population maximum after the first minimum."""
-    p = ts.populations
-    k = 1
-    while k < p.size - 1 and not (p[k] < p[k - 1] and p[k] <= p[k + 1]):
-        k += 1
-    while k < p.size - 1 and not (p[k] > p[k - 1] and p[k] >= p[k + 1]):
-        k += 1
-    if k >= p.size - 1:
+    minima, maxima = local_extrema(ts.populations)
+    revivals = maxima[maxima > minima[0]] if minima.size else maxima[:0]
+    if not revivals.size:
         raise NumericalError("no population revival found; horizon too short?")
-    return float(ts.times[k])
+    return float(ts.times[revivals[0]])
 
 
 def fit_decay_rate(ts: TimeSeries, floor: float = 1e-3) -> float:

@@ -1,17 +1,8 @@
-"""Gyrotropic susceptibility of a saturated ferrimagnet and static-field bookkeeping.
+"""Material parameters of a saturated ferrimagnet and static-field bookkeeping.
 
-Linear response about a static internal field H0 e_z:
-
-    chi   = wH*wM / (wH^2 - w^2 - i*Gamma*w)        (diagonal, xx = yy)
-    kappa = w*wM  / (wH^2 - w^2 - i*Gamma*w)        (off-diagonal)
-
-with wH = gamma*mu0*H0 and wM = gamma*mu0*Ms, assembled as
-
-    chi_xx = chi_yy = chi,  chi_xy = +i*kappa,  chi_yx = -i*kappa,  chi_zz = 0.
-
-Circular eigenvectors e(+-) = (e_x +- i e_y)/sqrt(2) diagonalize the tensor:
-(I + chi)·e(-) = (1 + chi + kappa) e(-), which carries the resonance at
-w = wH for the bulk and selects the rotation sense of the magnon modes.
+A sphere of saturation magnetization Ms precesses about a static internal
+field H0 e_z at rates set by gamma*mu0 (`MaterialParams.gamma_tilde`); the
+magnon linewidth is a given Gamma or, with a Gilbert alpha, 2*alpha*gamma*mu0*H0.
 
 For a uniformly magnetized sphere the demagnetization field is exactly
 Hd = -Ms/3, so the internal field is H0 = He - Ms/3.
@@ -20,8 +11,6 @@ Hd = -Ms/3, so the internal field is H0 = He - Ms/3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import CONSTANTS, DomainError
 
@@ -41,7 +30,6 @@ class MaterialParams:
     gamma: float = CONSTANTS.gamma
     Gamma: float = 0.0
     alpha: float | None = None
-    mu0: float = CONSTANTS.mu0
 
     def __post_init__(self) -> None:
         if self.Ms <= 0:
@@ -56,7 +44,7 @@ class MaterialParams:
     @property
     def gamma_tilde(self) -> float:
         """gamma*mu0: converts an A/m field into a rad/s precession frequency."""
-        return self.gamma * self.mu0
+        return self.gamma * CONSTANTS.mu0
 
     def damping_rate(self, H0: float) -> float:
         """Linewidth Gamma for internal field H0 (recomputed from alpha if set)."""
@@ -96,46 +84,3 @@ def state_from_internal(H0: float, mat: MaterialParams) -> StaticFieldState:
         raise DomainError("H0 must be positive")
     return StaticFieldState(He=H0 + mat.Ms / 3.0, Hd=-mat.Ms / 3.0, H0=H0)
 
-
-@dataclass(frozen=True)
-class SusceptibilityTensor:
-    chi: complex
-    kappa: complex
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """Assembled 3x3 complex tensor."""
-        c, k = self.chi, self.kappa
-        return np.array(
-            [
-                [c, 1j * k, 0.0],
-                [-1j * k, c, 0.0],
-                [0.0, 0.0, 0.0],
-            ],
-            dtype=complex,
-        )
-
-
-def susceptibility(omega: float, H0: float, mat: MaterialParams) -> SusceptibilityTensor:
-    """chi and kappa at angular frequency omega for internal field H0."""
-    if H0 <= 0:
-        raise DomainError("H0 must be positive")
-    wH = mat.gamma_tilde * H0
-    wM = mat.gamma_tilde * mat.Ms
-    Gamma = mat.damping_rate(H0)
-    den = wH * wH - omega * omega - 1j * Gamma * omega
-    if den == 0:
-        raise NumericalSingularity(omega, wH)
-    chi = wH * wM / den
-    kappa = omega * wM / den
-    return SusceptibilityTensor(chi=chi, kappa=kappa)
-
-
-class NumericalSingularity(DomainError):
-    """Susceptibility evaluated exactly at the undamped resonance pole."""
-
-    def __init__(self, omega: float, wH: float) -> None:
-        super().__init__(
-            f"susceptibility pole: omega = {omega:g} rad/s hits the undamped "
-            f"resonance gamma*mu0*H0 = {wH:g} rad/s with Gamma = 0"
-        )

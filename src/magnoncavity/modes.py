@@ -13,7 +13,9 @@ and match at r = R, which fixes the exterior amplitude. The interior field
     H_in = -grad(w^n) = -n*sqrt(2)*w^(n-1) e(-)          e(-) = (e_x - i e_y)/sqrt(2)
 
 is circularly polarized everywhere inside; for n = 1 it is homogeneous.
-The branch frequencies are
+This module evaluates only the closed forms below; the potentials, fields
+and the susceptibility chi live with the test oracles. The branch
+frequencies are
 
     omega_n = gamma*mu0*(H0 + Ms*n/(2n+1)),   n = 1 the Kittel mode.
 
@@ -60,15 +62,7 @@ import numpy as np
 from .constants import CONSTANTS, DomainError
 from .material import MaterialParams, StaticFieldState
 
-# Surface shell this thin (relative to R) is evaluated as exterior.
-BOUNDARY_TOL = 1e-12
-
 _SQRT2 = math.sqrt(2.0)
-
-
-# Circular unit vectors e(+-) = (e_x +- i e_y)/sqrt(2).
-E_PLUS = np.array([1.0 / _SQRT2, 1j / _SQRT2, 0.0], dtype=complex)
-E_MINUS = np.array([1.0 / _SQRT2, -1j / _SQRT2, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -86,21 +80,15 @@ class CavityConfig:
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
 
-    @property
-    def volume(self) -> float:
-        return 4.0 * math.pi * self.R**3 / 3.0
 
-
-def mode_frequency(n: int, fields: StaticFieldState, mat: MaterialParams) -> float:
-    """omega_n = gamma*mu0*(H0 + Ms*n/(2n+1)) on the (n, n) branch."""
-    if n < 1:
-        raise DomainError(f"mode order n must be >= 1, got {n}")
-    return mat.gamma_tilde * (fields.H0 + mat.Ms * n / (2.0 * n + 1.0))
+def _branch_frequency(mat: MaterialParams, H0, n):
+    """omega_n = gamma*mu0*(H0 + Ms*n/(2n+1)) on the (n, n) branch; arrays broadcast."""
+    return mat.gamma_tilde * (H0 + mat.Ms * n / (2.0 * n + 1.0))
 
 
 def kittel_frequency(fields: StaticFieldState, mat: MaterialParams) -> float:
-    """Uniform-mode frequency gamma*mu0*(H0 + Ms/3); same code path as n = 1."""
-    return mode_frequency(1, fields, mat)
+    """Uniform-mode frequency gamma*mu0*(H0 + Ms/3): the n = 1 line of `mode_table`."""
+    return _branch_frequency(mat, fields.H0, 1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +128,7 @@ def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
     R = cavity.R if R is None else np.asarray(R, dtype=float)[..., None]
     n = np.arange(1, cavity.n_max + 1)
     H0 = np.asarray(cavity.fields.H0 if H0 is None else H0, dtype=float)[..., None]
-    omega = mat.gamma_tilde * (H0 + mat.Ms * n / (2.0 * n + 1.0))
+    omega = _branch_frequency(mat, H0, n)
     D = 1.0 + H0 / mat.Ms * ((2.0 * n + 1.0) / n) ** 2
     # lgamma keeps S_n finite where n! and Gamma(n + 3/2) alone overflow.
     S = 2.0 * math.pi * math.sqrt(math.pi) * np.exp(
@@ -163,52 +151,3 @@ def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
                      Gamma=np.broadcast_to(mat.damping_rate(H0), omega.shape),
                      Veff=N / (2.0 * n * n) * R**3, Hzp=_SQRT2 * n * s * R**-1.5, g=g)
 
-
-def mode_potential(n: int, r, R: float):
-    """Unnormalized scalar potential of the (n, n) mode at points r (..., 3)."""
-    if n < 1:
-        raise DomainError(f"mode order n must be >= 1, got {n}")
-    r = np.asarray(r, dtype=float)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    w = x - 1j * y
-    rad = np.sqrt(x * x + y * y + z * z)
-    exterior = rad >= R * (1.0 - BOUNDARY_TOL)
-    phi = np.where(exterior, (R / np.where(exterior, rad, R)) ** (2 * n + 1) * w**n, w**n)
-    return phi
-
-
-def mode_field(n: int, r, cavity: CavityConfig):
-    """Unnormalized H = -grad(phi) of the (n, n) mode at points r (..., 3).
-
-    Points within BOUNDARY_TOL*R of the surface evaluate as exterior.
-    """
-    if n < 1:
-        raise DomainError(f"mode order n must be >= 1, got {n}")
-    R = cavity.R
-    r = np.asarray(r, dtype=float)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    rad = np.sqrt(x * x + y * y + z * z)
-    if np.any(rad == 0.0):
-        raise DomainError("mode field is not defined at the origin")
-    w = x - 1j * y
-
-    H = np.zeros(r.shape, dtype=complex)
-    interior = rad < R * (1.0 - BOUNDARY_TOL)
-    exterior = ~interior
-
-    # Interior: -grad(w^n) = -n w^(n-1) (1, -i, 0).
-    wi = w[interior] ** (n - 1)
-    H[..., 0][interior] = -n * wi
-    H[..., 1][interior] = 1j * n * wi
-
-    # Exterior: -grad((R/r)^(2n+1) w^n); R/r <= 1 keeps the radial factor finite.
-    re = rad[exterior]
-    we = w[exterior]
-    pref = (R / re) ** (2 * n + 1)
-    wn1 = we ** (n - 1)
-    wn = we**n
-    radial = (2 * n + 1) * wn / (re * re)
-    H[..., 0][exterior] = pref * (-n * wn1 + radial * x[exterior])
-    H[..., 1][exterior] = pref * (1j * n * wn1 + radial * y[exterior])
-    H[..., 2][exterior] = pref * (radial * z[exterior])
-    return H

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI, check_budget
-from .dynamics import MemoryKernel, POPULATION_TOL, _time_grid, propagate
+from .dynamics import MemoryKernel, POPULATION_TOL, _time_grid, local_extrema, propagate
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, mode_table
 
@@ -208,7 +208,4 @@ def _boxcar(x: np.ndarray, width: int) -> np.ndarray:
 
 def has_fast_ripples(result: TransferResult, min_count: int = 5) -> bool:
     """Detect the fast modulation riding on the slow swap: count local maxima of P1."""
-    p = result.P1
-    rising = p[1:-1] > p[:-2]
-    falling = p[1:-1] >= p[2:]
-    return int(np.sum(rising & falling)) >= min_count
+    return local_extrema(result.P1)[1].size >= min_count

@@ -1,16 +1,150 @@
-"""Independent numerical oracles used by the test suite.
+"""Reference physics and independent numerical oracles used by the test suite.
 
-These deliberately avoid the closed forms in magnoncavity.modes: the
-normalization integral is evaluated by Gauss-Legendre quadrature with a
-finite-difference tensor derivative, and gradients of the scalar potential
-are taken by central differences. The Volterra oracle sums the trapezoid
-history literally at every step instead of carrying it by recursion.
+The package has only the closed forms of magnoncavity.modes. The objects
+they come from live here: the (n, n) potentials, fields and frequencies,
+and the gyrotropic susceptibility about a static internal field H0 e_z,
+
+    chi   = wH*wM / (wH^2 - w^2 - i*Gamma*w)        (diagonal, xx = yy)
+    kappa = w*wM  / (wH^2 - w^2 - i*Gamma*w)        (off-diagonal)
+
+with wH = gamma*mu0*H0 and wM = gamma*mu0*Ms, assembled as
+
+    chi_xx = chi_yy = chi,  chi_xy = +i*kappa,  chi_yx = -i*kappa,  chi_zz = 0.
+
+Circular eigenvectors e(+-) = (e_x +- i e_y)/sqrt(2) diagonalize the tensor:
+(I + chi)·e(-) = (1 + chi + kappa) e(-), which carries the resonance at
+w = wH for the bulk and selects the rotation sense of the magnon modes.
+
+The oracles avoid the closed forms: the normalization integral is evaluated
+by Gauss-Legendre quadrature with a finite-difference tensor derivative, and
+gradients of the scalar potential are taken by central differences. The
+Volterra oracle sums the trapezoid history literally at every step, and the
+extremum oracles are the loops that `dynamics.local_extrema` replaced.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from magnoncavity import CONSTANTS, MaterialParams, mode_field, mode_frequency, mode_potential
-from magnoncavity.material import susceptibility
+from magnoncavity import CONSTANTS, CavityConfig, DomainError, MaterialParams, NumericalError
+from magnoncavity.material import StaticFieldState
+
+# Surface shell this thin (relative to R) is evaluated as exterior.
+BOUNDARY_TOL = 1e-12
+
+_SQRT2 = math.sqrt(2.0)
+
+
+# Circular unit vectors e(+-) = (e_x +- i e_y)/sqrt(2).
+E_PLUS = np.array([1.0 / _SQRT2, 1j / _SQRT2, 0.0], dtype=complex)
+E_MINUS = np.array([1.0 / _SQRT2, -1j / _SQRT2, 0.0], dtype=complex)
+
+
+def cavity_volume(cavity: CavityConfig) -> float:
+    """Sphere volume 4 pi R^3 / 3."""
+    return 4.0 * math.pi * cavity.R**3 / 3.0
+
+
+def mode_frequency(n: int, fields: StaticFieldState, mat: MaterialParams) -> float:
+    """omega_n = gamma*mu0*(H0 + Ms*n/(2n+1)) on the (n, n) branch."""
+    if n < 1:
+        raise DomainError(f"mode order n must be >= 1, got {n}")
+    return mat.gamma_tilde * (fields.H0 + mat.Ms * n / (2.0 * n + 1.0))
+
+
+def mode_potential(n: int, r, R: float):
+    """Unnormalized scalar potential of the (n, n) mode at points r (..., 3)."""
+    if n < 1:
+        raise DomainError(f"mode order n must be >= 1, got {n}")
+    r = np.asarray(r, dtype=float)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    w = x - 1j * y
+    rad = np.sqrt(x * x + y * y + z * z)
+    exterior = rad >= R * (1.0 - BOUNDARY_TOL)
+    phi = np.where(exterior, (R / np.where(exterior, rad, R)) ** (2 * n + 1) * w**n, w**n)
+    return phi
+
+
+def mode_field(n: int, r, cavity: CavityConfig):
+    """Unnormalized H = -grad(phi) of the (n, n) mode at points r (..., 3).
+
+    Points within BOUNDARY_TOL*R of the surface evaluate as exterior.
+    """
+    if n < 1:
+        raise DomainError(f"mode order n must be >= 1, got {n}")
+    R = cavity.R
+    r = np.asarray(r, dtype=float)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    rad = np.sqrt(x * x + y * y + z * z)
+    if np.any(rad == 0.0):
+        raise DomainError("mode field is not defined at the origin")
+    w = x - 1j * y
+
+    H = np.zeros(r.shape, dtype=complex)
+    interior = rad < R * (1.0 - BOUNDARY_TOL)
+    exterior = ~interior
+
+    # Interior: -grad(w^n) = -n w^(n-1) (1, -i, 0).
+    wi = w[interior] ** (n - 1)
+    H[..., 0][interior] = -n * wi
+    H[..., 1][interior] = 1j * n * wi
+
+    # Exterior: -grad((R/r)^(2n+1) w^n); R/r <= 1 keeps the radial factor finite.
+    re = rad[exterior]
+    we = w[exterior]
+    pref = (R / re) ** (2 * n + 1)
+    wn1 = we ** (n - 1)
+    wn = we**n
+    radial = (2 * n + 1) * wn / (re * re)
+    H[..., 0][exterior] = pref * (-n * wn1 + radial * x[exterior])
+    H[..., 1][exterior] = pref * (1j * n * wn1 + radial * y[exterior])
+    H[..., 2][exterior] = pref * (radial * z[exterior])
+    return H
+
+
+@dataclass(frozen=True)
+class SusceptibilityTensor:
+    chi: complex
+    kappa: complex
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """Assembled 3x3 complex tensor."""
+        c, k = self.chi, self.kappa
+        return np.array(
+            [
+                [c, 1j * k, 0.0],
+                [-1j * k, c, 0.0],
+                [0.0, 0.0, 0.0],
+            ],
+            dtype=complex,
+        )
+
+
+def susceptibility(omega: float, H0: float, mat: MaterialParams) -> SusceptibilityTensor:
+    """chi and kappa at angular frequency omega for internal field H0."""
+    if H0 <= 0:
+        raise DomainError("H0 must be positive")
+    wH = mat.gamma_tilde * H0
+    wM = mat.gamma_tilde * mat.Ms
+    Gamma = mat.damping_rate(H0)
+    den = wH * wH - omega * omega - 1j * Gamma * omega
+    if den == 0:
+        raise NumericalSingularity(omega, wH)
+    chi = wH * wM / den
+    kappa = omega * wM / den
+    return SusceptibilityTensor(chi=chi, kappa=kappa)
+
+
+class NumericalSingularity(DomainError):
+    """Susceptibility evaluated exactly at the undamped resonance pole."""
+
+    def __init__(self, omega: float, wH: float) -> None:
+        super().__init__(
+            f"susceptibility pole: omega = {omega:g} rad/s hits the undamped "
+            f"resonance gamma*mu0*H0 = {wH:g} rad/s with Gamma = 0"
+        )
 
 
 def fd_energy_tensor_derivative(omega: float, H0: float, mat: MaterialParams,
@@ -125,3 +259,33 @@ def volterra_history_oracle(kernel, t_end: float, dt: float) -> np.ndarray:
         c[k + 1] = c_next
         f_prev = -(A + 0.5 * dt * K0 * c_next)
     return c
+
+
+def rabi_frequency_oracle(ts) -> float:
+    """Omega = pi/t_min from the first local minimum, found by a per-sample loop."""
+    p = ts.populations
+    for k in range(1, p.size - 1):
+        if p[k] < p[k - 1] and p[k] <= p[k + 1]:
+            return math.pi / ts.times[k]
+    raise NumericalError("no population minimum found; horizon too short?")
+
+
+def revival_time_oracle(ts) -> float:
+    """Time of the first local maximum after the first minimum, by per-sample loops."""
+    p = ts.populations
+    k = 1
+    while k < p.size - 1 and not (p[k] < p[k - 1] and p[k] <= p[k + 1]):
+        k += 1
+    while k < p.size - 1 and not (p[k] > p[k - 1] and p[k] >= p[k + 1]):
+        k += 1
+    if k >= p.size - 1:
+        raise NumericalError("no population revival found; horizon too short?")
+    return float(ts.times[k])
+
+
+def fast_ripples_oracle(result, min_count: int = 5) -> bool:
+    """At least min_count local maxima of P1, counted from shifted comparisons."""
+    p = result.P1
+    rising = p[1:-1] > p[:-2]
+    falling = p[1:-1] >= p[2:]
+    return int(np.sum(rising & falling)) >= min_count

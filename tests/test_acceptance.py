@@ -13,18 +13,18 @@ import pytest
 
 from magnoncavity import (CONSTANTS, CavityConfig, EmitterConfig,
                           MaterialParams, build_kernel,
-                          dipole_dipole_coupling, effective_coupling,
                           evolve_pseudomode, evolve_volterra,
-                          extract_rabi_frequency, first_revival_time,
-                          fit_decay_rate, kittel_frequency, max_stable_dt,
-                          mode_frequency, mode_potential, mode_table,
-                          spectral_density,
+                          kittel_frequency, mode_table,
                           state_from_internal, symmetric_pair, tesla_to_field,
                           transfer_dynamics)
 from magnoncavity.cli import parse_config, run
-from magnoncavity.modes import mode_field
+from magnoncavity.dynamics import (extract_rabi_frequency, first_revival_time,
+                                   fit_decay_rate, max_stable_dt)
+from magnoncavity.network import dipole_dipole_coupling, effective_coupling
+from magnoncavity.spectral import spectral_density
 
-from oracles import fd_curl_and_divergence, quantized_mode_oracle
+from oracles import (fd_curl_and_divergence, mode_field, mode_frequency, mode_potential,
+                     quantized_mode_oracle)
 
 TWO_PI = 2.0 * math.pi
 MM3 = 1e9  # m^3 -> mm^3
@@ -211,7 +211,7 @@ def test_criterion_7_dispersive_transfer():
     g_eff = effective_coupling(g, Delta)
     rel_swap = abs(res.swap_frequency - g_eff) / g_eff
 
-    from magnoncavity import has_fast_ripples
+    from magnoncavity.network import has_fast_ripples
     ripples = has_fast_ripples(res)
 
     g_eff_kHz = g_eff / TWO_PI / 1e3

@@ -1,9 +1,13 @@
+import ast
 import contextlib
 import dataclasses
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -175,6 +179,17 @@ def test_transfer_run(tmp_path):
     assert header == ["t_us", "P1", "P2", "Pb"]
     assert np.max(rows[:, 2]) > 0.9            # near-complete transfer
     assert float(meta["fidelity"]) > 0.9
+
+
+def test_transfer_checks_the_configured_modes(tmp_path):
+    # The cavity keeps n_max modes, so mode n = 2 near the detuned Kittel line
+    # is named; with n_max = 1 there is nothing to warn about.
+    argv = ["transfer", "--Delta_over_g", "40", "--Gamma_rad_per_s", "1e6", "--t_end_us", "12"]
+    with pytest.warns(UserWarning, match=r"mode n = 2 detuned by only 1\.81196e\+09 rad/s"):
+        assert main(argv + ["--out", str(tmp_path / "n7")]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert main(argv + ["--n_max", "1", "--out", str(tmp_path / "n1")]) == 0
 
 
 def test_fieldmap_run(tmp_path):
@@ -584,6 +599,30 @@ def test_cli_import_leaves_out_ode_integrators():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_public_surface():
+    assert sorted(magnoncavity.__all__) == sorted(
+        "mode_table spectral_grid field_sweep_map build_kernel evolve_pseudomode evolve_volterra "
+        "symmetric_pair transfer_dynamics coupling_vs_separation_sweep CavityConfig "
+        "MaterialParams EmitterConfig state_from_internal internal_field tesla_to_field "
+        "kittel_frequency CONSTANTS ConfigError DomainError NumericalError".split())
+    assert all(hasattr(magnoncavity, name) for name in magnoncavity.__all__)
+    # A trim must leave every name the benchmark's correctness check imports.
+    checks = ast.parse((Path(__file__).parents[1] / "perfbench" / "checks.py").read_text())
+    imported = {alias.name for node in ast.walk(checks) if isinstance(node, ast.ImportFrom)
+                and node.module == "magnoncavity" for alias in node.names}
+    assert imported and imported <= set(magnoncavity.__all__)
+    # The reference physics lives in tests/oracles.py, and the removed knobs stay gone.
+    moved = set("mode_potential mode_field mode_frequency BOUNDARY_TOL E_PLUS E_MINUS "
+                "SusceptibilityTensor susceptibility NumericalSingularity".split())
+    for info in pkgutil.iter_modules(magnoncavity.__path__):
+        assert not moved & set(vars(importlib.import_module(f"magnoncavity.{info.name}")))
+    from magnoncavity.constants import Constants, field_to_tesla, tesla_to_field
+    assert not hasattr(magnoncavity.CavityConfig, "volume")
+    assert "mu0" not in magnoncavity.MaterialParams.__dataclass_fields__
+    assert "c_light" not in Constants.__dataclass_fields__
+    assert [len(inspect.signature(f).parameters) for f in (tesla_to_field, field_to_tesla)] == [1, 1]
 
 
 def test_write_csv_columns_exact_text(tmp_path):

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from magnoncavity import CONSTANTS, Constants, DomainError, field_to_tesla, tesla_to_field
+from magnoncavity import CONSTANTS, DomainError, tesla_to_field
+from magnoncavity.constants import Constants, field_to_tesla
 
 
 def test_defaults():

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magnoncavity import (CavityConfig, ConfigError, DomainError, EmitterConfig,
-                          MemoryKernel, NumericalError, TimeSeries,
-                          build_kernel, evolve_pseudomode, evolve_volterra,
-                          extract_rabi_frequency, first_revival_time,
-                          fit_decay_rate, kittel_frequency, max_stable_dt,
-                          mode_table, state_from_internal, tesla_to_field)
-from oracles import volterra_history_oracle
+                          NumericalError, build_kernel, evolve_pseudomode,
+                          evolve_volterra, kittel_frequency, mode_table,
+                          state_from_internal, tesla_to_field)
+from magnoncavity.dynamics import (MemoryKernel, TimeSeries, extract_rabi_frequency,
+                                   first_revival_time, fit_decay_rate, local_extrema,
+                                   max_stable_dt)
+from magnoncavity.network import TransferResult, has_fast_ripples
+from oracles import (fast_ripples_oracle, rabi_frequency_oracle, revival_time_oracle,
+                     volterra_history_oracle)
 
 
 def resonant_kernel(cavity, dipole_scale=1.0):
@@ -249,3 +253,28 @@ def test_extractors_need_enough_horizon(cavity_narrow):
         extract_rabi_frequency(short)
     with pytest.raises(NumericalError):
         first_revival_time(short)
+
+
+def _outcome(extract, arg):
+    try:
+        return extract(arg)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+# A small value set, so that plateaus and ties occur, plus NaN.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]), max_size=12))
+def test_local_extrema_matches_the_loops(values):
+    p = np.array(values)
+    minima, maxima = local_extrema(p)
+    inner = range(1, p.size - 1)
+    assert minima.tolist() == [k for k in inner if p[k] < p[k - 1] and p[k] <= p[k + 1]]
+    assert maxima.tolist() == [k for k in inner if p[k] > p[k - 1] and p[k] >= p[k + 1]]
+    ts = TimeSeries(times=0.5 * np.arange(1, p.size + 1), populations=p)
+    assert _outcome(extract_rabi_frequency, ts) == _outcome(rabi_frequency_oracle, ts)
+    assert _outcome(first_revival_time, ts) == _outcome(revival_time_oracle, ts)
+    result = TransferResult(times=ts.times, P1=p, P2=0.0 * p, Pb=0.0 * p,
+                            swap_frequency=math.nan, fidelity=0.0)
+    for count in (1, 2, 5):
+        assert has_fast_ripples(result, count) == fast_ripples_oracle(result, count)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from magnoncavity import (CavityConfig, ConfigError, DomainError,
-                          NumericalError, coupling_vs_separation_sweep,
-                          dipole_dipole_coupling, dispersive_coupling, effective_coupling,
-                          has_fast_ripples, mode_table,
+                          NumericalError, coupling_vs_separation_sweep, mode_table,
                           symmetric_pair, transfer_dynamics)
 from magnoncavity import network
-from magnoncavity.network import _boxcar
+from magnoncavity.network import (_boxcar, dipole_dipole_coupling, dispersive_coupling,
+                                  effective_coupling, has_fast_ripples)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +117,8 @@ def test_resonant_magnon_start_solution(yig_lossless, fields):
 
 def test_decoupled_receiver_reduces_to_single_emitter(yig_lossless, fields):
     # dipole_scale = 0 on emitter 2 must reproduce the one-emitter detuned decay.
-    from magnoncavity import MemoryKernel, evolve_pseudomode
+    from magnoncavity import evolve_pseudomode
+    from magnoncavity.dynamics import MemoryKernel
 
     cavity = lossless_cavity(yig_lossless, fields)
     positions = [(1.2 * cavity.R, 0, 0), (-1.2 * cavity.R, 0, 0)]

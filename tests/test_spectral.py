@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from magnoncavity import (DomainError, EmitterConfig, SpectralGrid,
-                          field_sweep_map, mode_frequency, mode_table,
-                          omega_grid, spectral_density, spectral_grid,
-                          tesla_to_field)
+from magnoncavity import (DomainError, EmitterConfig, field_sweep_map, mode_table,
+                          spectral_grid, tesla_to_field)
+from magnoncavity.spectral import SpectralGrid, omega_grid, spectral_density
+
+from oracles import mode_frequency
 
 
 def mode_couplings(cavity, emitter):
