@@ -21,6 +21,7 @@ import math
 import sys
 import time
 import typing
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,6 +171,8 @@ def _validate(cfg: RunConfig) -> None:
                           "so mu0_He_T needs --mu0_H0_T none (mu0_H0_T = none in a file)")
     if cfg.solver not in ("pseudomode", "volterra"):
         raise ConfigError(f"unknown solver {cfg.solver!r}")
+    if cfg.omega0_GHz is not None and cfg.experiment not in ("", "decay"):
+        raise ConfigError(f"omega0_GHz is read by decay only; {cfg.experiment} does not use it")
 
 
 def _radii_nm(cfg: RunConfig) -> list[float]:
@@ -286,10 +289,12 @@ def run(cfg: RunConfig) -> int:
     A run first removes an earlier run's record from `--out`: its manifest,
     its error.json and the data files that manifest lists, and nothing else.
     It writes data files only once every one of them has been computed, so
-    a failed run leaves no data behind.
+    a failed run leaves no data behind. The warnings the experiment raises
+    are printed as `warning: <message>` and listed in the manifest.
     """
     outdir = Path(cfg.out)
     start = time.monotonic()
+    caught: list[warnings.WarningMessage] = []
     try:
         if not cfg.experiment:
             raise ConfigError("no experiment selected")
@@ -306,7 +311,8 @@ def run(cfg: RunConfig) -> int:
             "transfer": _run_transfer,
             "coupling-sweep": _run_coupling_sweep,
         }[cfg.experiment]
-        outputs = runner(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            outputs = runner(cfg)
         _check_finite(outputs, derived)
     except (ConfigError,) as exc:
         _write_error(outdir, "configuration", exc)
@@ -316,6 +322,9 @@ def run(cfg: RunConfig) -> int:
         _write_error(outdir, cfg.experiment or "setup", exc)
         print(f"error in {cfg.experiment}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
 
     for name, (columns, meta) in outputs.items():
         _write_csv(outdir / name, columns, mhash, meta)
@@ -325,6 +334,7 @@ def run(cfg: RunConfig) -> int:
         "version": __version__,
         "derived": derived,
         "files": list(outputs),
+        "warnings": [str(w.message) for w in caught],
         "duration_s": round(time.monotonic() - start, 6),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -423,8 +433,9 @@ def _run_decay(cfg: RunConfig) -> dict:
         # Radii usually share one time grid; encode its text once.
         if times is None or not np.array_equal(ts.times, times):
             times, t_text = ts.times, _format_column(ts.times / US)
-        files[f"decay_R{R / NM:g}nm.csv"] = ({"t_us": t_text, "population": ts.populations},
-                                             {"R_nm": R / NM, "solver": cfg.solver})
+        files[f"decay_R{R / NM:g}nm.csv"] = (
+            {"t_us": t_text, "population": ts.populations},
+            {"R_nm": R / NM, "solver": cfg.solver, "dt_s": ts.metadata["dt_s"]})
         del ts      # keep the populations, free this radius's amplitudes
     return files
 
@@ -441,7 +452,8 @@ def _run_transfer(cfg: RunConfig) -> dict:
         {"g_rad_per_s": result.metadata["g"],
          "Delta_rad_per_s": result.metadata["Delta"],
          "swap_frequency_rad_per_s": result.swap_frequency,
-         "fidelity": result.fidelity})}
+         "fidelity": result.fidelity,
+         "dt_s": result.metadata["dt_s"]})}
 
 
 def _run_coupling_sweep(cfg: RunConfig) -> dict:

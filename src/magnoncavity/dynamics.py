@@ -20,6 +20,10 @@ independent solvers are provided and cross-validated:
                          exactly by matrix-exponential propagation,
                          O(N * modes). Production path.
 
+The matrix exponential is this module's own numpy scaling and squaring with
+[13/13] Pade values (`_doubling_powers`), fitted to the powers
+expm(A dt 2^i) the doubling fill asks for; nothing here imports scipy.
+
 Both solvers and the two-spin transfer fill their samples by the same
 doubling (`_fill_by_doubling`): evolve_pseudomode and the transfer through
 `propagate`, evolve_volterra from the powers of its step map. All three take
@@ -174,12 +178,13 @@ def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:
 def propagate(A: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Exact samples expm(A t_k) y0 of y' = A y, one row per time t_k = k*dt.
 
-    Filled by doubling with M = expm(A dt): about log2(N) small expm calls.
+    Filled by doubling with M = expm(A dt), whose powers M^(2^i) =
+    expm(A t_(2^i)) come from `_doubling_powers`.
     """
-    from scipy.linalg import expm   # loaded only by the experiments that propagate
-
-    # Doubling asks for M^m only while m < times.size, so times[m] exists.
-    powers = (expm(A * times[1 << i]) for i in itertools.count())
+    # Doubling asks for M^m only while m < times.size: ceil(log2(times.size))
+    # powers, none for a single sample.
+    count = (times.size - 1).bit_length()
+    powers = _doubling_powers(A * times[1], count) if count else iter(())
     return _fill_by_doubling(y0, times.size, powers)
 
 
@@ -188,6 +193,74 @@ def _squares(T: np.ndarray):
     while True:
         yield T
         T = T @ T
+
+
+# The [13/13] Pade coefficients of exp, and theta_13: at a scaled argument
+# below it the Pade value's relative backward error is at most 2^-53
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _pade13(B: np.ndarray) -> np.ndarray:
+    """The [13/13] Pade approximant of exp at B.
+
+    r = (V - U)^-1 (V + U) with U odd and V even in B. The powers and U are
+    freed before the solve, so about five n x n arrays besides B are alive
+    at the peak.
+    """
+    b = _PADE13
+    B2 = B @ B
+    B4 = B2 @ B2
+    B6 = B2 @ B4
+    U = B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2) + b[7] * B6 + b[5] * B4 + b[3] * B2
+    V = B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2) + b[6] * B6 + b[4] * B4 + b[2] * B2
+    del B2, B4, B6
+    diagonal = np.diag_indices(B.shape[0])
+    U[diagonal] += b[1]
+    V[diagonal] += b[0]
+    U = B @ U
+    P = V + U
+    V -= U
+    del U
+    return np.linalg.solve(V, P)
+
+
+def _squarings(B: np.ndarray) -> int:
+    """s = ceil(log2(eta/theta_13)): expm(2^i B) needs max(0, s + i) squarings.
+
+    eta = max(||B^8||^(1/8), ||B^10||^(1/10)) in the 1-norm (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)). The powers are taken of
+    B/||B||, whose powers have norms <= 1 and cannot overflow; ||B|| and eta
+    are raised to the smallest normal float, so that neither the division nor
+    log2 fails. A nilpotent B (eta = 0) so gets s near log2(||B||) - 1024.
+    """
+    tiny = np.finfo(float).tiny
+    scale = max(np.abs(B).sum(axis=0).max(), tiny)
+    C2 = np.linalg.matrix_power(B / scale, 2)
+    C8 = np.linalg.matrix_power(C2, 4)
+    eta = max(np.abs(C8).sum(axis=0).max() ** (1 / 8),
+              np.abs(C8 @ C2).sum(axis=0).max() ** (1 / 10), tiny)
+    return math.ceil(math.log2(scale) + math.log2(eta) - math.log2(_THETA13))
+
+
+def _doubling_powers(B: np.ndarray, count: int):
+    """expm(2^i B) for i < count, by scaling and squaring from one norm estimate.
+
+    Power i needs max(0, s + i) squarings, s = `_squarings(B)`. The powers
+    that need none are Pade values of their own. The others are the Pade
+    value of 2^-s B squared s + i times, each the square of the one before:
+    a separate scaling and squaring per power, since 2^i B is exact.
+    Squaring a smaller power instead would double its rounding error at
+    every step.
+    """
+    s = _squarings(B)
+    n_pade = min(count, max(0, -s))
+    yield from (_pade13(B * 2.0**i) for i in range(n_pade))
+    if n_pade < count:
+        yield from itertools.islice(_squares(_pade13(B * 2.0**-s)), max(0, s), s + count)
 
 
 def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
@@ -225,7 +298,7 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
     c = _fill_by_doubling(x0, times.size, _squares(T))[:, 0].copy()
 
     return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
-                      metadata={"solver": "volterra", "dt_s": dt})
+                      metadata={"dt_s": dt})
 
 
 def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = None,
@@ -250,7 +323,7 @@ def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = Non
     c = y[0]
     return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
                       mode_amplitudes=y[1:],
-                      metadata={"solver": "pseudomode", "dt_s": dt})
+                      metadata={"dt_s": dt})
 
 
 def local_extrema(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -145,9 +145,9 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     Gamma = table.Gamma[0]
     # Same step rule, guard and budget as the single-emitter solvers; the
     # state is (beta, b, I).
-    times, _ = _time_grid(MemoryKernel(weights=(g1 * g1, g2 * g2),
-                                       rates=(1j * Delta - Gamma / 2.0,) * 2),
-                          t_end, dt, n_samples, 3)
+    times, dt = _time_grid(MemoryKernel(weights=(g1 * g1, g2 * g2),
+                                        rates=(1j * Delta - Gamma / 2.0,) * 2),
+                           t_end, dt, n_samples, 3)
     y0 = np.array(initial_state, dtype=complex)
     norm = np.sum(np.abs(y0) ** 2)
     if abs(norm - 1.0) > POPULATION_TOL:
@@ -168,7 +168,7 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     swap, fidelity = _extract_swap(times, target, Delta)
     return TransferResult(times=times, P1=P1, P2=P2, Pb=Pb,
                           swap_frequency=swap, fidelity=fidelity,
-                          metadata={"g": g1, "Delta": Delta, "Gamma": Gamma})
+                          metadata={"g": g1, "Delta": Delta, "Gamma": Gamma, "dt_s": dt})
 
 
 def _extract_swap(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[float, float]:

@@ -181,15 +181,31 @@ def test_transfer_run(tmp_path):
     assert float(meta["fidelity"]) > 0.9
 
 
-def test_transfer_checks_the_configured_modes(tmp_path):
+def test_transfer_checks_the_configured_modes(tmp_path, capsys):
     # The cavity keeps n_max modes, so mode n = 2 near the detuned Kittel line
-    # is named; with n_max = 1 there is nothing to warn about.
+    # is named, in the manifest and on stderr with no source line; with
+    # n_max = 1 there is nothing to warn about.
     argv = ["transfer", "--Delta_over_g", "40", "--Gamma_rad_per_s", "1e6", "--t_end_us", "12"]
-    with pytest.warns(UserWarning, match=r"mode n = 2 detuned by only 1\.81196e\+09 rad/s"):
-        assert main(argv + ["--out", str(tmp_path / "n7")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "n7")]) == 0
+    (note,) = json.loads((tmp_path / "n7" / "manifest.json").read_text())["warnings"]
+    assert note.startswith("mode n = 2 detuned by only 1.81196e+09 rad/s")
+    assert capsys.readouterr().err == f"warning: {note}\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
         assert main(argv + ["--n_max", "1", "--out", str(tmp_path / "n1")]) == 0
+    assert json.loads((tmp_path / "n1" / "manifest.json").read_text())["warnings"] == []
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_omega0_is_refused_where_nothing_reads_it(tmp_path, capsys, experiment):
+    argv = [experiment, "--omega0_GHz", "15.7", "--out", str(tmp_path)]
+    if experiment == "decay":
+        assert main(argv + ["--R_list_nm", "30", "--n_samples", "200"]) == 0
+    else:
+        assert main(argv) == 2
+        assert "omega0_GHz is read by decay only" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 def test_fieldmap_run(tmp_path):
@@ -588,17 +604,28 @@ def test_checked_in_configs_run(tmp_path):
         assert main([path.stem, "--config", str(path), "--out", str(out)]) == 0
 
 
-def test_cli_import_leaves_out_ode_integrators():
-    # All dynamics propagate exactly with expm and the swap extractor smooths
-    # with a cumulative sum; neither scipy.integrate nor scipy.ndimage loads,
-    # and scipy.linalg loads only when something propagates.
+def test_cli_import_leaves_out_ode_integrators(tmp_path):
+    # All dynamics propagate exactly with a numpy expm and the swap extractor
+    # smooths with a cumulative sum; neither scipy.integrate nor scipy.ndimage
+    # loads, nor scipy.linalg.
     src = str(Path(magnoncavity.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, magnoncavity.cli; "
             "print(sorted({'scipy.integrate', 'scipy.ndimage', 'scipy.linalg'}"
             " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
+                         check=True, env=env)
     assert out.stdout.strip() == "[]"
+    # Both experiments that propagate run without any scipy module.
+    runs = [["decay", "--R_list_nm", "30", "--n_samples", "200"],
+            ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "200"]]
+    code = ("import sys; from magnoncavity.cli import main; "
+            f"assert all(main(argv + ['--out', {str(tmp_path)!r} + '/' + argv[0]]) == 0 "
+            f"for argv in {runs!r}); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_public_surface():
@@ -752,6 +779,25 @@ def test_decay_time_axis_matches_each_radius(tmp_path, monkeypatch, extra, n_gri
     for R, ts in zip((30, 50), series):
         rows = zip((ts.times / US).tolist(), ts.populations.tolist())
         assert _data_lines(tmp_path / f"decay_R{R}nm.csv") == ["%.12g,%.12g" % row for row in rows]
+
+
+def test_decay_header_records_each_radius_time_step(tmp_path, monkeypatch):
+    # With n_max = 1 the coupling guard gives each radius its own dt.
+    series = _recording(monkeypatch, "evolve_pseudomode")
+    argv = ["decay", "--n_max", "1", "--R_list_nm", "30,50", "--n_samples", "7"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert series[0].times[1] != series[1].times[1]
+    for R, ts in zip((30, 50), series):
+        _, _, meta = read_csv(tmp_path / f"decay_R{R}nm.csv")
+        assert float(meta["dt_s"]) == ts.times[1]
+
+
+def test_transfer_header_records_the_time_step(tmp_path, monkeypatch):
+    results = _recording(monkeypatch, "transfer_dynamics")
+    argv = ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "200"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    _, _, meta = read_csv(tmp_path / "transfer.csv")
+    assert float(meta["dt_s"]) == results[0].times[1]
 
 
 def test_run_config_roundtrip_hash_changes():

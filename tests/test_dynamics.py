@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from magnoncavity import (CavityConfig, ConfigError, DomainError, EmitterConfig,
                           NumericalError, build_kernel, evolve_pseudomode,
                           evolve_volterra, kittel_frequency, mode_table,
                           state_from_internal, tesla_to_field)
-from magnoncavity.dynamics import (MemoryKernel, TimeSeries, extract_rabi_frequency,
+from magnoncavity import dynamics
+from magnoncavity.dynamics import (MemoryKernel, TimeSeries, _doubling_powers,
+                                   _squarings, extract_rabi_frequency,
                                    first_revival_time, fit_decay_rate, local_extrema,
                                    max_stable_dt)
 from magnoncavity.network import TransferResult, has_fast_ripples
@@ -212,6 +216,105 @@ def test_volterra_at_a_million_samples(cavity_narrow):
 def test_population_bounds_enforced():
     with pytest.raises(NumericalError):
         TimeSeries(times=np.array([0.0, 1.0]), populations=np.array([1.0, 1.5]))
+
+
+# --------------------------------------------------------------- propagator
+
+def pseudomode_matrix(kernel):
+    """evolve_pseudomode's generator A of y = (c, b_1..b_n)."""
+    g = np.sqrt(np.array(kernel.weights))
+    A = np.diag(np.array((0.0, *kernel.rates), dtype=complex))
+    A[0, 1:] = -1j * g
+    A[1:, 0] = -1j * g
+    return A
+
+
+def propagator_case(request, name):
+    """(A, dt, count): a generator, its step and the number of doubling powers."""
+    if name in ("decay-default", "decay-coarse-step"):
+        A = pseudomode_matrix(build_kernel(request.getfixturevalue("emitter"),
+                                           request.getfixturevalue("cavity")))
+        # The CLI default grid (1 us, 100 000 steps), and a step so coarse
+        # that the first power already needs squarings.
+        return (A, 1e-11, 17) if name == "decay-default" else (A, 1e-8, 4)
+    if name == "transfer":
+        # transfer_dynamics' (beta, b, I) generator, its entries 1 to 2 g^2.
+        kernel, _ = resonant_kernel(request.getfixturevalue("cavity_narrow"))
+        g = math.sqrt(kernel.K0)
+        A = np.array([[0.0, -2j * g * g, 0.0], [-1j, 10j * g - 0.5e6, 0.0], [0.0, 1.0, 0.0]])
+        return A, 1e-11, 17
+    if name == "exceptional-point":
+        Gamma = 1e7     # g = Gamma/4: a defective double eigenvalue
+        return np.array([[0.0, -0.25j * Gamma], [-0.25j * Gamma, -Gamma / 2.0]]), 2e-9, 11
+    return np.zeros((3, 3), dtype=complex), 1e-9, 5
+
+
+PROPAGATOR_CASES = ["decay-default", "decay-coarse-step", "transfer", "exceptional-point",
+                    "zero"]
+
+
+@pytest.mark.parametrize("name", PROPAGATOR_CASES)
+def test_doubling_powers_match_scipy_expm(request, name):
+    A, dt, count = propagator_case(request, name)
+    B = A * dt
+    powers = list(itertools.islice(_doubling_powers(B, count), count + 1))
+    assert len(powers) == count
+    for i, M in enumerate(powers):
+        ref = expm(B * 2.0**i)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, i)
+    if name == "decay-coarse-step":
+        assert _squarings(B) > 0
+
+
+@pytest.mark.parametrize("name", PROPAGATOR_CASES)
+def test_squared_powers_are_exact_squares(request, name):
+    # From the first power that needs squaring on, each power is the one
+    # before squared, bit for bit.
+    A, dt, count = propagator_case(request, name)
+    first = max(1, 1 - _squarings(A * dt))
+    powers = list(_doubling_powers(A * dt, count))
+    assert all(np.array_equal(powers[i], powers[i - 1] @ powers[i - 1])
+               for i in range(first, count))
+
+
+@pytest.mark.parametrize("name", ["decay-default", "decay-coarse-step"])
+def test_no_square_is_formed_unasked(request, monkeypatch, name):
+    # The last power, expm(2^(count-1) B), is the Pade value of 2^-s B
+    # squared count - 1 + s times; no square beyond it is formed.
+    formed = []
+
+    def squares(T):
+        while True:
+            yield T
+            formed.append(T)
+            T = T @ T
+
+    monkeypatch.setattr(dynamics, "_squares", squares)
+    A, dt, count = propagator_case(request, name)
+    assert len(list(itertools.islice(_doubling_powers(A * dt, count), count + 1))) == count
+    assert len(formed) == max(0, count - 1 + _squarings(A * dt))
+
+
+def test_one_sample_grid_asks_for_no_power(monkeypatch):
+    # A single sample is y0 itself: no step, so no power is formed.
+    def refuse(*args):
+        raise AssertionError("a power was asked for")
+
+    monkeypatch.setattr(dynamics, "_doubling_powers", refuse)
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    Y = dynamics.propagate(np.ones((2, 2)), y0, np.zeros(1))
+    assert Y.shape == (1, 2) and np.array_equal(Y[0], y0)
+
+
+@pytest.mark.parametrize("scale, expected", [
+    (0.0, -2046), (1e250, 829), (1e-300, -999), (math.ulp(0.0), -1076)])
+def test_squarings_cannot_overflow(scale, expected):
+    # Under the suite's error::RuntimeWarning, no power overflows or
+    # underflows into log2(0); a nilpotent matrix needs no squarings at any
+    # of the at most 64 doubling powers.
+    B = scale * np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
+    assert _squarings(B) == expected
+    assert _squarings(np.array([[0.0, scale], [0.0, 0.0]])) < -64
 
 
 # ------------------------------------------------------------- radius sweep
