@@ -436,7 +436,7 @@ def _run_decay(cfg: RunConfig) -> dict:
         files[f"decay_R{R / NM:g}nm.csv"] = (
             {"t_us": t_text, "population": ts.populations},
             {"R_nm": R / NM, "solver": cfg.solver, "dt_s": ts.metadata["dt_s"]})
-        del ts      # keep the populations, free this radius's amplitudes
+        del ts      # keep the populations; free c before the next radius propagates
     return files
 
 

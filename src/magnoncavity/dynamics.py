@@ -24,11 +24,14 @@ The matrix exponential is this module's own numpy scaling and squaring with
 [13/13] Pade values (`_doubling_powers`), fitted to the powers
 expm(A dt 2^i) the doubling fill asks for; nothing here imports scipy.
 
-Both solvers and the two-spin transfer fill their samples by the same
-doubling (`_fill_by_doubling`): evolve_pseudomode and the transfer through
-`propagate`, evolve_volterra from the powers of its step map. All three take
-their grid from `_time_grid`, the one home of the step rule, which also
-checks the state against the size budget (`constants.check_budget`).
+Both solvers and the two-spin transfer sample only the components they read
+(c for decay; b and Int b for the transfer) by the same two-level doubling
+(`_sample_rows`): evolve_pseudomode and the transfer through `propagate`,
+evolve_volterra from the powers of its step map. A state of w values over N
+samples so costs O(N w) and stores O(sqrt(N) w), not O(N w^2) and N x w.
+All three take their grid from `_time_grid`, the one home of the step rule,
+which also checks samples x state width against the size budget
+(`constants.check_budget`).
 """
 
 from __future__ import annotations
@@ -92,12 +95,11 @@ class MemoryKernel:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled populations |c_e(t)|^2 with optional mode amplitudes."""
+    """Sampled populations |c_e(t)|^2, with the amplitudes c_e(t)."""
 
     times: np.ndarray
     populations: np.ndarray
     amplitudes: np.ndarray | None = None
-    mode_amplitudes: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -175,17 +177,44 @@ def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:
     return Y
 
 
-def propagate(A: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact samples expm(A t_k) y0 of y' = A y, one row per time t_k = k*dt.
+def _sample_rows(y0, n: int, powers, rows) -> np.ndarray:
+    """Components `rows` of y_k = M^k y0 for k < n, one row each, where
+    `powers` yields M, M^2, M^4, ...
 
-    Filled by doubling with M = expm(A dt), whose powers M^(2^i) =
+    With k = h B + l, B = 2^ceil(c/2) and c = ceil(log2 n) powers in all,
+    y_k[r] = (e_r^T M^(hB)) (M^l y0). One fill gives the B states M^l y0
+    from the first powers; a second gives the H = ceil(n/B) rows
+    e_r^T M^(hB) from the rest, transposed; one (H, w) @ (w, B) product per
+    component gives its n samples. So n samples of a w-value state take
+    O(n w) work and O(sqrt(n) w) state, and each component is computed the
+    same way whatever other rows are asked for.
+    """
+    count = (n - 1).bit_length()
+    B = 1 << (count + 1) // 2
+    H = -(-n // B)
+    states = _fill_by_doubling(y0, B, powers)
+    later = list(itertools.islice(powers, (H - 1).bit_length()))
+    out = np.empty((len(rows), H * B), dtype=complex)
+    for i, r in enumerate(rows):
+        e_r = np.zeros(len(y0), dtype=complex)
+        e_r[r] = 1.0
+        left = _fill_by_doubling(e_r, H, (M.T for M in later))
+        np.matmul(left, states.T, out=out[i].reshape(H, B))
+    return out[:, :n]
+
+
+def propagate(A: np.ndarray, y0, times: np.ndarray, rows) -> np.ndarray:
+    """Exact samples of the components `rows` of expm(A t_k) y0, t_k = k*dt,
+    as a (len(rows), times.size) array.
+
+    Sampled by `_sample_rows` from M = expm(A dt), whose powers M^(2^i) =
     expm(A t_(2^i)) come from `_doubling_powers`.
     """
-    # Doubling asks for M^m only while m < times.size: ceil(log2(times.size))
-    # powers, none for a single sample.
+    # The sampler asks for M^(2^i) only while 2^i < times.size:
+    # ceil(log2(times.size)) powers, none for a single sample.
     count = (times.size - 1).bit_length()
     powers = _doubling_powers(A * times[1], count) if count else iter(())
-    return _fill_by_doubling(y0, times.size, powers)
+    return _sample_rows(y0, times.size, powers, rows)
 
 
 def _squares(T: np.ndarray):
@@ -271,8 +300,9 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
     second order in dt. With z_m = exp(s_m dt), the history at step k is
     sum_m w_m P_m(k), where P_m(k) = z_m (P_m(k-1) + c_k) and
     P_m(-1) = -c_0/2. So x_k = (c_k, f_k, P(k-1)), with f the derivative,
-    advances by one constant (modes + 2)-square map T, and the samples are
-    filled by doubling; cost O(N * modes). The step follows `_time_grid`.
+    advances by one constant (modes + 2)-square map T, and c is sampled from
+    its powers by `_sample_rows`; cost O(N * modes). The step follows
+    `_time_grid`.
     """
     times, dt = _time_grid(kernel, t_end, dt, n_samples, len(kernel.weights) + 2)
     if not kernel.weights:
@@ -294,8 +324,7 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
     T[2:, 2:] = np.diag(z)
     x0 = np.full(a.size, -0.5, dtype=complex)
     x0[:2] = 1.0, 0.0
-    # A copy, so the series keeps c and not the whole (N + 1, modes + 2) state.
-    c = _fill_by_doubling(x0, times.size, _squares(T))[:, 0].copy()
+    c = _sample_rows(x0, times.size, _squares(T), (0,))[0]
 
     return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
                       metadata={"dt_s": dt})
@@ -313,17 +342,20 @@ def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = Non
         return TimeSeries(times=times, populations=np.ones(times.size),
                           amplitudes=np.ones(times.size, dtype=complex))
 
+    y0 = np.zeros(1 + len(kernel.weights), dtype=complex)
+    y0[0] = 1.0
+    c = propagate(_pseudomode_matrix(kernel), y0, times, (0,))[0]
+    return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
+                      metadata={"dt_s": dt})
+
+
+def _pseudomode_matrix(kernel: MemoryKernel) -> np.ndarray:
+    """The generator A of y = (c, b_1..b_n) in evolve_pseudomode's y' = A y."""
     g = np.sqrt(np.array(kernel.weights))
     A = np.diag(np.array((0.0, *kernel.rates), dtype=complex))
     A[0, 1:] = -1j * g
     A[1:, 0] = -1j * g
-    y0 = np.zeros(1 + g.size, dtype=complex)
-    y0[0] = 1.0
-    y = propagate(A, y0, times).T
-    c = y[0]
-    return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
-                      mode_amplitudes=y[1:],
-                      metadata={"dt_s": dt})
+    return A
 
 
 def local_extrema(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

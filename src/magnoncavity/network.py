@@ -11,8 +11,9 @@ from one `mode_table` over the two emitter positions:
 Magnon loss enters as the non-Hermitian -i Gamma/2 term, equivalent to the
 Lindblad evolution restricted to at most one excitation. The magnon sees the
 spins only through the bright sum beta = g1 c1 + g2 c2, so the system is
-propagated exactly (matrix exponential) in (beta, b, I = Int b dt), and each
-spin follows from c_j(t) = c_j(0) - i g_j I(t). In the dispersive
+propagated exactly (matrix exponential) in (beta, b, I = Int b dt), of which
+only b and I are sampled, and each spin follows from
+c_j(t) = c_j(0) - i g_j I(t). In the dispersive
 window |Delta| >> g the magnon mediates an effective spin-spin coupling
 g_eff ~ g^2/Delta; the vacuum dipole-dipole baseline at separation d is
 g_dip/(2pi) = mu0*muB^2/(hbar*(2pi)^2*d^3).
@@ -158,7 +159,7 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     A = np.array([[0.0, -1j * (g1 * g1 + g2 * g2), 0.0],
                   [-1j, 1j * Delta - Gamma / 2.0, 0.0],
                   [0.0, 1.0, 0.0]])
-    _, b, I = propagate(A, [g1 * y0[0] + g2 * y0[1], y0[2], 0.0], times).T
+    b, I = propagate(A, [g1 * y0[0] + g2 * y0[1], y0[2], 0.0], times, (1, 2))
     P1 = np.abs(y0[0] - 1j * g1 * I) ** 2
     P2 = np.abs(y0[1] - 1j * g2 * I) ** 2
     Pb = np.abs(b) ** 2

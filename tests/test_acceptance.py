@@ -18,8 +18,9 @@ from magnoncavity import (CONSTANTS, CavityConfig, EmitterConfig,
                           state_from_internal, symmetric_pair, tesla_to_field,
                           transfer_dynamics)
 from magnoncavity.cli import parse_config, run
-from magnoncavity.dynamics import (extract_rabi_frequency, first_revival_time,
-                                   fit_decay_rate, max_stable_dt)
+from magnoncavity.dynamics import (_pseudomode_matrix, extract_rabi_frequency,
+                                   first_revival_time, fit_decay_rate, max_stable_dt,
+                                   propagate)
 from magnoncavity.network import dipole_dipole_coupling, effective_coupling
 from magnoncavity.spectral import spectral_density
 
@@ -267,9 +268,13 @@ def test_criterion_8_property_suite(tmp_path):
     lossless = dynamics_cavity(n_max=3, Gamma=0.0)
     kernel = build_kernel(resonant_emitter(lossless), lossless)
     ts = evolve_pseudomode(kernel, 5e-8, max_stable_dt(kernel) / 2.0)
-    total = ts.populations + np.sum(np.abs(ts.mode_amplitudes) ** 2, axis=0)
+    # The mode amplitudes b_n: every component of the same propagation.
+    A = _pseudomode_matrix(kernel)
+    y = propagate(A, np.eye(A.shape[0], dtype=complex)[0], ts.times, rows=range(A.shape[0]))
+    same_c = np.array_equal(y[0], ts.amplitudes)
+    total = ts.populations + np.sum(np.abs(y[1:]) ** 2, axis=0)
     norm_dev = float(np.max(np.abs(total - 1.0)))
-    norm_ok = norm_dev <= 1e-9
+    norm_ok = norm_dev <= 1e-9 and same_c
 
     # Population bounds on a lossy run.
     lossy = build_kernel(resonant_emitter(dynamics_cavity()), dynamics_cavity())
@@ -289,5 +294,6 @@ def test_criterion_8_property_suite(tmp_path):
 
     check("criterion 8", field_ok and cont_ok and norm_ok and pop_ok and det_ok,
           f"curl/div<=1e-6: {field_ok}; continuity<=1e-10: {cont_ok}; "
-          f"norm dev {norm_dev:.1e}<=1e-9; populations bounded: {pop_ok}; "
+          f"norm dev {norm_dev:.1e}<=1e-9; c as evolve_pseudomode's, bitwise: {same_c}; "
+          f"populations bounded: {pop_ok}; "
           f"byte-identical reruns: {det_ok}")

@@ -232,20 +232,26 @@ def test_coupling_sweep_run(tmp_path):
 
 @pytest.fixture
 def no_big_arrays(monkeypatch):
-    """Fail at once, before allocating, on a grid or a propagation over the budget."""
+    """Fail at once, before allocating, on a grid, a sampled output or a
+    doubling fill over the budget."""
     import magnoncavity.dynamics as dynamics
 
-    linspace, fill = np.linspace, dynamics._fill_by_doubling
+    linspace, sample, fill = np.linspace, dynamics._sample_rows, dynamics._fill_by_doubling
 
     def guarded_linspace(start, stop, num=50, *args, **kwargs):
         assert num <= MAX_STATE_VALUES, f"linspace of {num} points"
         return linspace(start, stop, num, *args, **kwargs)
+
+    def guarded_sample(y0, n, powers, rows):
+        assert n * len(rows) <= MAX_STATE_VALUES, f"{n} x {len(rows)} sampled values"
+        return sample(y0, n, powers, rows)
 
     def guarded_fill(y0, n, powers):
         assert n * len(y0) <= MAX_STATE_VALUES, f"{n} x {len(y0)} state values"
         return fill(y0, n, powers)
 
     monkeypatch.setattr(np, "linspace", guarded_linspace)
+    monkeypatch.setattr(dynamics, "_sample_rows", guarded_sample)
     monkeypatch.setattr(dynamics, "_fill_by_doubling", guarded_fill)
 
 

@@ -12,12 +12,19 @@ from magnoncavity import (CavityConfig, ConfigError, DomainError, EmitterConfig,
                           state_from_internal, tesla_to_field)
 from magnoncavity import dynamics
 from magnoncavity.dynamics import (MemoryKernel, TimeSeries, _doubling_powers,
-                                   _squarings, extract_rabi_frequency,
+                                   _pseudomode_matrix, _squarings, extract_rabi_frequency,
                                    first_revival_time, fit_decay_rate, local_extrema,
                                    max_stable_dt)
 from magnoncavity.network import TransferResult, has_fast_ripples
 from oracles import (fast_ripples_oracle, rabi_frequency_oracle, revival_time_oracle,
                      volterra_history_oracle)
+
+
+def unit_vector(w):
+    """(1, 0, ..., 0) in C^w: all amplitude in the first component."""
+    e = np.zeros(w, dtype=complex)
+    e[0] = 1.0
+    return e
 
 
 def resonant_kernel(cavity, dipole_scale=1.0):
@@ -136,7 +143,11 @@ def test_norm_conserved_without_loss(yig_lossless, fields):
     cavity = CavityConfig(R=30e-9, mat=yig_lossless, fields=fields, n_max=3)
     kernel, _ = resonant_kernel(cavity)
     ts = evolve_pseudomode(kernel, 5e-8, max_stable_dt(kernel) / 2.0)
-    total = ts.populations + np.sum(np.abs(ts.mode_amplitudes) ** 2, axis=0)
+    # The mode amplitudes b_n: every component of the same propagation.
+    A = _pseudomode_matrix(kernel)
+    y = dynamics.propagate(A, unit_vector(A.shape[0]), ts.times, rows=range(A.shape[0]))
+    assert np.array_equal(y[0], ts.amplitudes)
+    total = ts.populations + np.sum(np.abs(y[1:]) ** 2, axis=0)
     assert np.max(np.abs(total - 1.0)) < 1e-9
 
 
@@ -220,20 +231,11 @@ def test_population_bounds_enforced():
 
 # --------------------------------------------------------------- propagator
 
-def pseudomode_matrix(kernel):
-    """evolve_pseudomode's generator A of y = (c, b_1..b_n)."""
-    g = np.sqrt(np.array(kernel.weights))
-    A = np.diag(np.array((0.0, *kernel.rates), dtype=complex))
-    A[0, 1:] = -1j * g
-    A[1:, 0] = -1j * g
-    return A
-
-
 def propagator_case(request, name):
     """(A, dt, count): a generator, its step and the number of doubling powers."""
     if name in ("decay-default", "decay-coarse-step"):
-        A = pseudomode_matrix(build_kernel(request.getfixturevalue("emitter"),
-                                           request.getfixturevalue("cavity")))
+        A = _pseudomode_matrix(build_kernel(request.getfixturevalue("emitter"),
+                                            request.getfixturevalue("cavity")))
         # The CLI default grid (1 us, 100 000 steps), and a step so coarse
         # that the first power already needs squarings.
         return (A, 1e-11, 17) if name == "decay-default" else (A, 1e-8, 4)
@@ -302,8 +304,59 @@ def test_one_sample_grid_asks_for_no_power(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_doubling_powers", refuse)
     y0 = np.array([1.0, 0.0], dtype=complex)
-    Y = dynamics.propagate(np.ones((2, 2)), y0, np.zeros(1))
-    assert Y.shape == (1, 2) and np.array_equal(Y[0], y0)
+    Y = dynamics.propagate(np.ones((2, 2)), y0, np.zeros(1), rows=(0, 1))
+    assert Y.shape == (2, 1) and np.array_equal(Y[:, 0], y0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 512, 513, 100_001])
+@pytest.mark.parametrize("name", ["decay-default", "transfer", "zero"])
+def test_propagate_matches_scipy_expm(request, name, n):
+    # Every component of expm(A t_k) y0 at both ends, around the split
+    # (k = B - 1, B, B + 1) and at random k, for a generic y0.
+    A, dt, _ = propagator_case(request, name)
+    w = A.shape[0]
+    rng = np.random.default_rng(n)
+    y0 = rng.normal(size=w) + 1j * rng.normal(size=w)
+    y0 /= np.linalg.norm(y0)
+    times = np.arange(n) * dt
+    Y = dynamics.propagate(A, y0, times, rows=range(w))
+    assert Y.shape == (w, n)
+    B = 2 ** (((n - 1).bit_length() + 1) // 2)     # the sampler's split k = h B + l
+    ks = {0, 1, B - 1, B, B + 1, n - 1, *rng.integers(0, n, 6).tolist()}
+    for k in sorted(k for k in ks if k < n):
+        ref = expm(A * times[k]) @ y0
+        assert np.max(np.abs(Y[:, k] - ref)) <= 1e-12 * np.max(np.abs(ref)), (name, n, k)
+
+
+@pytest.mark.parametrize("name", ["decay-default", "transfer"])
+def test_row_subset_is_bitwise_the_full_call(request, name):
+    # Each component is computed alone: asking for fewer rows, or in another
+    # order, changes no bit of the rows asked for.
+    A, dt, _ = propagator_case(request, name)
+    w = A.shape[0]
+    y0 = unit_vector(w)
+    for n in (3, 513, 100_001):
+        times = np.arange(n) * dt
+        full = dynamics.propagate(A, y0, times, rows=range(w))
+        for rows in [(0,), (w - 1,), (1, 2), (w - 1, 0)]:
+            assert np.array_equal(dynamics.propagate(A, y0, times, rows), full[list(rows)])
+
+
+def test_sampler_never_holds_the_whole_state(request, monkeypatch):
+    # The fills hold about sqrt(n) states, not n: at n = 100 001, B = 512
+    # states M^l y0 and H = 196 rows e_r^T M^(hB).
+    lengths = []
+    fill = dynamics._fill_by_doubling
+
+    def recording_fill(y0, n, powers):
+        lengths.append(n)
+        return fill(y0, n, powers)
+
+    monkeypatch.setattr(dynamics, "_fill_by_doubling", recording_fill)
+    A, dt, _ = propagator_case(request, "decay-default")
+    c = dynamics.propagate(A, unit_vector(A.shape[0]), np.arange(100_001) * dt, (0,))
+    assert c.shape == (1, 100_001)
+    assert lengths == [512, 196]
 
 
 @pytest.mark.parametrize("scale, expected", [
