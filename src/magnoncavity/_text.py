@@ -175,13 +175,20 @@ class TextColumn:
 
     def __init__(self, values, index: np.ndarray | None = None, chunk: int = 4096):
         values = np.asarray(values, dtype=np.float64)
-        text = np.frombuffer(b"".join(join_rows([encode_g12(values[i:i + chunk], "\n")])
-                                      for i in range(0, len(values), chunk)), np.uint8)
-        lens = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)     # with the "\n"
-        width = 8 * -(-int(lens.max(initial=1)) // 8)
-        chars = np.zeros((len(values), width), np.uint8)
-        chars[np.arange(width) < lens[:, None]] = text
-        chars[np.arange(len(values)), lens - 1] = 0
+        # Rows are filled `chunk` values at a time. The width grows to the
+        # longest text so far; a wider array takes only the rows filled.
+        chars = np.zeros((len(values), 8), np.uint8)
+        for i in range(0, len(values), chunk):
+            text = np.frombuffer(join_rows([encode_g12(values[i:i + chunk], "\n")]), np.uint8)
+            lens = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)     # with the "\n"
+            width = 8 * -(-int(lens.max()) // 8)
+            if width > chars.shape[1]:
+                wider = np.zeros((len(values), width), np.uint8)
+                wider[:i, :chars.shape[1]] = chars[:i]
+                chars = wider
+            rows = chars[i:i + len(lens)]
+            rows[np.arange(chars.shape[1]) < lens[:, None]] = text
+            rows[np.arange(len(lens)), lens - 1] = 0
         self.chars, self.index = chars, index
 
     def __len__(self) -> int:

@@ -22,6 +22,7 @@ import sys
 import time
 import typing
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -288,13 +289,18 @@ def run(cfg: RunConfig) -> int:
 
     A run first removes an earlier run's record from `--out`: its manifest,
     its error.json and the data files that manifest lists, and nothing else.
-    It writes data files only once every one of them has been computed, so
-    a failed run leaves no data behind. The warnings the experiment raises
-    are printed as `warning: <message>` and listed in the manifest.
+    Each data file is checked and written as soon as the experiment yields
+    it, so a decay holds one radius at a time, and manifest.json is written
+    last, as the mark of a finished run. A run that fails, with any
+    exception, removes every data file it wrote, so it leaves no data
+    behind. The warnings the experiment raises are printed as
+    `warning: <message>` and listed in the manifest.
     """
     outdir = Path(cfg.out)
     start = time.monotonic()
     caught: list[warnings.WarningMessage] = []
+    written: dict[str, None] = {}       # file names in write order, each once
+    finished = False
     try:
         if not cfg.experiment:
             raise ConfigError("no experiment selected")
@@ -312,8 +318,24 @@ def run(cfg: RunConfig) -> int:
             "coupling-sweep": _run_coupling_sweep,
         }[cfg.experiment]
         with warnings.catch_warnings(record=True) as caught:
-            outputs = runner(cfg)
-        _check_finite(outputs, derived)
+            for name, (columns, meta) in runner(cfg):
+                _check_finite(f"{name} column", columns)
+                written[name] = None
+                _write_csv(outdir / name, columns, mhash, meta)
+                del columns     # the runner computes the next file without this one
+        _check_finite("manifest.json derived", derived)
+        manifest = {
+            "config": dataclasses.asdict(cfg),
+            "config_hash": mhash,
+            "version": __version__,
+            "derived": derived,
+            "files": list(written),
+            "warnings": [str(w.message) for w in caught],
+            "duration_s": round(time.monotonic() - start, 6),
+        }
+        (outdir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        finished = True
     except (ConfigError,) as exc:
         _write_error(outdir, "configuration", exc)
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -323,41 +345,28 @@ def run(cfg: RunConfig) -> int:
         print(f"error in {cfg.experiment}: {exc}", file=sys.stderr)
         return 3
     finally:
+        if not finished:
+            for name in written:
+                (outdir / name).unlink(missing_ok=True)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-
-    for name, (columns, meta) in outputs.items():
-        _write_csv(outdir / name, columns, mhash, meta)
-    manifest = {
-        "config": dataclasses.asdict(cfg),
-        "config_hash": mhash,
-        "version": __version__,
-        "derived": derived,
-        "files": list(outputs),
-        "warnings": [str(w.message) for w in caught],
-        "duration_s": round(time.monotonic() - start, 6),
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     print(f"omega_K/(2pi) = {derived['omega_K_over_2pi_GHz']:.4f} GHz")
     print(f"V_eff = {derived['Veff_mm3']:.4e} mm^3")
     print(f"g/(2pi) = {derived['g_over_2pi_MHz']:.4f} MHz")
-    for name in outputs:
+    for name in written:
         print(f"wrote {outdir / name}")
     return 0
 
 
-def _check_finite(outputs: dict, derived: dict) -> None:
-    """Refuse a non-finite data column or `derived` value before anything is written.
+def _check_finite(where: str, values: dict) -> None:
+    """Refuse a non-finite data column or `derived` value before it is written.
 
-    A TextColumn axis comes from `_time_grid` or `omega_grid`, which check it."""
-    checked = [(f"{name} column {key!r}", col) for name, (columns, _) in outputs.items()
-               for key, col in columns.items() if not isinstance(col, TextColumn)]
-    checked += [(f"manifest.json derived {key!r}", v) for key, v in derived.items()
-                if v is not None]
-    for where, values in checked:
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"{where} holds a non-finite value")
+    A TextColumn axis comes from `_time_grid` or `omega_grid`, which check
+    it; a None `derived` value is written as null."""
+    for key, v in values.items():
+        if v is not None and not isinstance(v, TextColumn) and not np.all(np.isfinite(v)):
+            raise NumericalError(f"{where} {key!r} holds a non-finite value")
 
 
 def _remove_previous_run(outdir: Path) -> None:
@@ -382,91 +391,93 @@ def _write_error(outdir: Path, stage: str, exc: Exception) -> None:
         pass
 
 
-# Each runner maps a RunConfig to its experiment's library call, and returns
-# {file name: (columns, meta)} for `_write_csv`.
+# Each runner maps a RunConfig to its experiment's library call, and yields
+# (file name, (columns, meta)) for `_write_csv`, one file at a time.
 
-def _run_modes(cfg: RunConfig) -> dict:
+def _run_modes(cfg: RunConfig) -> Iterator[tuple]:
     t = _emitter_modes(cfg, build_cavity(cfg))
-    return {"modes.csv": ({
+    yield "modes.csv", ({
         "n": t.n,
         "omega_over_2pi_GHz": t.omega / TWO_PI / 1e9,
         "Gamma_rad_per_s": t.Gamma,
         "Veff_mm3": t.Veff * M3_TO_MM3,
         "Hzp_A_per_m": t.Hzp,
         "g_over_2pi_MHz": np.abs(t.g) / TWO_PI / 1e6,
-    }, {"R_nm": cfg.R_nm})}
+    }, {"R_nm": cfg.R_nm})
 
 
-def _run_spectrum(cfg: RunConfig) -> dict:
+def _run_spectrum(cfg: RunConfig) -> Iterator[tuple]:
     cavity = build_cavity(cfg)
     bounds = (None if f is None else GHz_to_rad_per_s(f)
               for f in (cfg.omega_min_GHz, cfg.omega_max_GHz))
     grid = spectral_grid(build_emitter(cfg, cavity), cavity, *bounds, cfg.n_omega)
-    return {"spectrum.csv": (
+    yield "spectrum.csv", (
         {"omega_over_2pi_GHz": grid.omegas / TWO_PI / 1e9, "J_rad_per_s": grid.values},
-        grid.metadata)}
+        grid.metadata)
 
 
-def _run_fieldmap(cfg: RunConfig) -> dict:
+def _run_fieldmap(cfg: RunConfig) -> Iterator[tuple]:
     cavity = build_cavity(cfg)
     sweep = field_sweep_map(tesla_to_field(cfg.mu0_H0_min_T), tesla_to_field(cfg.mu0_H0_max_T),
                             cfg.n_H0, build_emitter(cfg, cavity), cavity, n_omega=cfg.n_omega)
     # Each axis value is encoded once; rows gather their text by index.
     n_H0, n_omega = sweep.J.shape
-    return {"fieldmap.csv": ({
+    yield "fieldmap.csv", ({
         "H0_T": _format_column(sweep.H0_values * CONSTANTS.mu0,
                                np.repeat(np.arange(n_H0), n_omega)),
         "omega_GHz": _format_column(sweep.omega_values / TWO_PI / 1e9,
                                     np.tile(np.arange(n_omega), n_H0)),
         "J": sweep.J.ravel(),
-    }, sweep.metadata)}
+    }, sweep.metadata)
 
 
-def _run_decay(cfg: RunConfig) -> dict:
+def _run_decay(cfg: RunConfig) -> Iterator[tuple]:
     solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
     dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
-    files, times, t_text = {}, None, None
+    times, t_text = None, None
     for R in (r * NM for r in _radii_nm(cfg)):
         cavity = build_cavity(cfg, R=R)
         kernel = build_kernel(build_emitter(cfg, cavity), cavity)
         ts = solver(kernel, cfg.t_end_us * US, dt, cfg.n_samples)
+        meta = {"R_nm": R / NM, "solver": cfg.solver, "dt_s": ts.metadata["dt_s"]}
         # Radii usually share one time grid; encode its text once.
         if times is None or not np.array_equal(ts.times, times):
-            times, t_text = ts.times, _format_column(ts.times / US)
-        files[f"decay_R{R / NM:g}nm.csv"] = (
-            {"t_us": t_text, "population": ts.populations},
-            {"R_nm": R / NM, "solver": cfg.solver, "dt_s": ts.metadata["dt_s"]})
-        del ts      # keep the populations; free c before the next radius propagates
-    return files
+            times, t_text = ts.times, None
+        populations = ts.populations
+        del ts      # the amplitudes c are never written: free them before any encoding
+        if t_text is None:
+            t_text = _format_column(times / US)
+        yield f"decay_R{R / NM:g}nm.csv", ({"t_us": t_text, "population": populations}, meta)
+        del populations     # written: the next radius propagates without it
 
 
-def _run_transfer(cfg: RunConfig) -> dict:
+def _run_transfer(cfg: RunConfig) -> Iterator[tuple]:
     cavity = build_cavity(cfg)
     positions, Delta = symmetric_pair(cavity, emitter_radius(cfg, cavity), cfg.Delta_over_g,
                                       cfg.mu_B_scale)
     dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
     result = transfer_dynamics(cavity, positions, Delta, cfg.t_end_us * US, dt, cfg.n_samples,
                                cfg.mu_B_scale)
-    return {"transfer.csv": (
+    yield "transfer.csv", (
         {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
         {"g_rad_per_s": result.metadata["g"],
          "Delta_rad_per_s": result.metadata["Delta"],
          "swap_frequency_rad_per_s": result.swap_frequency,
          "fidelity": result.fidelity,
-         "dt_s": result.metadata["dt_s"]})}
+         "dt_s": result.metadata["dt_s"]})
 
 
-def _run_coupling_sweep(cfg: RunConfig) -> dict:
+def _run_coupling_sweep(cfg: RunConfig) -> Iterator[tuple]:
     cavity = build_cavity(cfg)
     sweep = coupling_vs_separation_sweep(cfg.G_nm * NM, cfg.R_min_nm * NM, cfg.R_max_nm * NM,
                                          cfg.n_R, cavity.mat, cavity.fields.H0,
                                          Delta_over_g=cfg.Delta_over_g,
                                          dipole_scale=cfg.mu_B_scale)
-    return {"coupling_sweep.csv": ({
+    yield "coupling_sweep.csv", ({
         "separation_nm": sweep["separation_m"] / NM,
         "g_eff_Hz": sweep["g_eff_rad_per_s"] / TWO_PI,
         "g_dip_Hz": sweep["g_dip_rad_per_s"] / TWO_PI,
-    }, {"G_nm": cfg.G_nm, "Delta_over_g": cfg.Delta_over_g})}
+    }, {"G_nm": cfg.G_nm, "Delta_over_g": cfg.Delta_over_g})
 
 
 # ---------------------------------------------------------------------------

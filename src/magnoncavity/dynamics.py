@@ -158,7 +158,9 @@ def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
                           f"(binding constraint: {min(bounds, key=bounds.get)})")
     samples = t_end / dt + 1.0
     check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
-    return np.arange(int(round(t_end / dt)) + 1) * dt, dt
+    times = np.arange(int(round(t_end / dt)) + 1, dtype=float)
+    times *= dt
+    return times, dt
 
 
 def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:
@@ -325,8 +327,9 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
     x0 = np.full(a.size, -0.5, dtype=complex)
     x0[:2] = 1.0, 0.0
     c = _sample_rows(x0, times.size, _squares(T), (0,))[0]
+    p = np.abs(c)
 
-    return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
+    return TimeSeries(times=times, populations=np.square(p, out=p), amplitudes=c,
                       metadata={"dt_s": dt})
 
 
@@ -345,7 +348,8 @@ def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = Non
     y0 = np.zeros(1 + len(kernel.weights), dtype=complex)
     y0[0] = 1.0
     c = propagate(_pseudomode_matrix(kernel), y0, times, (0,))[0]
-    return TimeSeries(times=times, populations=np.abs(c) ** 2, amplitudes=c,
+    p = np.abs(c)
+    return TimeSeries(times=times, populations=np.square(p, out=p), amplitudes=c,
                       metadata={"dt_s": dt})
 
 

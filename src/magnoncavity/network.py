@@ -160,9 +160,11 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
                   [-1j, 1j * Delta - Gamma / 2.0, 0.0],
                   [0.0, 1.0, 0.0]])
     b, I = propagate(A, [g1 * y0[0] + g2 * y0[1], y0[2], 0.0], times, (1, 2))
-    P1 = np.abs(y0[0] - 1j * g1 * I) ** 2
-    P2 = np.abs(y0[1] - 1j * g2 * I) ** 2
-    Pb = np.abs(b) ** 2
+    P1 = _spin_population(y0[0], g1, I)
+    P2 = _spin_population(y0[1], g2, I)
+    Pb = np.abs(b)
+    np.square(Pb, out=Pb)
+    del b, I        # freed before the swap extractor's smoothing temporaries
 
     # Track the population of whichever emitter starts empty.
     target = P2 if abs(y0[0]) >= abs(y0[1]) else P1
@@ -170,6 +172,14 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     return TransferResult(times=times, P1=P1, P2=P2, Pb=Pb,
                           swap_frequency=swap, fidelity=fidelity,
                           metadata={"g": g1, "Delta": Delta, "Gamma": Gamma, "dt_s": dt})
+
+
+def _spin_population(c0: complex, g: float, I: np.ndarray) -> np.ndarray:
+    """|c0 - i g I|^2, built in place by the operations of that expression, in its order."""
+    P = np.multiply(1j * g, I)
+    np.subtract(c0, P, out=P)
+    P = np.abs(P)
+    return np.square(P, out=P)
 
 
 def _extract_swap(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[float, float]:

@@ -511,13 +511,60 @@ def test_decay_domain_error_writes_no_data(tmp_path):
     # 30 nm file written before the failure is removed with the failed run.
     assert main(["decay", "--a_nm", "40", "--out", str(tmp_path)]) == 3
     assert json.loads((tmp_path / "error.json").read_text())["type"] == "DomainError"
-    assert not list(tmp_path.glob("decay_R*.csv"))
-    # The same for a size error: R = 100 nm propagates, R = 10 nm is over the budget.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+    # The same for a size error: R = 100 nm is written, R = 10 nm is over the budget.
     argv = ["decay", "--n_max", "1", "--R_list_nm", "100,10", "--t_end_us", "1000",
             "--n_samples", "1", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert json.loads((tmp_path / "error.json").read_text())["type"] == "ConfigError"
-    assert not list(tmp_path.glob("decay_R*.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+def test_failed_write_removes_the_files_written(tmp_path, monkeypatch):
+    # An exception of any type, here from the writer of the second radius,
+    # removes the first radius's file and leaves no manifest.
+    import magnoncavity.cli as cli
+
+    write = cli._write_csv
+
+    def fail_second(path, *args):
+        if "R50" in path.name:
+            raise OSError("disk full")
+        write(path, *args)
+
+    monkeypatch.setattr(cli, "_write_csv", fail_second)
+    with pytest.raises(OSError, match="disk full"):
+        main(["decay", "--R_list_nm", "30,50", "--n_samples", "7", "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decay_holds_one_radius_at_a_time(tmp_path):
+    # Each radius's file is written before the next radius propagates, so
+    # eight radii peak less than one radius's populations above one radius.
+    import tracemalloc
+
+    def peak(radii):
+        argv = ["decay", "--n_samples", "20000", "--R_list_nm", radii,
+                "--out", str(tmp_path / radii)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("30")      # caches built on a first call stay out of both peaks
+    one = peak("30")
+    _, rows, _ = read_csv(tmp_path / "30" / "decay_R30nm.csv")
+    assert rows.shape == (20001, 2)
+    assert peak("30,35,40,50,60,70,80,100") - one < rows[:, 1].nbytes
+
+
+def test_successful_run_leaves_exactly_the_files_its_manifest_lists(tmp_path):
+    assert main(["decay", "--n_samples", "7", "--out", str(tmp_path)]) == 0
+    files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    assert files == [f"decay_R{R}nm.csv" for R in (30, 50, 70, 100)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + ["manifest.json"])
 
 
 @pytest.mark.parametrize("argv", [
