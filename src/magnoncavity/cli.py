@@ -176,10 +176,17 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"omega0_GHz is read by decay only; {cfg.experiment} does not use it")
 
 
+def _decay_file(R: float) -> str:
+    """The data file of the decay at radius R (m)."""
+    return f"decay_R{R / NM:g}nm.csv"
+
+
 def _radii_nm(cfg: RunConfig) -> list[float]:
-    """The decay radii listed in R_list_nm: at least one, each in the supported range."""
+    """The decay radii listed in R_list_nm: at least one, each in the
+    supported range, no two with the same data file."""
+    tokens = [tok.strip() for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
     try:
-        radii = [float(tok) for tok in str(cfg.R_list_nm).split(",") if tok.strip()]
+        radii = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad value for 'R_list_nm': {exc}") from exc
     lo, hi = _RANGES["R_nm"]
@@ -187,6 +194,12 @@ def _radii_nm(cfg: RunConfig) -> list[float]:
         raise ConfigError(f"R_list_nm entries must lie in R_nm's {_range_text('R_nm')}")
     if not radii:
         raise ConfigError("R_list_nm lists no radius")
+    first: dict[str, str] = {}
+    for tok, r in zip(tokens, radii):
+        name = _decay_file(r * NM)
+        if name in first:
+            raise ConfigError(f"R_list_nm entries {first[name]} and {tok} both write {name}")
+        first[name] = tok
     return radii
 
 
@@ -229,10 +242,17 @@ def build_emitter(cfg: RunConfig, cavity: CavityConfig) -> EmitterConfig:
 WRITE_CHUNK = 4096      # CSV rows per encoded block
 
 
+def _config_dict(cfg: RunConfig) -> dict:
+    """{key: value} of every RunConfig key. The values are scalars and
+    strings, so a shallow copy serves, where `dataclasses.asdict` would
+    deep-copy each one."""
+    return {key: getattr(cfg, key) for key in _FIELD_TYPES}
+
+
 def _config_hash(cfg: RunConfig) -> str:
     # Hash only the keys that influence the computed numbers; the output
     # directory must not change the data bytes.
-    payload = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "out"}
+    payload = {k: v for k, v in _config_dict(cfg).items() if k != "out"}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -259,8 +279,8 @@ def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> Non
     with path.open("wb") as f:
         f.write(("\n".join(head) + "\n").encode())
         for i in range(0, len(cols[0]), WRITE_CHUNK):
-            f.write(join_rows([block_text(c, i, i + WRITE_CHUNK, sep)
-                               for c, sep in zip(cols, seps)]))
+            f.write(join_rows([w for c, sep in zip(cols, seps)
+                               for w in block_text(c, i, i + WRITE_CHUNK, sep)]))
 
 
 def _emitter_modes(cfg: RunConfig, cavity: CavityConfig):
@@ -325,7 +345,7 @@ def run(cfg: RunConfig) -> int:
                 del columns     # the runner computes the next file without this one
         _check_finite("manifest.json derived", derived)
         manifest = {
-            "config": dataclasses.asdict(cfg),
+            "config": _config_dict(cfg),
             "config_hash": mhash,
             "version": __version__,
             "derived": derived,
@@ -447,7 +467,7 @@ def _run_decay(cfg: RunConfig) -> Iterator[tuple]:
         del ts      # the amplitudes c are never written: free them before any encoding
         if t_text is None:
             t_text = _format_column(times / US)
-        yield f"decay_R{R / NM:g}nm.csv", ({"t_us": t_text, "population": populations}, meta)
+        yield _decay_file(R), ({"t_us": t_text, "population": populations}, meta)
         del populations     # written: the next radius propagates without it
 
 

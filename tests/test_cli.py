@@ -372,6 +372,15 @@ def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("radii", ["30,30.0000001", "30,30"])
+def test_radii_that_share_a_file_are_refused(tmp_path, capsys, radii):
+    # Both radii would write decay_R30nm.csv, the second over the first.
+    assert main(["decay", "--R_list_nm", radii, "--n_samples", "5", "--out", str(tmp_path)]) == 2
+    first, second = radii.split(",")
+    assert f"entries {first} and {second} both write decay_R30nm.csv" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # Sizes stay small, so no fuzzed run allocates much.
 _FUZZ_SIZES = {"n_samples": 200, "n_omega": 50, "n_H0": 3, "n_R": 5, "n_max": 3}
 _FUZZ_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("experiment", "out")]
@@ -788,6 +797,75 @@ def test_write_csv_boundary_floats(tmp_path, family):
     assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
 
 
+# Chunks whose text needs fewer words: fixed-notation values from 1 up need no
+# lead word (short ones no second digit word either), and values in (0, 1)
+# no exponent word. One added value widens its own chunk: the last row is in
+# the first chunk, or alone in the second.
+_NARROW_BASES = {
+    "integers": lambda n: np.arange(1.0, n + 1),
+    "from-1": lambda n: np.random.default_rng(1).uniform(1.0, 1e11, n),
+    "below-1": lambda n: np.random.default_rng(2).uniform(1e-4, 1.0, n),
+}
+_WIDENING = {"none": None, "exponent-below": 9.9e-5, "exponent-above": 1e12, "negative": -0.5,
+             "near-tie-fixed": 1.000000000005, "near-tie-exponent": 1.234567890125e-50,
+             "subnormal": 5e-324}
+
+
+@pytest.mark.parametrize("nrows", [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1],
+                         ids=["chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize("extra", _WIDENING.values(), ids=_WIDENING)
+@pytest.mark.parametrize("base", _NARROW_BASES.values(), ids=_NARROW_BASES)
+def test_write_csv_narrow_chunks(tmp_path, base, extra, nrows):
+    values = base(nrows)
+    if extra is not None:
+        values[-1] = extra
+    values = values.tolist()
+    assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
+
+
+def test_encoder_leaves_out_all_nul_word_columns():
+    # The narrow chunks above do take fewer words, and a Python-formatted
+    # value keeps the width its text needs.
+    from magnoncavity._text import encode_g12
+
+    def width(name, extra=None):
+        values = _NARROW_BASES[name](WRITE_CHUNK)
+        if extra is not None:
+            values[-1] = extra
+        return len(encode_g12(values, ","))
+
+    assert [width(name) for name in _NARROW_BASES] == [1, 2, 3]
+    assert width("integers", -0.5) == 2
+    # Python's text of these is wider than the bulk path's: "1.00000000001,"
+    # (a near-tie the bulk path rounds to "1,") and "4.94065645841e-324,".
+    assert width("integers", 1.000000000005) == 2
+    assert width("integers", 5e-324) == 3
+    assert width("from-1", 1e12) == 3
+    assert width("below-1", 9.9e-5) == 4
+
+
+def test_write_csv_mixed_columns(tmp_path):
+    # An indexed text axis, two adjacent float columns and an int column,
+    # over three chunks whose float columns take different widths.
+    from magnoncavity.cli import _format_column, _write_csv
+
+    n = 2 * WRITE_CHUNK + 1
+    rng = np.random.default_rng(3)
+    axis = np.array([0.5, 2.0, 1e-7, -3.25, 0.0, 123456.789012345])
+    index = rng.integers(0, axis.size, n)
+    x = rng.uniform(0.0, 1.0, n)
+    x[WRITE_CHUNK + 5] = -1e300
+    y = 1.0 + 0.25 * np.arange(n)
+    y[-1] = 5e-324
+    k = rng.integers(-10**6, 10**6, n)
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"t": _format_column(axis, index), "x": x, "y": y, "k": k}, "abc123", {})
+    expected = ["# manifest_hash=abc123", "t,x,y,k"] + [
+        "%.12g,%.12g,%.12g,%d" % row
+        for row in zip(axis[index].tolist(), x.tolist(), y.tolist(), k.tolist())]
+    assert path.read_text().split("\n") == expected + [""]
+
+
 def _recording(monkeypatch, name):
     """Replace magnoncavity.cli.<name> by a wrapper that keeps every result."""
     import magnoncavity.cli as cli
@@ -860,3 +938,5 @@ def test_run_config_roundtrip_hash_changes():
     b = RunConfig(experiment="modes", R_nm=31.0)
     assert _config_hash(a) != _config_hash(b)
     assert _config_hash(a) == _config_hash(RunConfig(experiment="modes"))
+    # Pinned: the `# manifest_hash=` line of every default decay file.
+    assert _config_hash(RunConfig(experiment="decay")) == "1911ae482f295062"
