@@ -444,9 +444,9 @@ def _run_fieldmap(cfg: RunConfig) -> Iterator[tuple]:
     n_H0, n_omega = sweep.J.shape
     yield "fieldmap.csv", ({
         "H0_T": _format_column(sweep.H0_values * CONSTANTS.mu0,
-                               np.repeat(np.arange(n_H0), n_omega)),
+                               np.repeat(np.arange(n_H0, dtype=np.int32), n_omega)),
         "omega_GHz": _format_column(sweep.omega_values / TWO_PI / 1e9,
-                                    np.tile(np.arange(n_omega), n_H0)),
+                                    np.tile(np.arange(n_omega, dtype=np.int32), n_H0)),
         "J": sweep.J.ravel(),
     }, sweep.metadata)
 
@@ -454,19 +454,21 @@ def _run_fieldmap(cfg: RunConfig) -> Iterator[tuple]:
 def _run_decay(cfg: RunConfig) -> Iterator[tuple]:
     solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
     dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
-    times, t_text = None, None
+    grid, t_text = None, None
     for R in (r * NM for r in _radii_nm(cfg)):
         cavity = build_cavity(cfg, R=R)
         kernel = build_kernel(build_emitter(cfg, cavity), cavity)
         ts = solver(kernel, cfg.t_end_us * US, dt, cfg.n_samples)
         meta = {"R_nm": R / NM, "solver": cfg.solver, "dt_s": ts.metadata["dt_s"]}
-        # Radii usually share one time grid; encode its text once.
-        if times is None or not np.array_equal(ts.times, times):
-            times, t_text = ts.times, None
-        populations = ts.populations
+        # Radii usually share one time grid; encode its text once. Times are
+        # arange(n) * dt_s, so (n, dt_s) names the grid without keeping it.
+        if (ts.times.size, meta["dt_s"]) != grid:
+            grid, t_text = (ts.times.size, meta["dt_s"]), None
+        times, populations = ts.times, ts.populations
         del ts      # the amplitudes c are never written: free them before any encoding
         if t_text is None:
             t_text = _format_column(times / US)
+        del times
         yield _decay_file(R), ({"t_us": t_text, "population": populations}, meta)
         del populations     # written: the next radius propagates without it
 

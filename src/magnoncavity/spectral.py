@@ -21,9 +21,29 @@ from .modes import CavityConfig, mode_table
 
 
 def _lorentzian_sum(omega, omega_n, weight_n, Gamma_n):
-    om = np.asarray(omega, dtype=float)[..., None]
-    lor = (Gamma_n / TWO_PI) / ((om - omega_n) ** 2 + (Gamma_n / 2.0) ** 2)
-    return np.sum(weight_n * lor, axis=-1)
+    """sum_n weight_n (Gamma_n/2pi) / ((omega - omega_n)^2 + (Gamma_n/2)^2), omega's shape.
+
+    Mode by mode, in place: J and one scratch array of omega's shape are all
+    it holds, at any number of modes. Each term is rounded as in an
+    (omega, n) broadcast of the formula, and J adds the terms in mode order,
+    which is how np.sum reduces a last axis shorter than 8: below 8 modes J
+    is bitwise that broadcast's np.sum over n, above it differs by rounding.
+    """
+    om = np.asarray(omega, dtype=float)
+    J = np.zeros(om.shape)
+    term = np.empty(om.shape)
+    # Per-mode constants as array expressions: a Python float's ** 2 calls
+    # libm pow, which need not round to the square.
+    modes = zip(omega_n.tolist(), weight_n.tolist(),
+                (Gamma_n / TWO_PI).tolist(), ((Gamma_n / 2.0) ** 2).tolist())
+    for w_n, weight, height, half_width_sq in modes:
+        np.subtract(om, w_n, out=term)
+        np.square(term, out=term)
+        term += half_width_sq
+        np.divide(height, term, out=term)
+        term *= weight
+        J += term
+    return J
 
 
 def spectral_density(omega, emitter, cavity: CavityConfig):
@@ -54,7 +74,11 @@ DEFAULT_N_OMEGA = 2001     # points of a grid given by its bounds, and of a fiel
 def omega_grid(cavity: CavityConfig, omega_min: float | None = None,
                omega_max: float | None = None, n_omega: int | None = None,
                H0_span: tuple[float, float] | None = None) -> np.ndarray:
-    """Frequency grid (rad/s), checked against the size budget (points x modes) first.
+    """Frequency grid (rad/s), checked against the size budget first.
+
+    The budget counts points x modes, the Lorentzian terms of J on the grid:
+    it bounds work, not stored values, since `spectral_density` holds two
+    arrays of the grid's points at any number of modes.
 
     Given bounds, n_omega points (default DEFAULT_N_OMEGA). Else from the
     Kittel line at the lower internal field of H0_span (default the cavity's)
@@ -123,7 +147,8 @@ def field_sweep_map(H0_min: float, H0_max: float, n_H0: int, emitter,
                               H0_span=(H0_min, H0_max))
 
     t = mode_table(cavity_template, emitter.position, emitter.dipole_scale, H0=H0_values)
-    # Row by row: a (H0, omega, n) broadcast would hold n times the map in memory.
+    # Row by row, each mode by mode: besides the map, two rows are held at any
+    # n_max, and each row is bitwise the `spectral_density` of its field.
     J = np.empty((H0_values.size, omega_values.size))
     for row, args in zip(J, zip(t.omega, t.weights, t.Gamma)):
         row[:] = _lorentzian_sum(omega_values, *args)

@@ -18,7 +18,8 @@ w = wH for the bulk and selects the rotation sense of the magnon modes.
 The oracles avoid the closed forms: the normalization integral is evaluated
 by Gauss-Legendre quadrature with a finite-difference tensor derivative, and
 gradients of the scalar potential are taken by central differences. The
-Volterra oracle sums the trapezoid history literally at every step, and the
+Volterra oracle sums the trapezoid history literally at every step, the
+Lorentzian oracle builds the spectral density's terms as one broadcast, and the
 extremum oracles are the loops that `dynamics.local_extrema` replaced.
 """
 
@@ -231,6 +232,17 @@ def fd_curl_and_divergence(field_fn, r, h: float) -> tuple[np.ndarray, complex]:
         J[:, j] = (field_fn(r + dr) - field_fn(r - dr)) / (2.0 * h)
     curl = np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
     return curl, np.trace(J)
+
+
+def lorentzian_terms_oracle(omega, omega_n, weight_n, Gamma_n) -> np.ndarray:
+    """The (omega, n) broadcast of the spectral density's terms
+
+        weight_n (Gamma_n/2pi) / ((omega - omega_n)^2 + (Gamma_n/2)^2),
+
+    rounded as spectral._lorentzian_sum rounds each; J is their sum over n."""
+    om = np.asarray(omega, dtype=float)[..., None]
+    lor = (Gamma_n / (2.0 * math.pi)) / ((om - omega_n) ** 2 + (Gamma_n / 2.0) ** 2)
+    return weight_n * lor
 
 
 def volterra_history_oracle(kernel, t_end: float, dt: float) -> np.ndarray:

@@ -898,16 +898,20 @@ def test_fieldmap_text_axes_match_numeric_rows(tmp_path, monkeypatch):
     assert _data_lines(tmp_path / "fieldmap.csv") == ["%.12g,%.12g,%.12g" % row for row in rows]
 
 
-@pytest.mark.parametrize("extra, n_grids", [([], 1), (["--n_max", "1"], 2)],
-                         ids=["shared-grid", "grid-per-radius"])
-def test_decay_time_axis_matches_each_radius(tmp_path, monkeypatch, extra, n_grids):
-    # Radii share one formatted time axis only while their grids are equal;
-    # with n_max = 1 the coupling guard gives each radius its own dt.
+@pytest.mark.parametrize("radii, extra, n_grids", [
+    ("30,50", [], 1), ("30,50", ["--n_max", "1"], 2), ("30,30.001", ["--n_max", "1"], 2)],
+    ids=["shared-grid", "grid-per-radius", "same-size-grids"])
+def test_decay_time_axis_matches_each_radius(tmp_path, monkeypatch, radii, extra, n_grids):
+    # Radii share one formatted time axis, encoded once, only while their
+    # grids are equal; with n_max = 1 the coupling guard gives each radius
+    # its own dt, and at 30 and 30.001 nm two steps give grids of one size.
     series = _recording(monkeypatch, "evolve_pseudomode")
-    argv = ["decay", "--R_list_nm", "30,50", "--n_samples", "7", "--out", str(tmp_path)]
+    texts = _recording(monkeypatch, "_format_column")
+    argv = ["decay", "--R_list_nm", radii, "--n_samples", "7", "--out", str(tmp_path)]
     assert main(argv + extra) == 0
-    assert len({ts.times.size for ts in series}) == n_grids
-    for R, ts in zip((30, 50), series):
+    assert len({ts.times.tobytes() for ts in series}) == n_grids
+    assert len(texts) == n_grids
+    for R, ts in zip(radii.split(","), series):
         rows = zip((ts.times / US).tolist(), ts.populations.tolist())
         assert _data_lines(tmp_path / f"decay_R{R}nm.csv") == ["%.12g,%.12g" % row for row in rows]
 

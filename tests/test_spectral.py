@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from magnoncavity import (DomainError, EmitterConfig, field_sweep_map, mode_table,
-                          spectral_grid, tesla_to_field)
+from magnoncavity import (CavityConfig, DomainError, EmitterConfig, field_sweep_map,
+                          mode_table, spectral_grid, state_from_internal, tesla_to_field)
 from magnoncavity.spectral import SpectralGrid, omega_grid, spectral_density
 
-from oracles import mode_frequency
+from oracles import lorentzian_terms_oracle, mode_frequency
 
 
 def mode_couplings(cavity, emitter):
@@ -152,3 +153,47 @@ def test_field_sweep_auto_grid_spans_every_field(cavity, emitter):
     Gamma = cavity.mat.Gamma
     assert m.omega_values[0] < lo[0] - 10 * Gamma
     assert m.omega_values[-1] > hi[-1] + 10 * Gamma
+
+
+def _peak_grid(omega_n, pad, n_points=4001):
+    """Explicit bounds from pad below the first line to pad above the last."""
+    return np.linspace(omega_n[0] - pad, omega_n[-1] + pad, n_points)
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 8, 50, 300])
+def test_mode_by_mode_sum_matches_broadcast_oracle(cavity, emitter, n_max):
+    cav = dataclasses.replace(cavity, n_max=n_max)
+    t = mode_table(cav, emitter.position, emitter.dipole_scale)
+    grid = _peak_grid(t.omega, 20 * cavity.mat.Gamma)
+    J = spectral_density(grid, emitter, cav)
+    terms = lorentzian_terms_oracle(grid, t.omega, t.weights, t.Gamma)
+    # J adds the terms in mode order, exactly ...
+    assert np.array_equal(J, sum(terms.T, np.zeros(grid.size)))
+    # ... so, the terms being positive, it agrees with np.sum's order (pairwise
+    # from 8 terms) within 2 (n_max - 1) eps relative.
+    ref = terms.sum(axis=-1)
+    assert np.all(ref > 0)
+    assert np.all(np.abs(J - ref) <= 2 * (n_max - 1) * np.finfo(float).eps * ref)
+    scalar = spectral_density(float(grid[1234]), emitter, cav)
+    assert isinstance(scalar, float) and scalar == J[1234]
+
+
+def test_field_sweep_rows_equal_spectral_density_at_many_modes(cavity, emitter):
+    cav = dataclasses.replace(cavity, n_max=50)
+    H0 = cav.fields.H0
+    m = field_sweep_map(0.9 * H0, 1.1 * H0, 3, emitter, cav, 9e10, 1.1e11, 401)
+    for H, row in zip(m.H0_values, m.J):
+        at_H = dataclasses.replace(cav, fields=state_from_internal(H, cav.mat))
+        assert np.array_equal(row, spectral_density(m.omega_values, emitter, at_H))
+
+
+def test_lossless_density_is_zero_off_the_lines(cavity, yig_lossless, fields, emitter):
+    # Gamma = 0: every term is 0 / (omega - omega_n)^2 where no grid point
+    # sits on a line, without a RuntimeWarning (which pytest makes an error).
+    cav = CavityConfig(R=cavity.R, mat=yig_lossless, fields=fields, n_max=7)
+    t = mode_table(cav, emitter.position, emitter.dipole_scale)
+    grid = _peak_grid(t.omega, 20 * cavity.mat.Gamma, 4000)
+    assert not np.any(np.isin(t.omega, grid))
+    J = spectral_density(grid, emitter, cav)
+    assert np.array_equal(J, lorentzian_terms_oracle(grid, t.omega, t.weights, t.Gamma).sum(-1))
+    assert np.array_equal(J, np.zeros_like(grid))
