@@ -19,16 +19,19 @@ The oracles avoid the closed forms: the normalization integral is evaluated
 by Gauss-Legendre quadrature with a finite-difference tensor derivative, and
 gradients of the scalar potential are taken by central differences. The
 Volterra oracle sums the trapezoid history literally at every step, the
-Lorentzian oracle builds the spectral density's terms as one broadcast, and the
-extremum oracles are the loops that `dynamics.local_extrema` replaced.
+Lorentzian oracle builds the spectral density's terms as one broadcast, the
+doubling-power oracle takes one Pade value per power, and the extremum
+oracles are the loops that `dynamics.local_extrema` replaced.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from magnoncavity import CONSTANTS, CavityConfig, DomainError, MaterialParams, NumericalError
+from magnoncavity.dynamics import _pade13, _squarings, _squares
 from magnoncavity.material import StaticFieldState
 
 # Surface shell this thin (relative to R) is evaluated as exterior.
@@ -271,6 +274,17 @@ def volterra_history_oracle(kernel, t_end: float, dt: float) -> np.ndarray:
         c[k + 1] = c_next
         f_prev = -(A + 0.5 * dt * K0 * c_next)
     return c
+
+
+def doubling_powers_oracle(B, count: int):
+    """expm(2^i B) for i < count as `dynamics._doubling_powers` yields them,
+    with a `_pade13` call of its own for each Pade value: each unsquared
+    power, then the base 2^-s B of the squared ones."""
+    s = _squarings(B)
+    n_pade = min(count, max(0, -s))
+    yield from (_pade13(B * 2.0**i) for i in range(n_pade))
+    if n_pade < count:
+        yield from itertools.islice(_squares(_pade13(B * 2.0**-s)), max(0, s), s + count)
 
 
 def rabi_frequency_oracle(ts) -> float:

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +13,13 @@ from magnoncavity import (CavityConfig, ConfigError, DomainError, EmitterConfig,
                           evolve_volterra, kittel_frequency, mode_table,
                           state_from_internal, tesla_to_field)
 from magnoncavity import dynamics
-from magnoncavity.dynamics import (MemoryKernel, TimeSeries, _doubling_powers,
+from magnoncavity.dynamics import (MemoryKernel, TimeSeries, _doubling_powers, _pade13,
                                    _pseudomode_matrix, _squarings, extract_rabi_frequency,
                                    first_revival_time, fit_decay_rate, local_extrema,
                                    max_stable_dt)
 from magnoncavity.network import TransferResult, has_fast_ripples
-from oracles import (fast_ripples_oracle, rabi_frequency_oracle, revival_time_oracle,
-                     volterra_history_oracle)
+from oracles import (doubling_powers_oracle, fast_ripples_oracle, rabi_frequency_oracle,
+                     revival_time_oracle, volterra_history_oracle)
 
 
 def unit_vector(w):
@@ -295,6 +297,93 @@ def test_no_square_is_formed_unasked(request, monkeypatch, name):
     A, dt, count = propagator_case(request, name)
     assert len(list(itertools.islice(_doubling_powers(A * dt, count), count + 1))) == count
     assert len(formed) == max(0, count - 1 + _squarings(A * dt))
+
+
+@pytest.mark.parametrize("name", PROPAGATOR_CASES)
+def test_stacked_pade_is_each_slice(request, name):
+    # One stacked call gives each matrix the bits of a call of its own: the
+    # case's arguments 2^i B, and random stacks of widths 1 to 51.
+    A, dt, count = propagator_case(request, name)
+    rng = np.random.default_rng(count)
+    stacks = [A * dt * np.ldexp(1.0, np.arange(-3, count))[:, None, None]]
+    for w in (1, 2, 3, 8, 51):
+        X = rng.normal(size=(4, w, w)) + 1j * rng.normal(size=(4, w, w))
+        stacks.append(X * rng.uniform(0.01, 5.0, size=(4, 1, 1)) / w)
+    for S in stacks:
+        values = _pade13(S)
+        assert values.shape == S.shape
+        for j in range(len(S)):
+            assert values[j].tobytes() == _pade13(S[j]).tobytes(), (name, S.shape, j)
+
+
+@pytest.mark.parametrize("count", [1, 5, 13, 17])
+@pytest.mark.parametrize("name", PROPAGATOR_CASES)
+def test_doubling_powers_match_one_pade_call_per_value(request, name, count):
+    # The powers from stacked Pade values, unsquared and squared, are bit for
+    # bit those of one `_pade13` call per value.
+    A, dt, _ = propagator_case(request, name)
+    powers = list(_doubling_powers(A * dt, count))
+    expected = list(doubling_powers_oracle(A * dt, count))
+    assert len(powers) == len(expected) == count
+    for i, (M, E) in enumerate(zip(powers, expected)):
+        assert M.tobytes() == E.tobytes(), (name, count, i)
+
+
+@pytest.fixture(scope="module")
+def wide_step(yig, fields):
+    """(B, count): A dt of a 301-wide pseudo-mode generator (n_max 300) at the
+    step of `decay --n_max 300 --R_list_nm 30 --n_samples 2000`, and a count
+    that takes both unsquared and squared powers."""
+    cavity = CavityConfig(R=30e-9, mat=yig, fields=fields, n_max=300)
+    B = _pseudomode_matrix(resonant_kernel(cavity)[0]) * 6.05e-11
+    count = 5
+    assert B.shape == (301, 301) and 0 < -_squarings(B) < count
+    return B, count
+
+
+def test_pade_calls_per_propagation(request, monkeypatch, wide_step):
+    # A small generator's Pade values come from one stacked call; a wide
+    # one's come one matrix per call.
+    shapes = []
+    pade13 = dynamics._pade13
+
+    def recording(B):
+        shapes.append(B.shape)
+        return pade13(B)
+
+    monkeypatch.setattr(dynamics, "_pade13", recording)
+    for name in PROPAGATOR_CASES:
+        A, dt, _ = propagator_case(request, name)
+        w = A.shape[0]
+        assert w <= 8
+        shapes.clear()
+        dynamics.propagate(A, unit_vector(w), np.arange(100_001) * dt, (0,))
+        assert len(shapes) == 1 and shapes[0][1:] == (w, w), name
+    B, count = wide_step
+    shapes.clear()
+    dynamics.propagate(B, unit_vector(301), np.arange(2 ** (count - 1) + 1), (0,))
+    assert shapes == [(1, 301, 301)] * (1 - _squarings(B))
+
+
+def test_wide_pade_peak_is_one_call_per_value(wide_step):
+    # Consumed one power at a time, a wide generator's stacked powers hold
+    # no more memory than one `_pade13` call per value. Slack: 4 KiB, for the
+    # exponent array and generator frames, against 1.4 MiB per 301-square
+    # matrix; the peak is about seven such matrices.
+    B, count = wide_step
+
+    def peak(powers):
+        tracemalloc.start()
+        try:
+            collections.deque(powers, maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stacked = peak(_doubling_powers(B, count))
+    per_value = peak(doubling_powers_oracle(B, count))
+    assert 6 * B.nbytes < per_value
+    assert stacked <= per_value + 4096
 
 
 def test_one_sample_grid_asks_for_no_power(monkeypatch):

@@ -295,6 +295,21 @@ def test_coupling_phase_follows_the_mode(cavity):
                                rtol=1e-12, atol=1e-12 * np.abs(g).max())
 
 
+@pytest.mark.parametrize("n_max", [1, 7, 50])
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.3, -0.5, 0.8)],
+                         ids=["x-axis", "oblique"])
+def test_antipodal_couplings_have_equal_magnitude(yig, fields, n_max, direction):
+    # Emitters at r and -r get g_n and (-1)^(n+1) g_n bit for bit, so equal
+    # |g_n|: transfer_dynamics relies on this, and does not check it.
+    cavity = CavityConfig(R=30e-9, mat=yig, fields=fields, n_max=n_max)
+    r = 1.2 * cavity.R * np.array(direction) / np.linalg.norm(direction)
+    g1, g2 = mode_table(cavity, [r, -r]).g
+    n = np.arange(1, n_max + 1)
+    assert np.all(np.abs(g1) > 0)
+    assert np.array_equal(g2, np.where(n % 2 == 1, g1, -g1))
+    assert np.array_equal(np.abs(g1), np.abs(g2))
+
+
 def test_coupling_distance_law(cavity):
     g_near = abs(mode_table(cavity, (1.2 * cavity.R, 0, 0)).g[0])
     g_far = abs(mode_table(cavity, (2.4 * cavity.R, 0, 0)).g[0])

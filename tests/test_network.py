@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magnoncavity import (CavityConfig, ConfigError, DomainError,
-                          NumericalError, coupling_vs_separation_sweep, mode_table,
+                          coupling_vs_separation_sweep, mode_table,
                           symmetric_pair, transfer_dynamics)
 from magnoncavity import network
 from magnoncavity.network import (_boxcar, dipole_dipole_coupling, dispersive_coupling,
@@ -50,10 +50,31 @@ def test_positions_must_be_two_points(cavity_narrow):
                           t_end=1e-7, dt=1e-9)
 
 
-def test_asymmetric_placement_rejected(cavity_narrow):
-    positions = [(1.2 * cavity_narrow.R, 0, 0), (-1.5 * cavity_narrow.R, 0, 0)]
-    with pytest.raises(NumericalError):
-        transfer_dynamics(cavity_narrow, positions, 1e8, t_end=1e-7, dt=1e-9)
+def test_asymmetric_placement_runs(cavity_narrow, dispersive_pair):
+    # Equal dipoles at radii 1.2 R and 1.25 R: the (beta, b, I) form takes
+    # g1 != g2, and the swap follows g1 g2/Delta. It equals the run with the
+    # dipoles (1, 1 + 1e-15) to rounding.
+    positions = [(1.2 * cavity_narrow.R, 0, 0), (-1.25 * cavity_narrow.R, 0, 0)]
+    Delta = dispersive_pair[1]
+    res = transfer_dynamics(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
+    g1, g2 = np.abs(mode_table(cavity_narrow, positions).g[:, 0])
+    assert g2 < 0.9 * g1
+    assert res.swap_frequency == pytest.approx(g1 * g2 / Delta, rel=0.02)
+    nudged = transfer_dynamics(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9,
+                               dipole_scale=(1.0, 1.0 + 1e-15))
+    assert res.swap_frequency == pytest.approx(nudged.swap_frequency, rel=1e-12)
+    assert np.max(np.abs(res.P2 - nudged.P2)) < 1e-12
+
+
+def test_receiver_on_the_z_axis_is_decoupled(cavity_narrow, dispersive_pair):
+    # The Kittel mode's coupling vanishes on the z axis (g = 0): nothing
+    # swaps, and the extractor's decoupled branch reports a NaN rate.
+    positions = [(1.2 * cavity_narrow.R, 0, 0), (0, 0, 1.2 * cavity_narrow.R)]
+    assert mode_table(cavity_narrow, positions[1]).g[0] == 0.0
+    res = transfer_dynamics(cavity_narrow, positions, dispersive_pair[1], t_end=3.0e-6,
+                            dt=1.0e-9)
+    assert np.max(res.P2) == 0.0
+    assert math.isnan(res.swap_frequency) and res.fidelity == 0.0
 
 
 def test_transfer_reads_one_mode_table(cavity, monkeypatch):
