@@ -1,4 +1,4 @@
-"""CSV text of numeric columns, built with numpy.
+"""CSV text of numeric columns, built with numpy, and the CSV file writer.
 
 Text is held in word columns: uint64 arrays, one word per row, read as
 bytes, with NUL bytes wherever a byte is unused. Side by side, a file's
@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
+
+WRITE_CHUNK = 4096      # CSV rows per encoded block
 
 
 def text_rows(texts: list[str], words: int | None = None) -> np.ndarray:
@@ -174,7 +177,7 @@ class TextColumn:
     text is stored NUL-padded in whole words, the last byte left for the
     separator."""
 
-    def __init__(self, values, index: np.ndarray | None = None, chunk: int = 4096):
+    def __init__(self, values, index: np.ndarray | None = None, chunk: int = WRITE_CHUNK):
         values = np.asarray(values, dtype=np.float64)
         # Rows are filled `chunk` values at a time. The width grows to the
         # longest text so far; a wider array takes only the rows filled.
@@ -223,3 +226,21 @@ def join_rows(words: list[np.ndarray]) -> bytes:
     """The text of word columns of the same rows, side by side, without the
     NULs; each column is copied once, into one row block."""
     return np.column_stack(words).tobytes().translate(None, b"\0")
+
+
+def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
+    """Write 1-D columns (header row = keys) after '#' meta lines.
+
+    A TextColumn is written as its text; a numeric column with %d if
+    integer, else %.12g. Rows are encoded WRITE_CHUNK at a time, and each
+    block is written as soon as it is encoded.
+    """
+    cols = [c if isinstance(c, TextColumn) else np.asarray(c) for c in columns.values()]
+    seps = [","] * (len(cols) - 1) + ["\n"]
+    head = [f"# manifest_hash={manifest_hash}", *(f"# {k}={v}" for k, v in meta.items()),
+            ",".join(columns)]
+    with path.open("wb") as f:
+        f.write(("\n".join(head) + "\n").encode())
+        for i in range(0, len(cols[0]), WRITE_CHUNK):
+            f.write(join_rows([w for c, sep in zip(cols, seps)
+                               for w in block_text(c, i, i + WRITE_CHUNK, sep)]))

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._text import TextColumn, block_text, join_rows
+from ._text import WRITE_CHUNK, TextColumn, write_csv as _write_csv
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
@@ -43,13 +43,21 @@ from .spectral import field_sweep_map, spectral_grid
 EXPERIMENTS = ("modes", "spectrum", "fieldmap", "decay", "transfer", "coupling-sweep")
 
 
-# A ranged key declares its closed range, a half-open (0, x] as [_TINY, x], next
-# to its default. Fields and a_over_R have no cap; see `_check_finite`.
+# Each key declares, next to its default, the experiments that read it (all of
+# them for the keys of the manifest's `derived` block, mode n = 1 at the
+# emitter), the key whose setting leaves it unread, and if ranged its closed
+# range, a half-open (0, x] as [_TINY, x]. Fields and a_over_R have no cap; see
+# `_check_finite`. `_validate` refuses a key that the run does not read unless
+# it holds its default, so the config hash covers the read keys alone.
 _TINY = math.ulp(0.0)
+_ALL = ", ".join(EXPERIMENTS)
+_LADDER = "modes, spectrum, fieldmap, decay, transfer"     # all but coupling-sweep
 
 
-def _key(default, lo, hi=math.inf):
-    return dataclasses.field(default=default, metadata={"range": (lo, hi)})
+def _key(default, reads, lo=None, hi=math.inf, unless=None):
+    ranged = {} if lo is None else {"range": (lo, hi)}
+    return dataclasses.field(default=default,
+                             metadata={"reads": reads, "unless": unless, **ranged})
 
 
 @dataclass
@@ -58,46 +66,49 @@ class RunConfig:
 
     experiment: str = ""
     # Geometry and material.
-    R_nm: float = _key(30.0, 10.0, 500.0)
-    mu0_H0_T: float | None = _key(0.5, _TINY)
-    mu0_He_T: float | None = _key(None, _TINY)
-    mu0_Ms_T: float = _key(0.178, _TINY, 10.0)        # no magnet saturates above ~2.5 T
-    gamma_GHz_per_T: float = _key(28.0, _TINY, 1e3)   # 1e3 GHz/T is g ~ 70; spins have g < ~20
-    Gamma_rad_per_s: float = _key(1e7, 0.0)
-    alpha: float | None = _key(None, 0.0, 1.0)        # above 1 precession is overdamped
-    n_max: int = _key(7, 1, 1000)
-    mu_B_scale: float = _key(1.0, _TINY, 1e6)         # 1e6 mu_B is a nanomagnet, not a spin
+    R_nm: float = _key(30.0, _ALL, 10.0, 500.0)
+    mu0_H0_T: float | None = _key(0.5, _ALL, _TINY)
+    mu0_He_T: float | None = _key(None, _ALL, _TINY)
+    mu0_Ms_T: float = _key(0.178, _ALL, _TINY, 10.0)     # no magnet saturates above ~2.5 T
+    # 1e3 GHz/T is g ~ 70; spins have g < ~20.
+    gamma_GHz_per_T: float = _key(28.0, _ALL, _TINY, 1e3)
+    Gamma_rad_per_s: float = _key(1e7, _LADDER, 0.0, unless="alpha")
+    alpha: float | None = _key(None, _LADDER, 0.0, 1.0)  # above 1 precession is overdamped
+    n_max: int = _key(7, _LADDER, 1, 1000)               # transfer reads it only to warn
+    mu_B_scale: float = _key(1.0, _ALL, _TINY, 1e6)      # 1e6 mu_B is a nanomagnet, not a spin
     # Emitter placement and tuning.
-    a_nm: float | None = _key(None, _TINY)
-    a_over_R: float = _key(1.2, _TINY)
-    omega0_GHz: float | None = _key(None, _TINY, 1e4)   # None: tuned to the Kittel mode
+    a_nm: float | None = _key(None, _ALL, _TINY)
+    a_over_R: float = _key(1.2, _ALL, _TINY, unless="a_nm")
+    omega0_GHz: float | None = _key(None, "decay", _TINY, 1e4)   # None: tuned to the Kittel mode
     # Dispersive network.
-    Delta_over_g: float = 10.0
-    G_nm: float = _key(6.0, 0.0, 1e6)   # magnetostatics needs G << 2 cm, the 16 GHz wavelength
+    Delta_over_g: float = _key(10.0, _ALL)
+    # Magnetostatics needs G << 2 cm, the 16 GHz wavelength.
+    G_nm: float = _key(6.0, "coupling-sweep", 0.0, 1e6)
     # Time grid.
-    t_end_us: float = _key(1.0, _TINY)
-    dt_ns: float | None = _key(None, _TINY)
-    n_samples: int = _key(100000, 1)
-    solver: str = "pseudomode"          # pseudomode | volterra
+    t_end_us: float = _key(1.0, "decay, transfer", _TINY)
+    dt_ns: float | None = _key(None, "decay, transfer", _TINY)
+    n_samples: int = _key(100000, "decay, transfer", 1, unless="dt_ns")
+    solver: str = _key("pseudomode", "decay")            # pseudomode | volterra
     # Frequency grid (spectrum). 10 THz, also omega0's cap, tops every magnon band.
-    omega_min_GHz: float | None = _key(None, 0.0, 1e4)
-    omega_max_GHz: float | None = _key(None, 0.0, 1e4)
-    n_omega: int | None = _key(None, 1)
+    omega_min_GHz: float | None = _key(None, "spectrum", 0.0, 1e4)
+    omega_max_GHz: float | None = _key(None, "spectrum", 0.0, 1e4)
+    n_omega: int | None = _key(None, "spectrum, fieldmap", 1)
     # Field sweep (fieldmap).
-    mu0_H0_min_T: float = _key(0.3, _TINY)
-    mu0_H0_max_T: float = _key(0.7, _TINY)
-    n_H0: int = _key(41, 1)
+    mu0_H0_min_T: float = _key(0.3, "fieldmap", _TINY)
+    mu0_H0_max_T: float = _key(0.7, "fieldmap", _TINY)
+    n_H0: int = _key(41, "fieldmap", 1)
     # Radius sweeps.
-    R_list_nm: str = "30,50,70,100"
-    R_min_nm: float = _key(20.0, 10.0, 500.0)
-    R_max_nm: float = _key(100.0, 10.0, 500.0)
-    n_R: int = _key(17, 1)
+    R_list_nm: str = _key("30,50,70,100", "decay")
+    R_min_nm: float = _key(20.0, "coupling-sweep", 10.0, 500.0)
+    R_max_nm: float = _key(100.0, "coupling-sweep", 10.0, 500.0)
+    n_R: int = _key(17, "coupling-sweep", 1)
     # Output.
-    out: str = "out"
+    out: str = _key("out", _ALL)
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
-_RANGES = {f.name: f.metadata["range"] for f in dataclasses.fields(RunConfig) if f.metadata}
+_KEYS = {f.name: f for f in dataclasses.fields(RunConfig) if f.metadata}
+_RANGES = {k: f.metadata["range"] for k, f in _KEYS.items() if "range" in f.metadata}
 
 
 def _range_text(key: str) -> str:
@@ -172,8 +183,18 @@ def _validate(cfg: RunConfig) -> None:
                           "so mu0_He_T needs --mu0_H0_T none (mu0_H0_T = none in a file)")
     if cfg.solver not in ("pseudomode", "volterra"):
         raise ConfigError(f"unknown solver {cfg.solver!r}")
-    if cfg.omega0_GHz is not None and cfg.experiment not in ("", "decay"):
-        raise ConfigError(f"omega0_GHz is read by decay only; {cfg.experiment} does not use it")
+    # Last, every key off its default that the run does not read.
+    unread = []
+    for key, f in _KEYS.items() if cfg.experiment else ():
+        reads, by = f.metadata["reads"], f.metadata["unless"]
+        if getattr(cfg, key) == f.default:
+            continue
+        if cfg.experiment not in reads.split(", "):
+            unread.append(f"{key} is read by {reads} only; {cfg.experiment} does not use it")
+        elif by and getattr(cfg, by) is not None:
+            unread.append(f"{key} is not read once {by} is set")
+    if unread:
+        raise ConfigError("; ".join(unread))
 
 
 def _decay_file(R: float) -> str:
@@ -239,9 +260,6 @@ def build_emitter(cfg: RunConfig, cavity: CavityConfig) -> EmitterConfig:
 # ---------------------------------------------------------------------------
 # Output plumbing.
 
-WRITE_CHUNK = 4096      # CSV rows per encoded block
-
-
 def _config_dict(cfg: RunConfig) -> dict:
     """{key: value} of every RunConfig key. The values are scalars and
     strings, so a shallow copy serves, where `dataclasses.asdict` would
@@ -257,30 +275,8 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _format_column(values, index=None) -> TextColumn:
-    """The %.12g text of an axis that many rows or files share, encoded once.
-
-    Written row i holds value index[i], or value i without an index.
-    """
-    return TextColumn(values, index, WRITE_CHUNK)
-
-
-def _write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
-    """Write 1-D columns (header row = keys) after '#' meta lines.
-
-    A TextColumn (see `_format_column`) is written as its text; a numeric
-    column with %d if integer, else %.12g. Rows are encoded WRITE_CHUNK at
-    a time, and each block is written as soon as it is encoded.
-    """
-    cols = [c if isinstance(c, TextColumn) else np.asarray(c) for c in columns.values()]
-    seps = [","] * (len(cols) - 1) + ["\n"]
-    head = [f"# manifest_hash={manifest_hash}", *(f"# {k}={v}" for k, v in meta.items()),
-            ",".join(columns)]
-    with path.open("wb") as f:
-        f.write(("\n".join(head) + "\n").encode())
-        for i in range(0, len(cols[0]), WRITE_CHUNK):
-            f.write(join_rows([w for c, sep in zip(cols, seps)
-                               for w in block_text(c, i, i + WRITE_CHUNK, sep)]))
+# The %.12g text of an axis that many rows or files share, encoded once.
+_format_column = TextColumn
 
 
 def _emitter_modes(cfg: RunConfig, cavity: CavityConfig):
@@ -356,7 +352,7 @@ def run(cfg: RunConfig) -> int:
         (outdir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         finished = True
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         _write_error(outdir, "configuration", exc)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -507,17 +503,17 @@ def _run_coupling_sweep(cfg: RunConfig) -> Iterator[tuple]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # One parser per process: every experiment takes the same keys, so they are declared once.
+    # One parser per process: every experiment takes the same flags, and
+    # `_validate` refuses those its experiment does not read.
     parser = argparse.ArgumentParser(prog="magnoncavity",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value configuration file")
-    for f in dataclasses.fields(RunConfig):
-        if f.name != "experiment":
-            domain = f"in {_range_text(f.name)}; " if f.name in _RANGES else ""
-            parser.add_argument(f"--{f.name}", type=str, default=None,
-                                help=f"{domain}default {f.default}")
+    for key, f in _KEYS.items():
+        domain = f"in {_range_text(key)}; " if key in _RANGES else ""
+        parser.add_argument(f"--{key}", type=str, default=None,
+                            help=f"{domain}default {f.default}; read by {f.metadata['reads']}")
     return parser
 
 
@@ -529,7 +525,7 @@ def _joined_values(argv: list[str]) -> list[str]:
     is parsed and validated like any other value. A key followed by another
     option, or by nothing, is left for argparse to report.
     """
-    keys = {"--config"} | {f"--{k}" for k in _FIELD_TYPES if k != "experiment"}
+    keys = {"--config"} | {f"--{k}" for k in _KEYS}
     options = keys | {"-h", "--help"}
     out, i = [], 0
     while i < len(argv):
@@ -544,15 +540,10 @@ def _joined_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
-    try:
-        text = args.config.read_text() if args.config else None
-    except OSError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     overrides = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
     try:
-        cfg = parse_config(text, overrides)
-    except ConfigError as exc:
+        cfg = parse_config(args.config.read_text() if args.config else None, overrides)
+    except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

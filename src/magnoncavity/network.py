@@ -165,7 +165,8 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     swap, fidelity = _extract_swap(times, target, Delta)
     return TransferResult(times=times, P1=P1, P2=P2, Pb=Pb,
                           swap_frequency=swap, fidelity=fidelity,
-                          metadata={"g": g1, "Delta": Delta, "Gamma": Gamma, "dt_s": dt})
+                          metadata={"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma,
+                                    "dt_s": dt})
 
 
 def _spin_population(c0: complex, g: float, I: np.ndarray) -> np.ndarray:

@@ -37,8 +37,9 @@ def read_csv(path):
         if header is None:
             header = line.split(",")
             continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return header, np.array(rows), meta
+        rows.append(line)
+    # loadtxt parses each number as float() does, in bulk.
+    return header, np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.array([]), meta
 
 
 # --------------------------------------------------------------- config file
@@ -314,45 +315,59 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
                          "--Gamma_rad_per_s", "1e6", "--t_end_us", "3.34", "--dt_ns", "0.001"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["modes", "--R_nm", "nan"],
-    ["decay", "--t_end_us", "inf"],
-    ["fieldmap", "--n_H0", "0"],
-    ["decay", "--R_list_nm", "30,abc"],
-    ["decay", "--n_samples", "0"],
-    ["decay", "--R_list_nm", ","],
-    ["spectrum", "--omega_min_GHz", "20"],
-    ["spectrum", "--omega_max_GHz", "20"],
-    ["spectrum", "--omega_min_GHz", "20", "--omega_max_GHz", "10"],
-    ["spectrum", "--n_omega", "5"],
-    ["modes", "--n_max", "1000000"],
-    ["decay", "--t_end_us", "1e6", "--n_samples", "10"],
-    ["decay", "--dt_ns", "1e-9"],
-    ["transfer", "--dt_ns", "1e-320"],
-    _VOLTERRA_OVER_BUDGET,
-    ["spectrum", "--Gamma_rad_per_s", "1e2"],
-    ["spectrum", "--Gamma_rad_per_s", "1e-320"],
-    ["spectrum", "--omega_min_GHz", "10", "--omega_max_GHz", "20", "--n_omega", "2000000"],
-    ["fieldmap", "--n_omega", "100000000"],
-    ["fieldmap", "--n_H0", "100000000"],
-    ["fieldmap", "--n_H0", "10001", "--n_omega", "1", "--n_max", "1000"],
-    ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "4000000"],
-    ["decay", "--R_list_nm", "5"],
-    ["decay", "--R_list_nm", "1000"],
-    ["coupling-sweep", "--n_R", "100000000"],
-    ["modes", "--R_nm", "1e300"],
-    ["modes", "--R_nm", "-1e300"],
-    ["coupling-sweep", "--R_min_nm", "5"],
-    ["coupling-sweep", "--R_max_nm", "1000"],
-    ["fieldmap", "--mu0_H0_min_T", "0.7", "--mu0_H0_max_T", "0.3"],
-    ["modes", "--mu0_Ms_T", "1e300"],
-    ["modes", "--gamma_GHz_per_T", "1e300"],
-    ["modes", "--alpha", "1e300"],
-    ["modes", "--mu_B_scale", "1e300"],
-    ["spectrum", "--omega_min_GHz", "-1e300", "--omega_max_GHz", "1e300"],
-    ["spectrum", "--omega_min_GHz", "1", "--omega_max_GHz", "1e300"],
-    ["decay", "--alpha", "1e300"],
-    ["decay", "--omega0_GHz", "1e300"],
+@pytest.mark.parametrize("argv, reason", [
+    (["modes", "--R_nm", "nan"], "bad value for 'R_nm'"),
+    (["decay", "--t_end_us", "inf"], "bad value for 't_end_us'"),
+    (["fieldmap", "--n_H0", "0"], "n_H0 must lie in"),
+    (["decay", "--R_list_nm", "30,abc"], "bad value for 'R_list_nm'"),
+    (["decay", "--n_samples", "0"], "n_samples must lie in"),
+    (["decay", "--R_list_nm", ","], "R_list_nm lists no radius"),
+    (["spectrum", "--omega_min_GHz", "20"],
+     "omega_min_GHz and omega_max_GHz must be set together"),
+    (["spectrum", "--omega_max_GHz", "20"],
+     "omega_min_GHz and omega_max_GHz must be set together"),
+    (["spectrum", "--omega_min_GHz", "20", "--omega_max_GHz", "10"],
+     "omega_min_GHz must be below"),
+    (["spectrum", "--n_omega", "5"], "n_omega needs omega_min_GHz and omega_max_GHz"),
+    (["modes", "--n_max", "1000000"], "n_max must lie in"),
+    (["decay", "--t_end_us", "1e6", "--n_samples", "10"],
+     "samples x 8 state values exceed the budget"),
+    (["decay", "--dt_ns", "1e-9"], "samples x 8 state values exceed the budget"),
+    (["transfer", "--dt_ns", "1e-320"], "dt must be positive and finite"),
+    (_VOLTERRA_OVER_BUDGET, "samples x 3 state values exceed the budget"),
+    (["spectrum", "--Gamma_rad_per_s", "1e2"], "frequency points x 7 modes exceed the budget"),
+    (["spectrum", "--Gamma_rad_per_s", "1e-320"],
+     "inf frequency points x 7 modes exceed the budget"),
+    (["spectrum", "--omega_min_GHz", "10", "--omega_max_GHz", "20", "--n_omega", "2000000"],
+     "frequency points x 7 modes exceed the budget"),
+    (["fieldmap", "--n_omega", "100000000"],
+     "41 fields x 100000000 frequency points or modes exceed the budget"),
+    (["fieldmap", "--n_H0", "100000000"],
+     "100000000 fields x 2001 frequency points or modes exceed the budget"),
+    (["fieldmap", "--n_H0", "10001", "--n_omega", "1", "--n_max", "1000"],
+     "10001 fields x 1000 frequency points or modes exceed the budget"),
+    (["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "4000000"],
+     "samples x 3 state values exceed the budget"),
+    (["decay", "--R_list_nm", "5"], "R_list_nm entries must lie in"),
+    (["decay", "--R_list_nm", "1000"], "R_list_nm entries must lie in"),
+    (["coupling-sweep", "--n_R", "100000000"],
+     "radii x 9 values of the radius broadcast exceed the budget"),
+    (["modes", "--R_nm", "1e300"], "R_nm must lie in"),
+    (["modes", "--R_nm", "-1e300"], "R_nm must lie in"),
+    (["coupling-sweep", "--R_min_nm", "5"], "R_min_nm must lie in"),
+    (["coupling-sweep", "--R_max_nm", "1000"], "R_max_nm must lie in"),
+    (["fieldmap", "--mu0_H0_min_T", "0.7", "--mu0_H0_max_T", "0.3"],
+     "mu0_H0_min_T must be below mu0_H0_max_T"),
+    (["modes", "--mu0_Ms_T", "1e300"], "mu0_Ms_T must lie in"),
+    (["modes", "--gamma_GHz_per_T", "1e300"], "gamma_GHz_per_T must lie in"),
+    (["modes", "--alpha", "1e300"], "alpha must lie in"),
+    (["modes", "--mu_B_scale", "1e300"], "mu_B_scale must lie in"),
+    (["spectrum", "--omega_min_GHz", "-1e300", "--omega_max_GHz", "1e300"],
+     "omega_min_GHz must lie in"),
+    (["spectrum", "--omega_min_GHz", "1", "--omega_max_GHz", "1e300"],
+     "omega_max_GHz must lie in"),
+    (["decay", "--alpha", "1e300"], "alpha must lie in"),
+    (["decay", "--omega0_GHz", "1e300"], "omega0_GHz must lie in"),
 ], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
         "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
         "n_omega-without-bounds", "n_max-over-budget", "samples-over-budget-t_end",
@@ -367,9 +382,11 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
         "gamma-above-range", "alpha-above-range", "mu_B_scale-above-range",
         "spectrum-window-out-of-range", "omega_max_GHz-above-range", "decay-alpha-above-range",
         "decay-omega0_GHz-above-range"])
-def test_exit_code_2_for_bad_values(tmp_path, no_big_arrays, argv):
-    # The size budget rejects its cases before any large array is allocated.
+def test_exit_code_2_for_bad_values(tmp_path, capsys, no_big_arrays, argv, reason):
+    # The size budget rejects its cases before any large array is allocated;
+    # each case is refused for its own reason, not for another.
     assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("radii", ["30,30.0000001", "30,30"])
@@ -380,6 +397,24 @@ def test_radii_that_share_a_file_are_refused(tmp_path, capsys, radii):
     assert f"entries {first} and {second} both write decay_R30nm.csv" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
+
+# The keys each experiment reads, written out here as the specification that
+# the CLI's declaration must match. Every experiment reads the keys of the
+# manifest's `derived` block.
+_DERIVED_KEYS = ("mu0_H0_T", "mu0_He_T", "mu0_Ms_T", "gamma_GHz_per_T", "R_nm", "a_nm",
+                 "a_over_R", "mu_B_scale", "Delta_over_g")
+_LADDER_KEYS = _DERIVED_KEYS + ("n_max", "Gamma_rad_per_s", "alpha")
+_READS = {
+    "modes": _LADDER_KEYS,
+    "spectrum": _LADDER_KEYS + ("omega_min_GHz", "omega_max_GHz", "n_omega"),
+    "fieldmap": _LADDER_KEYS + ("mu0_H0_min_T", "mu0_H0_max_T", "n_H0", "n_omega"),
+    "decay": _LADDER_KEYS + ("omega0_GHz", "t_end_us", "dt_ns", "n_samples", "solver",
+                             "R_list_nm"),
+    "transfer": _LADDER_KEYS + ("t_end_us", "dt_ns", "n_samples"),
+    "coupling-sweep": _DERIVED_KEYS + ("G_nm", "R_min_nm", "R_max_nm", "n_R"),
+}
+# (key, the key that overrides it): set, the second leaves the first unread.
+_OVERRIDES = [("Gamma_rad_per_s", "alpha"), ("a_over_R", "a_nm"), ("n_samples", "dt_ns")]
 
 # Sizes stay small, so no fuzzed run allocates much.
 _FUZZ_SIZES = {"n_samples": 200, "n_omega": 50, "n_H0": 3, "n_R": 5, "n_max": 3}
@@ -410,8 +445,20 @@ def _fuzz_values(field):
 
 
 _FUZZ_CHOICES = {f.name: _fuzz_values(f) for f in dataclasses.fields(RunConfig)}
-_FUZZ_ARG = st.sampled_from(_FUZZ_KEYS).flatmap(
-    lambda key: st.tuples(st.just(key), st.sampled_from(_FUZZ_CHOICES[key])))
+
+
+def _fuzz_arg(keys):
+    return st.sampled_from(keys).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(_FUZZ_CHOICES[key])))
+
+
+def _fuzz_argv(experiment):
+    """(experiment, sizes, values), both drawn from the keys it reads."""
+    # spectrum takes n_omega only with both omega bounds.
+    sizes = {k: st.integers(1, cap) for k, cap in _FUZZ_SIZES.items()
+             if k in _READS[experiment] and (experiment, k) != ("spectrum", "n_omega")}
+    return st.tuples(st.just(experiment), st.fixed_dictionaries(sizes),
+                     st.lists(_fuzz_arg(list(_READS[experiment])), max_size=3).map(dict))
 
 
 @pytest.mark.parametrize("key", sorted(_EDGES))
@@ -462,13 +509,12 @@ def _assert_finite_outputs(out: Path) -> None:
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(EXPERIMENTS),
-       st.fixed_dictionaries({k: st.integers(1, cap) for k, cap in _FUZZ_SIZES.items()}),
-       st.lists(_FUZZ_ARG, max_size=3).map(dict))
-def test_any_argv_exits_0_2_or_3(experiment, sizes, values):
-    # spectrum takes n_omega only with both omega bounds.
-    if experiment == "spectrum":
-        sizes.pop("n_omega")
+@given(st.sampled_from(EXPERIMENTS).flatmap(_fuzz_argv))
+def test_any_argv_exits_0_2_or_3(case):
+    experiment, sizes, values = case
+    # A set dt_ns leaves n_samples unread; a size would make every such run exit 2.
+    if "dt_ns" in values:
+        sizes.pop("n_samples", None)
     argv = [experiment]
     for key, value in {**sizes, **values}.items():
         argv += [f"--{key}", str(value)]
@@ -478,6 +524,168 @@ def test_any_argv_exits_0_2_or_3(experiment, sizes, values):
         assert code in (0, 2, 3), argv
         if code == 0:
             _assert_finite_outputs(Path(out))
+
+
+def _is_default(key, raw):
+    from magnoncavity.cli import _parse_value
+
+    try:
+        return _parse_value(key, raw) == RunConfig.__dataclass_fields__[key].default
+    except ValueError:
+        return False
+
+
+_UNREAD_ARG = st.sampled_from([(e, k) for e in EXPERIMENTS for k in _FUZZ_KEYS
+                               if k not in _READS[e]]).flatmap(
+    lambda pair: st.tuples(st.just(pair), st.sampled_from(
+        [v for v in _FUZZ_CHOICES[pair[1]] if not _is_default(pair[1], v)])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_UNREAD_ARG)
+def test_an_unread_key_off_its_default_exits_2(case):
+    (experiment, key), value = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([experiment, f"--{key}", value, "--out", out]) == 2
+        assert not list(Path(out).glob("*.csv"))
+    assert key in err.getvalue()
+
+
+# A small working point of each experiment, as flags.
+_SMALL_RUNS = {
+    "modes": {},
+    "spectrum": {"omega_min_GHz": "15", "omega_max_GHz": "17", "n_omega": "21"},
+    "fieldmap": {"n_H0": "3", "n_omega": "5"},
+    "decay": {"R_list_nm": "30", "n_max": "1", "t_end_us": "0.2", "n_samples": "400"},
+    "transfer": {"Gamma_rad_per_s": "1e6", "t_end_us": "3", "n_samples": "5000"},
+    "coupling-sweep": {"n_R": "5"},
+}
+# An in-domain value off each key's default. Where a tuple, the flags after
+# it set the run it is compared with (None: back to the default).
+_CHANGES = {
+    "R_nm": "28", "mu0_H0_T": "0.6", "mu0_He_T": ("1.0", {"mu0_H0_T": "none", "mu0_He_T": "0.9"}),
+    "mu0_Ms_T": "0.2", "gamma_GHz_per_T": "29", "Gamma_rad_per_s": "2e6",
+    "alpha": ("2e-5", {"Gamma_rad_per_s": None, "alpha": "1e-5"}), "n_max": "2",
+    "mu_B_scale": "2", "a_nm": "34", "a_over_R": "1.15", "omega0_GHz": "15.7",
+    "Delta_over_g": "8", "G_nm": "8", "t_end_us": "0.25", "n_samples": "500",
+    "dt_ns": ("0.4", {"n_samples": None, "dt_ns": "0.5"}), "solver": "volterra",
+    "omega_min_GHz": "15.5", "omega_max_GHz": "16.5", "n_omega": "7", "mu0_H0_min_T": "0.35",
+    "mu0_H0_max_T": "0.65", "n_H0": "4", "R_list_nm": "35", "R_min_nm": "25", "R_max_nm": "90",
+    "n_R": "6",
+}
+# Sample counts only count below the resolution guard's step, and transfer
+# reads n_max only to warn of a mode near the detuned Kittel line.
+_CHANGES_IN = {
+    ("transfer", "t_end_us"): "3.5", ("transfer", "n_samples"): "6000",
+    ("transfer", "dt_ns"): ("0.5", {"n_samples": None, "dt_ns": "0.6"}),
+    ("transfer", "n_max"): ("1", {"Delta_over_g": "40", "t_end_us": "12"}),
+}
+
+
+def _change(experiment, key):
+    """(value, flags of the run it is compared with) for `key` in `experiment`."""
+    change = _CHANGES_IN.get((experiment, key), _CHANGES[key])
+    value, base = change if isinstance(change, tuple) else (change, {})
+    return value, {**_SMALL_RUNS[experiment], **base}
+
+
+def _argv(experiment, flags):
+    argv = [experiment]
+    for key, value in flags.items():
+        if value is not None:
+            argv += [f"--{key}", value]
+    return argv
+
+
+def _what_a_run_states(argv):
+    """A run's data and header lines but the hash, and its manifest's derived and warnings."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out", str(out)])
+        assert code == 0, argv
+        files = {p.name: p.read_text().split("\n", 1)[1] for p in sorted(out.glob("*.csv"))}
+        manifest = json.loads((out / "manifest.json").read_text())
+    return files, manifest["derived"], manifest["warnings"]
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (e, k) for e in EXPERIMENTS for k in RunConfig.__dataclass_fields__
+    if k not in ("experiment", "out")])
+def test_each_key_changes_a_result_or_is_refused(tmp_path, capsys, experiment, key):
+    # A read key moves what a run states; an unread one, off its default, is
+    # refused before anything is written.
+    value, flags = _change(experiment, key)
+    if key not in _READS[experiment]:
+        assert main(_argv(experiment, {**flags, key: value}) + ["--out", str(tmp_path)]) == 2
+        assert f"{key} is read by " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        return
+    assert (_what_a_run_states(_argv(experiment, flags))
+            != _what_a_run_states(_argv(experiment, {**flags, key: value})))
+
+
+@pytest.mark.parametrize("experiment, key, by", [
+    (e, key, by) for e in EXPERIMENTS for key, by in _OVERRIDES if key in _READS[e]])
+def test_an_overridden_key_is_refused(tmp_path, capsys, experiment, key, by):
+    value, flags = _change(experiment, by)
+    flags.update({by: value, key: _change(experiment, key)[0]})
+    assert main(_argv(experiment, flags) + ["--out", str(tmp_path)]) == 2
+    assert f"{key} is not read once {by} is set" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["modes", "--n_H0", "5"], ["n_H0"]),
+    (["modes", "--solver", "volterra"], ["solver"]),
+    (["modes", "--t_end_us", "7"], ["t_end_us"]),
+    (["spectrum", "--n_H0", "3"], ["n_H0"]),
+    (["coupling-sweep", "--n_max", "3"], ["n_max"]),
+    (["transfer", "--config", "transfer.cfg", "--solver", "volterra"], ["solver"]),
+    (["transfer", "--config", "transfer.cfg", "--R_list_nm", "50"], ["R_list_nm"]),
+    (["decay", "--config", "decay.cfg", "--G_nm", "9"], ["G_nm"]),
+    (["fieldmap", "--omega_min_GHz", "15", "--omega_max_GHz", "17"],
+     ["omega_min_GHz", "omega_max_GHz"]),
+    (["modes", "--alpha", "1e-4", "--Gamma_rad_per_s", "1e6"], ["Gamma_rad_per_s"]),
+    (["modes", "--a_nm", "40", "--a_over_R", "1.3"], ["a_over_R"]),
+    (["decay", "--dt_ns", "1", "--n_samples", "500"], ["n_samples"]),
+], ids=["modes-n_H0", "modes-solver", "modes-t_end_us", "spectrum-n_H0", "coupling-sweep-n_max",
+        "transfer-solver", "transfer-R_list_nm", "decay-G_nm", "fieldmap-omega-bounds",
+        "alpha-Gamma", "a_nm-a_over_R", "dt_ns-n_samples"])
+def test_keys_that_could_not_change_a_run_are_refused(tmp_path, capsys, argv, keys):
+    # Each of these once ran, with the data of the run without the key.
+    configs = Path(__file__).parents[1] / "configs"
+    argv = [str(configs / a) if a.endswith(".cfg") else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_an_unread_key_at_its_default_is_accepted(tmp_path):
+    # The hash covers every key, and an unread key can only hold its default.
+    assert main(["coupling-sweep", "--n_max", "7", "--out", str(tmp_path / "a")]) == 0
+    assert main(["coupling-sweep", "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "coupling_sweep.csv").read_bytes()
+            == (tmp_path / "b" / "coupling_sweep.csv").read_bytes())
+
+
+def test_declared_readers_match_the_specification(capsys):
+    from magnoncavity.cli import _KEYS
+
+    declared = {k: f.metadata["reads"] for k, f in _KEYS.items() if k != "out"}
+    assert declared == {k: ", ".join(e for e in EXPERIMENTS if k in _READS[e]) for k in declared}
+    assert sum(len(keys) for keys in _READS.values()) == 89
+    assert {(k, f.metadata["unless"]) for k, f in _KEYS.items()
+            if f.metadata["unless"]} == set(_OVERRIDES)
+    # --help names each key's readers from the same declaration.
+    with pytest.raises(SystemExit):
+        main(["modes", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    for key, reads in declared.items():
+        assert f"default {RunConfig.__dataclass_fields__[key].default}; read by {reads}" in usage
 
 
 def test_coupling_sweep_budget_counts_the_broadcast(tmp_path, monkeypatch, capsys):

@@ -66,6 +66,22 @@ def test_asymmetric_placement_runs(cavity_narrow, dispersive_pair):
     assert np.max(np.abs(res.P2 - nudged.P2)) < 1e-12
 
 
+def test_asymmetric_pair_records_both_couplings(cavity_narrow, dispersive_pair):
+    # At radii 1.2 R and 1.25 R (R = 30 nm, Gamma = 1e6 rad/s, n_max = 1)
+    # g1 = 6.893e6 and g2 = 6.099e6 rad/s, and the swap follows g1 g2/Delta
+    # (6.099e5 rad/s), not g1^2/Delta (6.893e5 rad/s).
+    positions = [(1.2 * cavity_narrow.R, 0, 0), (-1.25 * cavity_narrow.R, 0, 0)]
+    Delta = dispersive_pair[1]
+    res = transfer_dynamics(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
+    g1, g2 = np.abs(mode_table(cavity_narrow, positions).g[:, 0])
+    assert (res.metadata["g"], res.metadata["g2"]) == (g1, g2)
+    assert g1 == pytest.approx(6.893e6, rel=1e-3)
+    assert g2 == pytest.approx(6.099e6, rel=1e-3)
+    assert res.swap_frequency == pytest.approx(6.059e5, rel=1e-3)
+    assert res.swap_frequency == pytest.approx(g1 * g2 / Delta, rel=0.01)
+    assert res.swap_frequency < 0.9 * g1 * g1 / Delta
+
+
 def test_receiver_on_the_z_axis_is_decoupled(cavity_narrow, dispersive_pair):
     # The Kittel mode's coupling vanishes on the z axis (g = 0): nothing
     # swaps, and the extractor's decoupled branch reports a NaN rate.
@@ -94,7 +110,7 @@ def test_transfer_reads_one_mode_table(cavity, monkeypatch):
     g = mode_table(*calls[0]).g
     assert np.array_equal(g[0], mode_table(cavity, positions[0], 1.0).g)
     assert np.array_equal(g[1], mode_table(cavity, positions[1], 0.0).g)
-    assert res.metadata["g"] == abs(g[0, 0])
+    assert (res.metadata["g"], res.metadata["g2"]) == (abs(g[0, 0]), abs(g[1, 0]))
 
 
 def test_single_mode_validity_warning(cavity):
