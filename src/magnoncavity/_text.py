@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import NumericalError
+
 WRITE_CHUNK = 4096      # CSV rows per encoded block
 
 
@@ -175,12 +177,12 @@ class TextColumn:
 
     Written row i holds value index[i], or value i without an index. Each
     text is stored NUL-padded in whole words, the last byte left for the
-    separator."""
+    separator. `values` is anything with len() and [start:stop] slicing,
+    read `chunk` values at a time."""
 
     def __init__(self, values, index: np.ndarray | None = None, chunk: int = WRITE_CHUNK):
-        values = np.asarray(values, dtype=np.float64)
-        # Rows are filled `chunk` values at a time. The width grows to the
-        # longest text so far; a wider array takes only the rows filled.
+        # The width grows to the longest text so far; a wider array takes
+        # only the rows filled.
         chars = np.zeros((len(values), 8), np.uint8)
         for i in range(0, len(values), chunk):
             words, lens = encode_g12(values[i:i + chunk], "\n", lengths=True)
@@ -207,18 +209,21 @@ class TextColumn:
         return [*words[:, :-1].T, words[:, -1] | np.uint64(ord(sep) << 56)]
 
 
-def block_text(col, start: int, stop: int, sep: str) -> list[np.ndarray]:
-    """Word columns of rows start..stop of a TextColumn or a numeric array,
+def block_text(col, start: int, stop: int, sep: str, where: str | None = None):
+    """Word columns of rows start..stop of a TextColumn or a numeric column,
     each row followed by `sep`.
 
     Integer arrays are written with '%d', exactly at any size; others with
-    '%.12g'.
+    '%.12g'. With `where`, a non-finite float raises NumericalError
+    "<where> holds a non-finite value".
     """
     if isinstance(col, TextColumn):
         return col.block(start, stop, sep)
     piece = col[start:stop]
     if np.issubdtype(piece.dtype, np.integer):
         return [*text_rows(["%d%s" % (v, sep) for v in piece.tolist()]).T]
+    if where and not np.isfinite(piece).all():
+        raise NumericalError(f"{where} holds a non-finite value")
     return encode_g12(piece, sep)
 
 
@@ -228,19 +233,23 @@ def join_rows(words: list[np.ndarray]) -> bytes:
     return np.column_stack(words).tobytes().translate(None, b"\0")
 
 
-def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict) -> None:
+def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict,
+              where: str | None = None) -> None:
     """Write 1-D columns (header row = keys) after '#' meta lines.
 
     A TextColumn is written as its text; a numeric column with %d if
-    integer, else %.12g. Rows are encoded WRITE_CHUNK at a time, and each
-    block is written as soon as it is encoded.
+    integer, else %.12g. A column is a list, or anything with len() and
+    [start:stop] slicing. Rows are read and encoded WRITE_CHUNK at a time,
+    and each block is written as soon as it is encoded. With `where`, the
+    first non-finite float raises NumericalError "<where> '<key>' holds a
+    non-finite value", with the blocks before it written.
     """
-    cols = [c if isinstance(c, TextColumn) else np.asarray(c) for c in columns.values()]
+    cols = [np.asarray(c) if isinstance(c, (list, tuple)) else c for c in columns.values()]
     seps = [","] * (len(cols) - 1) + ["\n"]
     head = [f"# manifest_hash={manifest_hash}", *(f"# {k}={v}" for k, v in meta.items()),
             ",".join(columns)]
     with path.open("wb") as f:
         f.write(("\n".join(head) + "\n").encode())
         for i in range(0, len(cols[0]), WRITE_CHUNK):
-            f.write(join_rows([w for c, sep in zip(cols, seps)
-                               for w in block_text(c, i, i + WRITE_CHUNK, sep)]))
+            f.write(join_rows([w for key, c, sep in zip(columns, cols, seps) for w in block_text(
+                c, i, i + WRITE_CHUNK, sep, where and f"{where} {key!r}")]))

@@ -33,7 +33,7 @@ from ._text import WRITE_CHUNK, TextColumn, write_csv as _write_csv
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
-from .dynamics import EmitterConfig, build_kernel, evolve_pseudomode, evolve_volterra
+from .dynamics import EmitterConfig, Samples, build_kernel, decay_populations
 from .material import MaterialParams, internal_field, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_table
 from .network import (coupling_vs_separation_sweep, dispersive_coupling,
@@ -305,8 +305,9 @@ def run(cfg: RunConfig) -> int:
 
     A run first removes an earlier run's record from `--out`: its manifest,
     its error.json and the data files that manifest lists, and nothing else.
-    Each data file is checked and written as soon as the experiment yields
-    it, so a decay holds one radius at a time, and manifest.json is written
+    Each data file is written a block at a time as soon as the experiment
+    yields it, and a non-finite value in it is refused; a decay so holds
+    one radius's sampler and no whole column. manifest.json is written
     last, as the mark of a finished run. A run that fails, with any
     exception, removes every data file it wrote, so it leaves no data
     behind. The warnings the experiment raises are printed as
@@ -335,11 +336,12 @@ def run(cfg: RunConfig) -> int:
         }[cfg.experiment]
         with warnings.catch_warnings(record=True) as caught:
             for name, (columns, meta) in runner(cfg):
-                _check_finite(f"{name} column", columns)
                 written[name] = None
-                _write_csv(outdir / name, columns, mhash, meta)
+                _write_csv(outdir / name, columns, mhash, meta, f"{name} column")
                 del columns     # the runner computes the next file without this one
-        _check_finite("manifest.json derived", derived)
+        for key, v in derived.items():      # None is written as null
+            if v is not None and not math.isfinite(v):
+                raise NumericalError(f"manifest.json derived {key!r} holds a non-finite value")
         manifest = {
             "config": _config_dict(cfg),
             "config_hash": mhash,
@@ -373,16 +375,6 @@ def run(cfg: RunConfig) -> int:
     for name in written:
         print(f"wrote {outdir / name}")
     return 0
-
-
-def _check_finite(where: str, values: dict) -> None:
-    """Refuse a non-finite data column or `derived` value before it is written.
-
-    A TextColumn axis comes from `_time_grid` or `omega_grid`, which check
-    it; a None `derived` value is written as null."""
-    for key, v in values.items():
-        if v is not None and not isinstance(v, TextColumn) and not np.all(np.isfinite(v)):
-            raise NumericalError(f"{where} {key!r} holds a non-finite value")
 
 
 def _remove_previous_run(outdir: Path) -> None:
@@ -448,34 +440,38 @@ def _run_fieldmap(cfg: RunConfig) -> Iterator[tuple]:
 
 
 def _run_decay(cfg: RunConfig) -> Iterator[tuple]:
-    solver = evolve_volterra if cfg.solver == "volterra" else evolve_pseudomode
-    dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
-    grid, t_text = None, None
+    t_end, dt = _time_keys(cfg)
+    grid = None
     for R in (r * NM for r in _radii_nm(cfg)):
         cavity = build_cavity(cfg, R=R)
         kernel = build_kernel(build_emitter(cfg, cavity), cavity)
-        ts = solver(kernel, cfg.t_end_us * US, dt, cfg.n_samples)
-        meta = {"R_nm": R / NM, "solver": cfg.solver, "dt_s": ts.metadata["dt_s"]}
-        # Radii usually share one time grid; encode its text once. Times are
-        # arange(n) * dt_s, so (n, dt_s) names the grid without keeping it.
-        if (ts.times.size, meta["dt_s"]) != grid:
-            grid, t_text = (ts.times.size, meta["dt_s"]), None
-        times, populations = ts.times, ts.populations
-        del ts      # the amplitudes c are never written: free them before any encoding
-        if t_text is None:
-            t_text = _format_column(times / US)
-        del times
-        yield _decay_file(R), ({"t_us": t_text, "population": populations}, meta)
-        del populations     # written: the next radius propagates without it
+        populations, step = decay_populations(kernel, t_end, dt, cfg.n_samples, cfg.solver)
+        # The times are k * step; radii usually share them, so their text is
+        # encoded once, from (n, step), a block at a time.
+        if (len(populations), step) != grid:
+            grid = len(populations), step
+            times_us = Samples(grid[0], lambda i, j: np.arange(i, j, dtype=float) * step / US)
+            t_text = _format_column(times_us)
+        yield _decay_file(R), ({"t_us": t_text, "population": populations},
+                               {"R_nm": R / NM, "solver": cfg.solver, "dt_s": step})
+
+
+def _time_keys(cfg: RunConfig) -> tuple[float, float | None]:
+    """t_end and dt in seconds (dt None unless dt_ns is set), each refused
+    naming its key if it underflows to 0 s."""
+    t_end, dt = cfg.t_end_us * US, None if cfg.dt_ns is None else cfg.dt_ns * 1e-9
+    for key, seconds in (("t_end_us", t_end), ("dt_ns", dt)):
+        if seconds == 0.0:
+            raise ConfigError(f"{key} = {getattr(cfg, key)!r} underflows to 0 s")
+    return t_end, dt
 
 
 def _run_transfer(cfg: RunConfig) -> Iterator[tuple]:
     cavity = build_cavity(cfg)
     positions, Delta = symmetric_pair(cavity, emitter_radius(cfg, cavity), cfg.Delta_over_g,
                                       cfg.mu_B_scale)
-    dt = cfg.dt_ns * 1e-9 if cfg.dt_ns is not None else None
-    result = transfer_dynamics(cavity, positions, Delta, cfg.t_end_us * US, dt, cfg.n_samples,
-                               cfg.mu_B_scale)
+    t_end, dt = _time_keys(cfg)
+    result = transfer_dynamics(cavity, positions, Delta, t_end, dt, cfg.n_samples, cfg.mu_B_scale)
     yield "transfer.csv", (
         {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
         {"g_rad_per_s": result.metadata["g"],

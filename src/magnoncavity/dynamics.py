@@ -29,10 +29,12 @@ evaluation each; a wide generator's come one matrix at a time.
 
 Both solvers and the two-spin transfer sample only the components they read
 (c for decay; b and Int b for the transfer) by the same two-level doubling
-(`_sample_rows`): evolve_pseudomode and the transfer through `propagate`,
+(`_row_sampler`): evolve_pseudomode and the transfer through `propagate`,
 evolve_volterra from the powers of its step map. A state of w values over N
-samples so costs O(N w) and stores O(sqrt(N) w), not O(N w^2) and N x w.
-All three take their grid from `_time_grid`, the one home of the step rule,
+samples so costs O(N w) and keeps O(sqrt(N) w), not O(N w^2) and N x w. The
+sampler gives any range of samples on demand: `decay_populations` hands a
+decay out a block at a time, bit for bit the series that evolve_* read
+whole. All take their step from `_time_step`, the one home of the step rule,
 which also checks samples x state width against the size budget
 (`constants.check_budget`).
 """
@@ -106,9 +108,31 @@ class TimeSeries:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        p = self.populations
-        if np.any(p < -POPULATION_TOL) or np.any(p > 1.0 + POPULATION_TOL):
-            raise NumericalError("populations left [0, 1] beyond tolerance")
+        _check_populations(self.populations)
+
+
+def _check_populations(p: np.ndarray) -> np.ndarray:
+    """p, refused if it leaves [0, 1] beyond POPULATION_TOL."""
+    if (p < -POPULATION_TOL).any() or (p > 1.0 + POPULATION_TOL).any():
+        raise NumericalError("populations left [0, 1] beyond tolerance")
+    return p
+
+
+class Samples:
+    """Samples k < n of a series, computed by `block(i, j)` for i <= k < j.
+
+    `len()` and `[i:j]` read like an array's, so a writer can take the
+    series a block at a time without ever holding all of it."""
+
+    def __init__(self, n: int, block):
+        self.n, self.block = n, block
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        i, j, _ = key.indices(self.n)
+        return self.block(i, max(i, j))
 
 
 def build_kernel(emitter: EmitterConfig, cavity: CavityConfig) -> MemoryKernel:
@@ -140,13 +164,13 @@ def max_stable_dt(kernel: MemoryKernel) -> float:
     return min(_dt_bounds(kernel).values(), default=math.inf)
 
 
-def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
-               n_samples: int | None, width: int) -> tuple[np.ndarray, float]:
-    """Sample times k*dt up to t_end, and dt, for a state of `width` values.
+def _time_step(kernel: MemoryKernel, t_end: float, dt: float | None,
+               n_samples: int | None, width: int) -> tuple[int, float]:
+    """The number n of sample times k*dt up to t_end, and dt, for a state of
+    `width` values.
 
     dt is the given one, else min(guard/2, t_end/n_samples), else guard/2.
-    It must pass the resolution guard, and samples x width the size budget,
-    before the grid is allocated.
+    It must pass the resolution guard, and samples x width the size budget.
     """
     bounds = _dt_bounds(kernel)
     limit = min(bounds.values(), default=math.inf)
@@ -161,7 +185,14 @@ def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
                           f"(binding constraint: {min(bounds, key=bounds.get)})")
     samples = t_end / dt + 1.0
     check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
-    times = np.arange(int(round(t_end / dt)) + 1, dtype=float)
+    return int(round(t_end / dt)) + 1, dt
+
+
+def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
+               n_samples: int | None, width: int) -> tuple[np.ndarray, float]:
+    """The sample times of `_time_step`, allocated once it has passed, and dt."""
+    n, dt = _time_step(kernel, t_end, dt, n_samples, width)
+    times = np.arange(n, dtype=float)
     times *= dt
     return times, dt
 
@@ -182,16 +213,17 @@ def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:
     return Y
 
 
-def _sample_rows(y0, n: int, powers, rows) -> np.ndarray:
-    """Components `rows` of y_k = M^k y0 for k < n, one row each, where
-    `powers` yields M, M^2, M^4, ...
+def _row_sampler(y0, n: int, powers, rows):
+    """read(i, j): components `rows` of y_k = M^k y0 for i <= k < j, as a
+    (len(rows), j - i) array, where k < n and `powers` yields M, M^2, M^4, ...
 
     With k = h B + l, B = 2^ceil(c/2) and c = ceil(log2 n) powers in all,
     y_k[r] = (e_r^T M^(hB)) (M^l y0). One fill gives the B states M^l y0
     from the first powers; a second gives the H = ceil(n/B) rows
-    e_r^T M^(hB) from the rest, transposed; one (H, w) @ (w, B) product per
-    component gives its n samples. So n samples of a w-value state take
-    O(n w) work and O(sqrt(n) w) state, and each component is computed the
+    e_r^T M^(hB) from the rest, transposed. Only these are kept, O(sqrt(n) w)
+    values for a w-value state. A read takes, per component, the product of
+    the rows h it spans with the states, (h1 - h0, w) @ (w, B); so n samples
+    cost O(n w) however they are read, and each component is computed the
     same way whatever other rows are asked for.
     """
     count = (n - 1).bit_length()
@@ -199,27 +231,43 @@ def _sample_rows(y0, n: int, powers, rows) -> np.ndarray:
     H = -(-n // B)
     states = _fill_by_doubling(y0, B, powers)
     later = list(itertools.islice(powers, (H - 1).bit_length()))
-    out = np.empty((len(rows), H * B), dtype=complex)
-    for i, r in enumerate(rows):
+    lefts = []
+    for r in rows:
         e_r = np.zeros(len(y0), dtype=complex)
         e_r[r] = 1.0
-        left = _fill_by_doubling(e_r, H, (M.T for M in later))
-        np.matmul(left, states.T, out=out[i].reshape(H, B))
-    return out[:, :n]
+        lefts.append(_fill_by_doubling(e_r, H, (M.T for M in later)))
+    lefts = np.stack(lefts)
+    del later
+
+    def read(i: int, j: int) -> np.ndarray:
+        h0, h1 = i // B, -(-j // B)
+        # numpy multiplies one row by BLAS gemv, whose sums can round
+        # otherwise than gemm's: a read of one row of several takes a
+        # neighbour along, so that it has the bits of the whole read.
+        if h1 - h0 == 1 < H:
+            h0, h1 = (h0, h1 + 1) if h1 < H else (h0 - 1, h1)
+        out = lefts[:, h0:h1] @ states.T
+        return out.reshape(len(lefts), -1)[:, i - h0 * B:j - h0 * B]
+
+    return read
+
+
+def _propagator(A: np.ndarray, y0, n: int, dt: float, rows):
+    """The `_row_sampler` of the components `rows` of expm(A k dt) y0, k < n.
+
+    It asks for M^(2^i) = expm(A dt 2^i), from `_doubling_powers`, only
+    while 2^i < n: ceil(log2 n) powers, none for a single sample.
+    """
+    count = (n - 1).bit_length()
+    powers = _doubling_powers(A * dt, count) if count else iter(())
+    return _row_sampler(y0, n, powers, rows)
 
 
 def propagate(A: np.ndarray, y0, times: np.ndarray, rows) -> np.ndarray:
     """Exact samples of the components `rows` of expm(A t_k) y0, t_k = k*dt,
-    as a (len(rows), times.size) array.
-
-    Sampled by `_sample_rows` from M = expm(A dt), whose powers M^(2^i) =
-    expm(A t_(2^i)) come from `_doubling_powers`.
-    """
-    # The sampler asks for M^(2^i) only while 2^i < times.size:
-    # ceil(log2(times.size)) powers, none for a single sample.
-    count = (times.size - 1).bit_length()
-    powers = _doubling_powers(A * times[1], count) if count else iter(())
-    return _sample_rows(y0, times.size, powers, rows)
+    as a (len(rows), times.size) array: `_propagator`'s, read whole."""
+    n = times.size
+    return _propagator(A, y0, n, times[1] if n > 1 else 0.0, rows)(0, n)
 
 
 def _squares(T: np.ndarray):
@@ -334,13 +382,59 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
     sum_m w_m P_m(k), where P_m(k) = z_m (P_m(k-1) + c_k) and
     P_m(-1) = -c_0/2. So x_k = (c_k, f_k, P(k-1)), with f the derivative,
     advances by one constant (modes + 2)-square map T, and c is sampled from
-    its powers by `_sample_rows`; cost O(N * modes). The step follows
-    `_time_grid`.
+    its powers by `_row_sampler`; cost O(N * modes). The step follows
+    `_time_step`.
     """
-    times, dt = _time_grid(kernel, t_end, dt, n_samples, len(kernel.weights) + 2)
-    if not kernel.weights:
-        return TimeSeries(times=times, populations=np.ones(times.size),
-                          amplitudes=np.ones(times.size, dtype=complex))
+    return _series(*_decay_sampler(kernel, t_end, dt, n_samples, "volterra"))
+
+
+def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = None,
+                      n_samples: int | None = None) -> TimeSeries:
+    """Exact propagation of the equivalent damped-mode linear system.
+
+    y = (c, b_1..b_n): dc/dt = -i sum_n g_n b_n, db_n/dt = -i g_n c + s_n b_n.
+    The step follows `_time_step`.
+    """
+    return _series(*_decay_sampler(kernel, t_end, dt, n_samples, "pseudomode"))
+
+
+def decay_populations(kernel: MemoryKernel, t_end: float, dt: float | None = None,
+                      n_samples: int | None = None,
+                      solver: str = "pseudomode") -> tuple[Samples, float]:
+    """The populations of evolve_<solver>'s series as `Samples`, and dt.
+
+    Each block is computed as it is read, bit for bit the series' values,
+    and refused as the series would be if it leaves [0, 1]."""
+    read, n, dt = _decay_sampler(kernel, t_end, dt, n_samples, solver)
+    return Samples(n, lambda i, j: _check_populations(_abs_square(read(i, j)[0]))), dt
+
+
+def _series(read, n: int, dt: float) -> TimeSeries:
+    """The TimeSeries of the amplitude sampler `read` of n samples, read whole."""
+    c = read(0, n)[0]
+    return TimeSeries(times=np.arange(n, dtype=float) * dt, populations=_abs_square(c),
+                      amplitudes=c, metadata={"dt_s": dt})
+
+
+def _abs_square(c: np.ndarray) -> np.ndarray:
+    p = np.abs(c)
+    return np.square(p, out=p)
+
+
+def _decay_sampler(kernel: MemoryKernel, t_end: float, dt: float | None,
+                   n_samples: int | None, solver: str) -> tuple:
+    """(read, n, dt): the sampler read(i, j) of c by `solver`, "pseudomode"
+    or "volterra", over the n sample times k*dt of `_time_step`."""
+    if solver not in ("pseudomode", "volterra"):
+        raise ConfigError(f"unknown solver {solver!r}")
+    w = len(kernel.weights)
+    n, dt = _time_step(kernel, t_end, dt, n_samples, w + 1 + (solver == "volterra"))
+    if not w:
+        return (lambda i, j: np.ones((1, j - i), dtype=complex)), n, dt
+    if solver == "pseudomode":
+        y0 = np.zeros(1 + w, dtype=complex)
+        y0[0] = 1.0
+        return _propagator(_pseudomode_matrix(kernel), y0, n, dt, (0,)), n, dt
 
     z = np.exp(np.array(kernel.rates) * dt)
     wz = np.array(kernel.weights) * z
@@ -357,31 +451,7 @@ def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
     T[2:, 2:] = np.diag(z)
     x0 = np.full(a.size, -0.5, dtype=complex)
     x0[:2] = 1.0, 0.0
-    c = _sample_rows(x0, times.size, _squares(T), (0,))[0]
-    p = np.abs(c)
-
-    return TimeSeries(times=times, populations=np.square(p, out=p), amplitudes=c,
-                      metadata={"dt_s": dt})
-
-
-def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = None,
-                      n_samples: int | None = None) -> TimeSeries:
-    """Exact propagation of the equivalent damped-mode linear system.
-
-    y = (c, b_1..b_n): dc/dt = -i sum_n g_n b_n, db_n/dt = -i g_n c + s_n b_n.
-    The step follows `_time_grid`.
-    """
-    times, dt = _time_grid(kernel, t_end, dt, n_samples, len(kernel.weights) + 1)
-    if not kernel.weights:
-        return TimeSeries(times=times, populations=np.ones(times.size),
-                          amplitudes=np.ones(times.size, dtype=complex))
-
-    y0 = np.zeros(1 + len(kernel.weights), dtype=complex)
-    y0[0] = 1.0
-    c = propagate(_pseudomode_matrix(kernel), y0, times, (0,))[0]
-    p = np.abs(c)
-    return TimeSeries(times=times, populations=np.square(p, out=p), amplitudes=c,
-                      metadata={"dt_s": dt})
+    return _row_sampler(x0, n, _squares(T), (0,)), n, dt
 
 
 def _pseudomode_matrix(kernel: MemoryKernel) -> np.ndarray:

@@ -111,7 +111,7 @@ def spectral_grid(emitter, cavity: CavityConfig, omega_min: float | None = None,
         "H0_A_per_m": cavity.fields.H0,
         "n_max": cavity.n_max,
         "Gamma_rad_per_s": cavity.mat.damping_rate(cavity.fields.H0),
-        "emitter_position_m": list(np.asarray(emitter.position, dtype=float)),
+        "emitter_position_m": np.asarray(emitter.position, dtype=float).tolist(),
     }
     return SpectralGrid(omegas=omegas, values=values, metadata=meta)
 
@@ -156,7 +156,7 @@ def field_sweep_map(H0_min: float, H0_max: float, n_H0: int, emitter,
     meta = {
         "R_m": cavity_template.R,
         "n_max": cavity_template.n_max,
-        "emitter_position_m": list(np.asarray(emitter.position, dtype=float)),
+        "emitter_position_m": np.asarray(emitter.position, dtype=float).tolist(),
         "color_scale_note": "peak heights span decades; use a nonlinear color scale",
     }
     return FieldSweepMap(H0_values=H0_values, omega_values=omega_values, J=J, metadata=meta)

@@ -233,26 +233,30 @@ def test_coupling_sweep_run(tmp_path):
 
 @pytest.fixture
 def no_big_arrays(monkeypatch):
-    """Fail at once, before allocating, on a grid, a sampled output or a
-    doubling fill over the budget."""
+    """Fail at once, before allocating, on a grid, a read of sampled values
+    or a doubling fill over the budget."""
     import magnoncavity.dynamics as dynamics
 
-    linspace, sample, fill = np.linspace, dynamics._sample_rows, dynamics._fill_by_doubling
+    linspace, sampler, fill = np.linspace, dynamics._row_sampler, dynamics._fill_by_doubling
 
     def guarded_linspace(start, stop, num=50, *args, **kwargs):
         assert num <= MAX_STATE_VALUES, f"linspace of {num} points"
         return linspace(start, stop, num, *args, **kwargs)
 
-    def guarded_sample(y0, n, powers, rows):
-        assert n * len(rows) <= MAX_STATE_VALUES, f"{n} x {len(rows)} sampled values"
-        return sample(y0, n, powers, rows)
+    def guarded_sampler(y0, n, powers, rows):
+        read = sampler(y0, n, powers, rows)
+
+        def guarded_read(i, j):
+            assert (j - i) * len(rows) <= MAX_STATE_VALUES, f"{j - i} x {len(rows)} sampled values"
+            return read(i, j)
+        return guarded_read
 
     def guarded_fill(y0, n, powers):
         assert n * len(y0) <= MAX_STATE_VALUES, f"{n} x {len(y0)} state values"
         return fill(y0, n, powers)
 
     monkeypatch.setattr(np, "linspace", guarded_linspace)
-    monkeypatch.setattr(dynamics, "_sample_rows", guarded_sample)
+    monkeypatch.setattr(dynamics, "_row_sampler", guarded_sampler)
     monkeypatch.setattr(dynamics, "_fill_by_doubling", guarded_fill)
 
 
@@ -333,7 +337,8 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
     (["decay", "--t_end_us", "1e6", "--n_samples", "10"],
      "samples x 8 state values exceed the budget"),
     (["decay", "--dt_ns", "1e-9"], "samples x 8 state values exceed the budget"),
-    (["transfer", "--dt_ns", "1e-320"], "dt must be positive and finite"),
+    (["transfer", "--dt_ns", "1e-320"], "dt_ns = 1e-320 underflows to 0 s"),
+    (["decay", "--t_end_us", "1e-320"], "t_end_us = 1e-320 underflows to 0 s"),
     (_VOLTERRA_OVER_BUDGET, "samples x 3 state values exceed the budget"),
     (["spectrum", "--Gamma_rad_per_s", "1e2"], "frequency points x 7 modes exceed the budget"),
     (["spectrum", "--Gamma_rad_per_s", "1e-320"],
@@ -371,7 +376,8 @@ _VOLTERRA_OVER_BUDGET = ["decay", "--solver", "volterra", "--n_max", "1", "--R_l
 ], ids=["R_nm-nan", "t_end_us-inf", "n_H0-0", "R_list_nm-token", "n_samples-0",
         "R_list_nm-empty", "omega_min-only", "omega_max-only", "omega_min-above-max",
         "n_omega-without-bounds", "n_max-over-budget", "samples-over-budget-t_end",
-        "samples-over-budget-dt", "dt-underflows", "volterra-state-over-budget",
+        "samples-over-budget-dt", "dt-underflows", "t_end_us-underflows",
+        "volterra-state-over-budget",
         "spectrum-auto-grid-over-budget", "spectrum-auto-grid-spacing-underflows",
         "spectrum-n_omega-over-budget", "fieldmap-n_omega-over-budget",
         "fieldmap-n_H0-over-budget", "fieldmap-mode-table-over-budget",
@@ -777,6 +783,72 @@ def test_decay_holds_one_radius_at_a_time(tmp_path):
     assert peak("30,35,40,50,60,70,80,100") - one < rows[:, 1].nbytes
 
 
+def test_decay_holds_the_time_text_and_the_sampler(tmp_path):
+    # A radius is streamed from its sampler into its file, so a run holds
+    # the shared time text (8 or 16 bytes per sample) and O(sqrt(n)) state,
+    # with no array of n samples: at 1e6 samples about 24 MB traced, where
+    # the complex amplitudes, the populations and two time arrays took 46 MB.
+    import tracemalloc
+
+    def peak(*argv):
+        tracemalloc.start()
+        try:
+            assert main(["decay", *argv, "--out", str(tmp_path / str(len(argv)))]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("--n_samples", "100")      # caches built on a first call stay out of the peaks
+    assert peak() < 2.5e6           # 4 x 100 001 samples
+    assert peak("--R_list_nm", "30", "--n_samples", "1000000") < 30e6
+
+
+@pytest.mark.parametrize("k", [WRITE_CHUNK + 5, 5 * WRITE_CHUNK + 5],
+                         ids=["second-block", "sixth-block"])
+@pytest.mark.parametrize("value, error", [
+    (np.nan, "decay_R50nm.csv column 'population' holds a non-finite value"),
+    (np.sqrt(1.1), "populations left [0, 1] beyond tolerance"),
+], ids=["nan", "above-one"])
+def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, value, error, k):
+    # Sample k of the second radius, in its second or sixth block, holds a
+    # NaN or a population of 1.1, found as the block is streamed: the run
+    # exits 3 with the message of a whole-column check, and no data file
+    # is left.
+    import magnoncavity.dynamics as dynamics
+
+    sampler, made = dynamics._decay_sampler, []
+
+    def injecting(*args):
+        read, n, dt = sampler(*args)
+        made.append(read)
+        radius = len(made)
+
+        def bad_read(i, j):
+            c = read(i, j)
+            if radius == 2 and i <= k < j:
+                c[0, k - i] = value
+            return c
+        return bad_read, n, dt
+
+    monkeypatch.setattr(dynamics, "_decay_sampler", injecting)
+    argv = ["decay", "--R_list_nm", "30,50", "--n_samples", "30000", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert (record["type"], record["error"]) == ("NumericalError", error)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum"], "spectrum.csv"), (["fieldmap", "--n_H0", "2", "--n_omega", "3"], "fieldmap.csv"),
+], ids=["spectrum", "fieldmap"])
+def test_emitter_position_header_is_plain_floats(tmp_path, argv, name):
+    # The same text under every numpy: three Python floats, no np.float64(...).
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    _, _, meta = read_csv(tmp_path / name)
+    position = ast.literal_eval(meta["emitter_position_m"])
+    assert len(position) == 3 and all(type(x) is float for x in position)
+
+
 def test_successful_run_leaves_exactly_the_files_its_manifest_lists(tmp_path):
     assert main(["decay", "--n_samples", "7", "--out", str(tmp_path)]) == 0
     files = json.loads((tmp_path / "manifest.json").read_text())["files"]
@@ -1113,26 +1185,26 @@ def test_decay_time_axis_matches_each_radius(tmp_path, monkeypatch, radii, extra
     # Radii share one formatted time axis, encoded once, only while their
     # grids are equal; with n_max = 1 the coupling guard gives each radius
     # its own dt, and at 30 and 30.001 nm two steps give grids of one size.
-    series = _recording(monkeypatch, "evolve_pseudomode")
+    series = _recording(monkeypatch, "decay_populations")
     texts = _recording(monkeypatch, "_format_column")
     argv = ["decay", "--R_list_nm", radii, "--n_samples", "7", "--out", str(tmp_path)]
     assert main(argv + extra) == 0
-    assert len({ts.times.tobytes() for ts in series}) == n_grids
+    assert len({(len(populations), dt) for populations, dt in series}) == n_grids
     assert len(texts) == n_grids
-    for R, ts in zip(radii.split(","), series):
-        rows = zip((ts.times / US).tolist(), ts.populations.tolist())
+    for R, (populations, dt) in zip(radii.split(","), series):
+        rows = zip((np.arange(len(populations)) * dt / US).tolist(), populations[:].tolist())
         assert _data_lines(tmp_path / f"decay_R{R}nm.csv") == ["%.12g,%.12g" % row for row in rows]
 
 
 def test_decay_header_records_each_radius_time_step(tmp_path, monkeypatch):
     # With n_max = 1 the coupling guard gives each radius its own dt.
-    series = _recording(monkeypatch, "evolve_pseudomode")
+    series = _recording(monkeypatch, "decay_populations")
     argv = ["decay", "--n_max", "1", "--R_list_nm", "30,50", "--n_samples", "7"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert series[0].times[1] != series[1].times[1]
-    for R, ts in zip((30, 50), series):
+    assert series[0][1] != series[1][1]
+    for R, (_, dt) in zip((30, 50), series):
         _, _, meta = read_csv(tmp_path / f"decay_R{R}nm.csv")
-        assert float(meta["dt_s"]) == ts.times[1]
+        assert float(meta["dt_s"]) == dt
 
 
 def test_transfer_header_records_the_time_step(tmp_path, monkeypatch):

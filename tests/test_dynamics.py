@@ -13,6 +13,7 @@ from magnoncavity import (CavityConfig, ConfigError, DomainError, EmitterConfig,
                           evolve_volterra, kittel_frequency, mode_table,
                           state_from_internal, tesla_to_field)
 from magnoncavity import dynamics
+from magnoncavity._text import WRITE_CHUNK
 from magnoncavity.dynamics import (MemoryKernel, TimeSeries, _doubling_powers, _pade13,
                                    _pseudomode_matrix, _squarings, extract_rabi_frequency,
                                    first_revival_time, fit_decay_rate, local_extrema,
@@ -446,6 +447,31 @@ def test_sampler_never_holds_the_whole_state(request, monkeypatch):
     c = dynamics.propagate(A, unit_vector(A.shape[0]), np.arange(100_001) * dt, (0,))
     assert c.shape == (1, 100_001)
     assert lengths == [512, 196]
+
+
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, WRITE_CHUNK - 1, WRITE_CHUNK + 1, 100_001])
+@pytest.mark.parametrize("solver", ["pseudomode", "volterra"])
+def test_streamed_blocks_are_the_whole_series(cavity, solver, n):
+    # Read a writer's block at a time, a single sample, one row h of the
+    # split k = h B + l, or any range, the populations and amplitudes have
+    # the bits of the series that evolve_<solver> reads whole. The sizes
+    # straddle a default radius's B = 512 and the writer's block.
+    kernel, _ = resonant_kernel(cavity)
+    dt = max_stable_dt(kernel) / 2.0
+    evolve = {"pseudomode": evolve_pseudomode, "volterra": evolve_volterra}[solver]
+    ts = evolve(kernel, (n - 1) * dt, dt)
+    populations, step = dynamics.decay_populations(kernel, (n - 1) * dt, dt, solver=solver)
+    read, _, _ = dynamics._decay_sampler(kernel, (n - 1) * dt, dt, None, solver)
+    assert step == dt and len(populations) == ts.times.size == n
+    blocks = [populations[i:i + WRITE_CHUNK] for i in range(0, n, WRITE_CHUNK)]
+    assert np.concatenate(blocks).tobytes() == ts.populations.tobytes()
+    B = 2 ** (((n - 1).bit_length() + 1) // 2)
+    rng = np.random.default_rng(n)
+    ranges = [(0, 1), (n - 1, n), (0, B), (B, 2 * B), (n - B, n), (n // 2, n // 2 + 1),
+              *(sorted(rng.integers(0, n + 1, 2).tolist()) for _ in range(20))]
+    for i, j in ((i, min(j, n)) for i, j in ranges if 0 <= i < n):
+        assert populations[i:j].tobytes() == ts.populations[i:j].tobytes(), (i, j)
+        assert read(i, j)[0].tobytes() == ts.amplitudes[i:j].tobytes(), (i, j)
 
 
 @pytest.mark.parametrize("scale, expected", [
