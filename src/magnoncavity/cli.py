@@ -33,11 +33,11 @@ from ._text import WRITE_CHUNK, TextColumn, write_csv as _write_csv
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
-from .dynamics import EmitterConfig, Samples, build_kernel, decay_populations
+from .dynamics import EmitterConfig, build_kernel, decay_populations, sample_times
 from .material import MaterialParams, internal_field, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_table
 from .network import (coupling_vs_separation_sweep, dispersive_coupling,
-                      symmetric_pair, transfer_dynamics)
+                      symmetric_pair, transfer_populations)
 from .spectral import field_sweep_map, spectral_grid
 
 EXPERIMENTS = ("modes", "spectrum", "fieldmap", "decay", "transfer", "coupling-sweep")
@@ -450,8 +450,7 @@ def _run_decay(cfg: RunConfig) -> Iterator[tuple]:
         # encoded once, from (n, step), a block at a time.
         if (len(populations), step) != grid:
             grid = len(populations), step
-            times_us = Samples(grid[0], lambda i, j: np.arange(i, j, dtype=float) * step / US)
-            t_text = _format_column(times_us)
+            t_text = _format_column(sample_times(*grid, US))
         yield _decay_file(R), ({"t_us": t_text, "population": populations},
                                {"R_nm": R / NM, "solver": cfg.solver, "dt_s": step})
 
@@ -471,14 +470,13 @@ def _run_transfer(cfg: RunConfig) -> Iterator[tuple]:
     positions, Delta = symmetric_pair(cavity, emitter_radius(cfg, cavity), cfg.Delta_over_g,
                                       cfg.mu_B_scale)
     t_end, dt = _time_keys(cfg)
-    result = transfer_dynamics(cavity, positions, Delta, t_end, dt, cfg.n_samples, cfg.mu_B_scale)
+    columns, swap, fidelity, meta = transfer_populations(cavity, positions, Delta, t_end, dt,
+                                                         cfg.n_samples, cfg.mu_B_scale)
+    t_us = sample_times(len(columns["P1"]), meta["dt_s"], US)
     yield "transfer.csv", (
-        {"t_us": result.times / US, "P1": result.P1, "P2": result.P2, "Pb": result.Pb},
-        {"g_rad_per_s": result.metadata["g"],
-         "Delta_rad_per_s": result.metadata["Delta"],
-         "swap_frequency_rad_per_s": result.swap_frequency,
-         "fidelity": result.fidelity,
-         "dt_s": result.metadata["dt_s"]})
+        {"t_us": t_us, **columns},
+        {"g_rad_per_s": meta["g"], "Delta_rad_per_s": meta["Delta"],
+         "swap_frequency_rad_per_s": swap, "fidelity": fidelity, "dt_s": meta["dt_s"]})
 
 
 def _run_coupling_sweep(cfg: RunConfig) -> Iterator[tuple]:

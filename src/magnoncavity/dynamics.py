@@ -29,13 +29,14 @@ evaluation each; a wide generator's come one matrix at a time.
 
 Both solvers and the two-spin transfer sample only the components they read
 (c for decay; b and Int b for the transfer) by the same two-level doubling
-(`_row_sampler`): evolve_pseudomode and the transfer through `propagate`,
+(`_row_sampler`): evolve_pseudomode and the transfer through `_propagator`,
 evolve_volterra from the powers of its step map. A state of w values over N
 samples so costs O(N w) and keeps O(sqrt(N) w), not O(N w^2) and N x w. The
-sampler gives any range of samples on demand: `decay_populations` hands a
-decay out a block at a time, bit for bit the series that evolve_* read
-whole. All take their step from `_time_step`, the one home of the step rule,
-which also checks samples x state width against the size budget
+sampler gives any range of samples on demand: `decay_populations` and
+`network.transfer_populations` hand a run out a block at a time, bit for
+bit the series that evolve_* and transfer_dynamics read whole. All take
+their step from `_time_step`, the one home of the step rule, which also
+checks samples x state width against the size budget
 (`constants.check_budget`).
 """
 
@@ -188,13 +189,9 @@ def _time_step(kernel: MemoryKernel, t_end: float, dt: float | None,
     return int(round(t_end / dt)) + 1, dt
 
 
-def _time_grid(kernel: MemoryKernel, t_end: float, dt: float | None,
-               n_samples: int | None, width: int) -> tuple[np.ndarray, float]:
-    """The sample times of `_time_step`, allocated once it has passed, and dt."""
-    n, dt = _time_step(kernel, t_end, dt, n_samples, width)
-    times = np.arange(n, dtype=float)
-    times *= dt
-    return times, dt
+def sample_times(n: int, dt: float, unit: float) -> Samples:
+    """The sample times k * dt, k < n, in units of `unit` s, a block at a time."""
+    return Samples(n, lambda i, j: np.arange(i, j, dtype=float) * dt / unit)
 
 
 def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:

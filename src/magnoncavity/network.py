@@ -21,6 +21,8 @@ g_dip/(2pi) = mu0*muB^2/(hbar*(2pi)^2*d^3).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI, check_budget
-from .dynamics import MemoryKernel, POPULATION_TOL, _time_grid, local_extrema, propagate
+from .dynamics import (MemoryKernel, POPULATION_TOL, Samples, _abs_square, _propagator,
+                       _time_step, local_extrema)
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, mode_table
 
@@ -110,9 +113,14 @@ class TransferResult:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        total = self.P1 + self.P2 + self.Pb
-        if np.any(total > 1.0 + POPULATION_TOL):
-            raise NumericalError("total single-excitation population exceeded 1")
+        _check_total(self.P1, self.P2, self.Pb)
+
+
+def _check_total(P1: np.ndarray, P2: np.ndarray, Pb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(P1, P2, Pb), refused if their total exceeds 1 beyond POPULATION_TOL."""
+    if np.any(P1 + P2 + Pb > 1.0 + POPULATION_TOL):
+        raise NumericalError("total single-excitation population exceeded 1")
+    return P1, P2, Pb
 
 
 def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: float,
@@ -122,7 +130,28 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel mode.
 
     positions (2, 3) in m, Delta = omega0 - omega_K in rad/s, dipole_scale one
-    factor or one per emitter."""
+    factor or one per emitter. `transfer_populations`, read whole."""
+    columns, swap, fidelity, metadata = transfer_populations(
+        cavity, positions, Delta, t_end, dt, n_samples, dipole_scale, initial_state)
+    n = len(columns["P1"])
+    return TransferResult(np.arange(n, dtype=float) * metadata["dt_s"],
+                          *(column[:] for column in columns.values()),
+                          swap_frequency=swap, fidelity=fidelity, metadata=metadata)
+
+
+def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: float,
+                         dt: float | None = None, n_samples: int | None = None,
+                         dipole_scale=1.0,
+                         initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
+                         ) -> tuple[dict[str, Samples], float, float, dict]:
+    """transfer_dynamics' populations {"P1", "P2", "Pb"} as `Samples` at the
+    times k * dt, its swap frequency, fidelity and metadata.
+
+    The swap is found first, in one pass over blocks of the target's
+    population. A block of the populations is then computed as it is read,
+    once for all three columns, bit for bit the values of the whole series,
+    and refused as TransferResult refuses the series if the total exceeds 1.
+    """
     if np.shape(positions) != (2, 3):
         raise DomainError(f"positions must have shape (2, 3), got {np.shape(positions)}")
     scale = np.broadcast_to(np.asarray(dipole_scale, dtype=float), (2,))
@@ -140,9 +169,9 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     Gamma = table.Gamma[0]
     # Same step rule, guard and budget as the single-emitter solvers; the
     # state is (beta, b, I).
-    times, dt = _time_grid(MemoryKernel(weights=(g1 * g1, g2 * g2),
-                                        rates=(1j * Delta - Gamma / 2.0,) * 2),
-                           t_end, dt, n_samples, 3)
+    n, dt = _time_step(MemoryKernel(weights=(g1 * g1, g2 * g2),
+                                    rates=(1j * Delta - Gamma / 2.0,) * 2),
+                       t_end, dt, n_samples, 3)
     y0 = np.array(initial_state, dtype=complex)
     norm = np.sum(np.abs(y0) ** 2)
     if abs(norm - 1.0) > POPULATION_TOL:
@@ -153,20 +182,27 @@ def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: floa
     A = np.array([[0.0, -1j * (g1 * g1 + g2 * g2), 0.0],
                   [-1j, 1j * Delta - Gamma / 2.0, 0.0],
                   [0.0, 1.0, 0.0]])
-    b, I = propagate(A, [g1 * y0[0] + g2 * y0[1], y0[2], 0.0], times, (1, 2))
-    P1 = _spin_population(y0[0], g1, I)
-    P2 = _spin_population(y0[1], g2, I)
-    Pb = np.abs(b)
-    np.square(Pb, out=Pb)
-    del b, I        # freed before the swap extractor's smoothing temporaries
+    read = _propagator(A, [g1 * y0[0] + g2 * y0[1], y0[2], 0.0], n, dt, (1, 2))
+
+    # The CSV writer's blocks; imported here, so that importing the library
+    # leaves the CSV encoder unloaded.
+    from ._text import WRITE_CHUNK
 
     # Track the population of whichever emitter starts empty.
-    target = P2 if abs(y0[0]) >= abs(y0[1]) else P1
-    swap, fidelity = _extract_swap(times, target, Delta)
-    return TransferResult(times=times, P1=P1, P2=P2, Pb=Pb,
-                          swap_frequency=swap, fidelity=fidelity,
-                          metadata={"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma,
-                                    "dt_s": dt})
+    c0, g = (y0[1], g2) if abs(y0[0]) >= abs(y0[1]) else (y0[0], g1)
+    swap, fidelity = _extract_swap((_spin_population(c0, g, read(i, min(i + WRITE_CHUNK, n))[1])
+                                    for i in range(0, n, WRITE_CHUNK)), n, dt, Delta)
+
+    @functools.lru_cache(maxsize=1)
+    def populations(i: int, j: int) -> tuple[np.ndarray, ...]:
+        b, I = read(i, j)
+        return _check_total(_spin_population(y0[0], g1, I), _spin_population(y0[1], g2, I),
+                            _abs_square(b))
+
+    columns = {name: Samples(n, lambda i, j, k=k: populations(i, j)[k])
+               for k, name in enumerate(("P1", "P2", "Pb"))}
+    return columns, swap, fidelity, {"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma,
+                                     "dt_s": dt}
 
 
 def _spin_population(c0: complex, g: float, I: np.ndarray) -> np.ndarray:
@@ -177,39 +213,66 @@ def _spin_population(c0: complex, g: float, I: np.ndarray) -> np.ndarray:
     return np.square(P, out=P)
 
 
-def _extract_swap(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[float, float]:
-    """Slow swap frequency pi/(2 t*) from the first broad maximum of P2.
+def _extract_swap(blocks, n: int, dt: float, Delta: float) -> tuple[float, float]:
+    """Slow swap frequency pi/(2 t*) from the first broad maximum of P2, whose
+    n samples k * dt come as consecutive blocks, read in one pass.
 
     Fast ripples at the detuning scale are smoothed away before peak finding;
     t_end must extend past the first half-swap for the extraction to be valid.
+    The result is that of the whole series, however it is split.
     """
     if Delta != 0:
         ripple_period = TWO_PI / abs(Delta)
-        window = 3.0 * ripple_period / (times[1] - times[0])     # in samples
-        if not window < times.size:
+        window = 3.0 * ripple_period / dt     # in samples
+        if not window < n:
             raise NumericalError("smoothing over 3 detuning ripple periods needs more than "
                                  "the whole horizon; extend t_end or raise |Delta|")
-        smooth = _boxcar(P2, max(3, int(round(window))))
+        pairs = _smoothed(blocks, max(3, int(round(window))))
     else:
-        smooth = P2
-    if np.ptp(smooth) < 1e-12:
+        pairs = ((P2, P2) for P2 in blocks)
+    # The smoothed maximum, its first index k and P2[k]; the smoothed
+    # minimum; and the maximum of P2.
+    top, k, at, low, peak = -math.inf, 0, math.nan, math.inf, -math.inf
+    i = 0
+    for smooth, P2 in pairs:
+        if smooth.size:
+            j = int(np.argmax(smooth))
+            if smooth[j] > top:
+                top, k, at = smooth[j], i + j, P2[j]
+            low, peak = min(low, smooth.min()), max(peak, P2.max())
+            i += smooth.size
+    if top - low < 1e-12:
         # Decoupled receiver: nothing swaps, no rate to extract.
-        return math.nan, float(np.max(P2))
-    k = int(np.argmax(smooth))
-    if k == 0 or k == times.size - 1:
+        return math.nan, float(peak)
+    if k == 0 or k == n - 1:
         raise NumericalError("no interior P2 maximum; extend t_end to cover a half swap")
-    t_star = float(times[k])
-    return math.pi / (2.0 * t_star), float(P2[k])
+    return math.pi / (2.0 * float(k * dt)), float(at)
 
 
-def _boxcar(x: np.ndarray, width: int) -> np.ndarray:
-    """Moving average over `width` samples, edge values repeated past both ends.
+def _smoothed(blocks, width: int):
+    """(smooth, x) for the consecutive non-empty blocks x of a series: its
+    moving average over `width` samples, edge values repeated past both
+    ends, and the samples x that the averages are centred on, given as soon
+    as the samples they span have come.
 
-    Window i covers x[i - width//2 : i - width//2 + width]; a cumulative sum
-    keeps it O(N) at any width.
+    Sample i averages x[i - width//2 : i - width//2 + width], the difference
+    of two running sums of the edge-padded series `width` apart. Each
+    block's sums continue from the last sum before it, so they are bit for
+    bit those of one `np.cumsum` over the whole padded series. Only the last
+    `width` sums are kept, and the samples whose average is still open.
     """
-    csum = np.cumsum(np.pad(x, (width // 2 + 1, (width - 1) // 2), mode="edge"))
-    return (csum[width:] - csum[:-width]) / width
+    sums = x_open = np.empty(0)
+    for x in itertools.chain(blocks, [None]):
+        if x is None:       # the right edge
+            x, padded = x_open[:0], np.full((width - 1) // 2, last)
+        else:
+            padded = x if sums.size else np.concatenate((np.full(width // 2 + 1, x[0]), x))
+            last = x[-1]
+        sums = np.concatenate((sums[:-1], np.cumsum(np.concatenate((sums[-1:], padded)))))
+        x_open = np.concatenate((x_open, x))
+        m = max(0, sums.size - width)
+        yield (sums[width:] - sums[:m]) / width, x_open[:m]
+        sums, x_open = sums[m:], x_open[m:]
 
 
 def has_fast_ripples(result: TransferResult, min_count: int = 5) -> bool:

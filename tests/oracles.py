@@ -20,8 +20,10 @@ by Gauss-Legendre quadrature with a finite-difference tensor derivative, and
 gradients of the scalar potential are taken by central differences. The
 Volterra oracle sums the trapezoid history literally at every step, the
 Lorentzian oracle builds the spectral density's terms as one broadcast, the
-doubling-power oracle takes one Pade value per power, and the extremum
-oracles are the loops that `dynamics.local_extrema` replaced.
+doubling-power oracle takes one Pade value per power, the extremum
+oracles are the loops that `dynamics.local_extrema` replaced, and the swap
+oracle smooths the whole series with one cumulative sum, where
+`network._extract_swap` reads it in blocks.
 """
 
 import itertools
@@ -315,3 +317,30 @@ def fast_ripples_oracle(result, min_count: int = 5) -> bool:
     rising = p[1:-1] > p[:-2]
     falling = p[1:-1] >= p[2:]
     return int(np.sum(rising & falling)) >= min_count
+
+
+def boxcar_oracle(x: np.ndarray, width: int) -> np.ndarray:
+    """Moving average over `width` samples, edge values repeated past both
+    ends, from one cumulative sum of the whole padded series."""
+    csum = np.cumsum(np.pad(x, (width // 2 + 1, (width - 1) // 2), mode="edge"))
+    return (csum[width:] - csum[:-width]) / width
+
+
+def swap_oracle(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[float, float]:
+    """(pi/(2 t*), P2 at t*) from the first maximum of the whole P2, smoothed
+    over 3 ripple periods 2 pi/|Delta| (not at Delta = 0), with the
+    streamed extractor's errors."""
+    if Delta != 0:
+        window = 3.0 * (2.0 * math.pi / abs(Delta)) / (times[1] - times[0])
+        if not window < times.size:
+            raise NumericalError("smoothing over 3 detuning ripple periods needs more than "
+                                 "the whole horizon; extend t_end or raise |Delta|")
+        smooth = boxcar_oracle(P2, max(3, int(round(window))))
+    else:
+        smooth = P2
+    if np.ptp(smooth) < 1e-12:
+        return math.nan, float(np.max(P2))
+    k = int(np.argmax(smooth))
+    if k == 0 or k == times.size - 1:
+        raise NumericalError("no interior P2 maximum; extend t_end to cover a half swap")
+    return math.pi / (2.0 * float(times[k])), float(P2[k])

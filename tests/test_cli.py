@@ -716,7 +716,7 @@ def test_state_budget_counts_each_solvers_state():
     # 3 340 001 samples at n_max = 1: the Volterra state (c, dc/dt, one
     # history term) is over the budget, the pseudo-mode state (c, b) is not.
     from magnoncavity.cli import build_cavity, build_emitter, build_kernel
-    from magnoncavity.dynamics import _time_grid, evolve_volterra
+    from magnoncavity.dynamics import _time_step, evolve_volterra
 
     overrides = dict(zip(_VOLTERRA_OVER_BUDGET[1::2], _VOLTERRA_OVER_BUDGET[2::2]))
     cfg = parse_config(None, {k.lstrip("-"): v for k, v in overrides.items()})
@@ -724,9 +724,9 @@ def test_state_budget_counts_each_solvers_state():
     kernel = build_kernel(build_emitter(cfg, cavity), cavity)
     with pytest.raises(ConfigError, match="3 state values"):
         evolve_volterra(kernel, 3.34e-6, 1e-12)
-    times, dt = _time_grid(kernel, 3.34e-6, 1e-12, None, len(kernel.weights) + 1)
+    n, dt = _time_step(kernel, 3.34e-6, 1e-12, None, len(kernel.weights) + 1)
     assert dt == pytest.approx(1e-12)
-    assert times.size == 3_340_001
+    assert n == 3_340_001
 
 
 def test_decay_domain_error_writes_no_data(tmp_path):
@@ -838,6 +838,69 @@ def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, va
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
 
 
+def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
+    # The swap is found in one streamed pass and the populations are
+    # streamed into the file, so a run holds O(sqrt(n)) state, the smoothing
+    # window of 3 ripple periods (27 000 and 91 000 samples here) and one
+    # block, where b, Int b, P1, P2, Pb and the times took 7.2 and 72 MB.
+    import tracemalloc
+
+    def peak(*argv):
+        tracemalloc.start()
+        try:
+            main(["transfer", *argv, "--out", str(tmp_path / str(len(argv)))])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("--n_samples", "100")      # caches built on a first call stay out of the peaks
+    assert peak() < 2.5e6           # 100 001 samples; exits 3, no interior P2 maximum
+    assert not (tmp_path / "0" / "transfer.csv").exists()
+    assert peak("--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "1000000") < 8e6
+    _, rows, _ = read_csv(tmp_path / "6" / "transfer.csv")
+    assert rows.shape == (1_000_001, 4)
+
+
+@pytest.mark.parametrize("value, error", [
+    (None, None),
+    (np.nan, "transfer.csv column 'Pb' holds a non-finite value"),
+    (np.sqrt(1.1), "total single-excitation population exceeded 1"),
+], ids=["clean", "nan", "above-one"])
+def test_bad_transfer_block_fails_the_run(tmp_path, monkeypatch, value, error):
+    # The magnon amplitude at a sample of the second block is a NaN or
+    # sqrt(1.1). The swap pass reads only Int b, so the run finds its swap,
+    # then meets the bad block as it is streamed: it exits 3 with the
+    # message of a whole-series check, and no data file is left. Each block
+    # is read once for the swap and once for all three columns.
+    import magnoncavity.network as network
+
+    propagator, reads, k = network._propagator, [], WRITE_CHUNK + 5
+
+    def injecting(*args):
+        read = propagator(*args)
+
+        def bad_read(i, j):
+            reads.append((i, j))
+            out = read(i, j)
+            if value is not None and i <= k < j:
+                out[0, k - i] = value
+            return out
+        return bad_read
+
+    monkeypatch.setattr(network, "_propagator", injecting)
+    argv = ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "30000",
+            "--out", str(tmp_path)]
+    if value is None:
+        assert main(argv) == 0
+        blocks = [(i, min(i + WRITE_CHUNK, 30_001)) for i in range(0, 30_001, WRITE_CHUNK)]
+        assert reads == blocks + blocks
+        return
+    assert main(argv) == 3
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert (record["type"], record["error"]) == ("NumericalError", error)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["spectrum"], "spectrum.csv"), (["fieldmap", "--n_H0", "2", "--n_omega", "3"], "fieldmap.csv"),
 ], ids=["spectrum", "fieldmap"])
@@ -884,9 +947,11 @@ def test_undefined_g_eff_is_null(tmp_path, argv):
      "kernel weights and rates must be finite"),
     (["coupling-sweep", "--Delta_over_g", "1e-320"], "DomainError",
      "Delta = 0 or g^2/Delta overflows"),
+    # dt = 1 ns over a 0.1 ns horizon: one sample, shorter than any smoothing window.
+    (["transfer", "--dt_ns", "1", "--t_end_us", "1e-4"], "NumericalError", "horizon"),
 ], ids=["sweep-g_eff-undefined", "mode-frequencies-overflow", "swap-horizon-underflows",
         "swap-ripple-period-overflows", "mode-table-overflows", "decay-kernel-overflows",
-        "transfer-kernel-overflows", "sweep-g_eff-overflows"])
+        "transfer-kernel-overflows", "sweep-g_eff-overflows", "transfer-single-sample"])
 def test_exit_code_3_for_unresolvable_inputs(tmp_path, argv, error, cause):
     assert main(argv + ["--out", str(tmp_path)]) == 3
     record = json.loads((tmp_path / "error.json").read_text())
@@ -1208,11 +1273,12 @@ def test_decay_header_records_each_radius_time_step(tmp_path, monkeypatch):
 
 
 def test_transfer_header_records_the_time_step(tmp_path, monkeypatch):
-    results = _recording(monkeypatch, "transfer_dynamics")
+    results = _recording(monkeypatch, "transfer_populations")
     argv = ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "200"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     _, _, meta = read_csv(tmp_path / "transfer.csv")
-    assert float(meta["dt_s"]) == results[0].times[1]
+    ((_, _, _, metadata),) = results
+    assert float(meta["dt_s"]) == metadata["dt_s"]
 
 
 def test_run_config_roundtrip_hash_changes():

@@ -6,9 +6,12 @@ import pytest
 from magnoncavity import (CavityConfig, ConfigError, DomainError,
                           coupling_vs_separation_sweep, mode_table,
                           symmetric_pair, transfer_dynamics)
-from magnoncavity import network
-from magnoncavity.network import (_boxcar, dipole_dipole_coupling, dispersive_coupling,
+from magnoncavity import NumericalError, network
+from magnoncavity._text import WRITE_CHUNK
+from magnoncavity.constants import TWO_PI
+from magnoncavity.network import (dipole_dipole_coupling, dispersive_coupling,
                                   effective_coupling, has_fast_ripples)
+from oracles import boxcar_oracle, swap_oracle
 
 
 @pytest.fixture(scope="module")
@@ -211,14 +214,93 @@ def test_fast_ripples_present(dispersive_run):
     assert has_fast_ripples(dispersive_run)
 
 
+def _random_blocks(x: np.ndarray, rng) -> list[np.ndarray]:
+    """x as consecutive non-empty blocks, cut at up to 11 random places."""
+    count = min(x.size - 1, int(rng.integers(0, 12)))
+    return np.split(x, np.sort(rng.choice(np.arange(1, x.size), count, replace=False)))
+
+
+def _outcome(extract, *args):
+    try:
+        return extract(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("width", [7, 4, 60])
 def test_boxcar_matches_edge_clamped_moving_average(width):
     # Odd, even, and wider than the series: the window centred like
-    # scipy.ndimage.uniform_filter1d(mode="nearest"), edges clamped.
+    # scipy.ndimage.uniform_filter1d(mode="nearest"), edges clamped. However
+    # the series is split into blocks, the streamed average has the bits of
+    # one cumulative sum over the whole series, and each comes with the
+    # sample it is centred on.
     x = np.random.default_rng(1).random(50)
     idx = np.arange(x.size)[:, None] - width // 2 + np.arange(width)[None, :]
     naive = x[np.clip(idx, 0, x.size - 1)].mean(axis=1)
-    np.testing.assert_allclose(_boxcar(x, width), naive, rtol=0, atol=1e-13)
+    rng = np.random.default_rng(width)
+    for blocks in ([x], np.split(x, x.size), *(_random_blocks(x, rng) for _ in range(20))):
+        smooth, centres = map(np.concatenate, zip(*network._smoothed(blocks, width)))
+        np.testing.assert_allclose(smooth, naive, rtol=0, atol=1e-13)
+        assert smooth.tobytes() == boxcar_oracle(x, width).tobytes()
+        assert centres.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("width", [0, 100, WRITE_CHUNK, 10_000],
+                         ids=["Delta=0", "below-a-block", "one-block", "above-a-block"])
+@pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 100_001])
+def test_streamed_swap_is_the_whole_series_swap(n, width):
+    # A slow swap with ripples of period width/3 samples at a unit time
+    # step, so that the smoothing window is `width` samples (no smoothing
+    # at Delta = 0), clipped to a flat top whose equal maxima span blocks.
+    # Read in the writer's blocks or cut at random, the swap, the fidelity
+    # and every error are those of the whole series.
+    Delta = 3.0 * TWO_PI / width if width else 0.0
+    t = np.arange(n, dtype=float)
+    P2 = 0.9 * np.sin(np.pi * t / (1.2 * n)) ** 2 + 0.05 * np.sin(Delta / 2.0 * t) ** 2
+    np.minimum(P2, 0.85, out=P2)
+    expected = _outcome(swap_oracle, t, P2, Delta)
+    writer = [P2[i:i + WRITE_CHUNK] for i in range(0, n, WRITE_CHUNK)]
+    for blocks in (writer, _random_blocks(P2, np.random.default_rng(n + width))):
+        assert repr(_outcome(network._extract_swap, iter(blocks), n, 1.0, Delta)) == repr(expected)
+
+
+@pytest.mark.parametrize("case, size", [
+    ("decoupled-resonant", 2), ("resonant", 4095), ("resonant", 4096), ("resonant", 4097),
+    ("dispersive", 1000), ("dispersive", WRITE_CHUNK), ("dispersive", 10_000),
+    ("target-P1", 3001), ("decoupled", 3001)])
+def test_streamed_transfer_is_transfer_dynamics(cavity_narrow, yig_lossless, fields, case, size):
+    # Read a writer's block at a time, the populations are transfer_dynamics'
+    # arrays bit for bit; the swap and the fidelity, found in one streamed
+    # pass, are those of the whole target population. `size` is the number
+    # of samples, or for "dispersive" the smoothing window of 100 001.
+    lossless = lossless_cavity(yig_lossless, fields)
+    resonant, _ = symmetric_pair(lossless, a=1.2 * lossless.R, Delta_over_g=0.0)
+    dispersive, Delta = symmetric_pair(cavity_narrow, a=1.2 * cavity_narrow.R, Delta_over_g=10.0)
+    on_axis = (0, 0, 1.2 * cavity_narrow.R)     # the Kittel mode's g vanishes here
+    state = (0.0, 1.0, 0.0) if case == "target-P1" else (1.0, 0.0, 0.0)
+    if case.endswith("resonant"):
+        # Past the first swap, or one 1 ns step when the receiver is decoupled.
+        g = abs(mode_table(lossless, resonant[0]).g[0])
+        t_end = 1e-9 if size == 2 else 1.2 * math.pi / (math.sqrt(2.0) * g)
+        positions = [resonant[0], on_axis] if case.startswith("decoupled") else resonant
+        args = lossless, positions, 0.0, t_end, t_end / (size - 1)
+    elif case == "dispersive":
+        dt = 3.0 * (TWO_PI / Delta) / size
+        args = cavity_narrow, dispersive, Delta, 100_000 * dt, dt
+    else:
+        positions = [dispersive[0], on_axis] if case == "decoupled" else dispersive
+        args = cavity_narrow, positions, Delta, (size - 1) * 1e-9, 1e-9
+    res = transfer_dynamics(*args, initial_state=state)
+    columns, swap, fidelity, metadata = network.transfer_populations(*args, initial_state=state)
+    n = res.times.size
+    assert n == (100_001 if case == "dispersive" else size)
+    assert len(columns["P1"]) == n and metadata == res.metadata
+    for key, column in columns.items():
+        blocks = [column[i:i + WRITE_CHUNK] for i in range(0, n, WRITE_CHUNK)]
+        assert np.concatenate(blocks).tobytes() == getattr(res, key).tobytes(), key
+    expected = swap_oracle(res.times, res.P1 if state[1] else res.P2, args[2])
+    assert repr((swap, fidelity)) == repr((res.swap_frequency, res.fidelity)) == repr(expected)
+    assert math.isnan(swap) == case.startswith("decoupled")
 
 
 def test_magnon_population_bound(dispersive_pair, dispersive_run):
