@@ -275,10 +275,6 @@ def _config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# The %.12g text of an axis that many rows or files share, encoded once.
-_format_column = TextColumn
-
-
 def _emitter_modes(cfg: RunConfig, cavity: CavityConfig):
     """The cavity's mode table with couplings at the configured emitter."""
     return mode_table(cavity, (emitter_radius(cfg, cavity), 0.0, 0.0), cfg.mu_B_scale)
@@ -431,10 +427,10 @@ def _run_fieldmap(cfg: RunConfig) -> Iterator[tuple]:
     # Each axis value is encoded once; rows gather their text by index.
     n_H0, n_omega = sweep.J.shape
     yield "fieldmap.csv", ({
-        "H0_T": _format_column(sweep.H0_values * CONSTANTS.mu0,
-                               np.repeat(np.arange(n_H0, dtype=np.int32), n_omega)),
-        "omega_GHz": _format_column(sweep.omega_values / TWO_PI / 1e9,
-                                    np.tile(np.arange(n_omega, dtype=np.int32), n_H0)),
+        "H0_T": TextColumn(sweep.H0_values * CONSTANTS.mu0,
+                           np.repeat(np.arange(n_H0, dtype=np.int32), n_omega)),
+        "omega_GHz": TextColumn(sweep.omega_values / TWO_PI / 1e9,
+                                np.tile(np.arange(n_omega, dtype=np.int32), n_H0)),
         "J": sweep.J.ravel(),
     }, sweep.metadata)
 
@@ -450,7 +446,7 @@ def _run_decay(cfg: RunConfig) -> Iterator[tuple]:
         # encoded once, from (n, step), a block at a time.
         if (len(populations), step) != grid:
             grid = len(populations), step
-            t_text = _format_column(sample_times(*grid, US))
+            t_text = TextColumn(sample_times(*grid, US))
         yield _decay_file(R), ({"t_us": t_text, "population": populations},
                                {"R_nm": R / NM, "solver": cfg.solver, "dt_s": step})
 

@@ -5,20 +5,18 @@ Rotating-frame amplitude c(t) (c_tilde, slowly varying at omega0) obeys
     dc/dt = -Int_0^t K(t - t') c(t') dt',
     K(tau) = sum_n |g_n|^2 exp[(i(omega0 - omega_n) - Gamma_n/2) tau],
 
-the closed-contour transform of the Lorentzian spectral density. Two
-independent solvers are provided and cross-validated:
+the closed-contour transform of the Lorentzian spectral density.
+`decay_populations` samples |c|^2 by either of two independent solvers,
+cross-validated against each other:
 
-  * evolve_volterra   -- Crank-Nicolson discretization of the
-                         integro-differential equation with a trapezoid
-                         rule over the history. Because K is a sum of
-                         exponentials, the history sum is carried by a
-                         recursion of one term per mode, so each step is
-                         one fixed linear map; O(N * modes). The literal
-                         O(N^2) history sum is the test oracle.
-  * evolve_pseudomode -- equivalent linear ODE system y' = A y (one damped
-                         auxiliary amplitude per Lorentzian), sampled
-                         exactly by matrix-exponential propagation,
-                         O(N * modes). Production path.
+  * "volterra"   -- Crank-Nicolson discretization of the
+                    integro-differential equation with a trapezoid rule over
+                    the history, carried by a recursion of one term per mode;
+                    O(N * modes). The literal O(N^2) history sum is the test
+                    oracle.
+  * "pseudomode" -- the equivalent linear ODE system y' = A y (one damped
+                    auxiliary amplitude per Lorentzian), sampled exactly by
+                    matrix-exponential propagation, O(N * modes). The default.
 
 The matrix exponential is this module's own numpy scaling and squaring with
 [13/13] Pade values (`_doubling_powers`), fitted to the powers
@@ -29,22 +27,21 @@ evaluation each; a wide generator's come one matrix at a time.
 
 Both solvers and the two-spin transfer sample only the components they read
 (c for decay; b and Int b for the transfer) by the same two-level doubling
-(`_row_sampler`): evolve_pseudomode and the transfer through `_propagator`,
-evolve_volterra from the powers of its step map. A state of w values over N
-samples so costs O(N w) and keeps O(sqrt(N) w), not O(N w^2) and N x w. The
-sampler gives any range of samples on demand: `decay_populations` and
-`network.transfer_populations` hand a run out a block at a time, bit for
-bit the series that evolve_* and transfer_dynamics read whole. All take
-their step from `_time_step`, the one home of the step rule, which also
-checks samples x state width against the size budget
-(`constants.check_budget`).
+(`_row_sampler`): the pseudo-mode decay and the transfer through
+`_propagator`, the Volterra decay from the powers of its step map. A state
+of w values over N samples so costs O(N w) and keeps O(sqrt(N) w), not
+O(N w^2) and N x w. The sampler gives any range of samples on demand:
+`decay_populations` and `network.transfer_populations` return `Samples`,
+which a caller reads a block at a time, or whole with `[:]`. All take their
+step from `_time_step`, the one home of the step rule, which also checks
+samples x state width against the size budget (`constants.check_budget`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,19 +96,6 @@ class MemoryKernel:
         return np.sum(w * np.exp(s * tau[..., None]), axis=-1)
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Sampled populations |c_e(t)|^2, with the amplitudes c_e(t)."""
-
-    times: np.ndarray
-    populations: np.ndarray
-    amplitudes: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _check_populations(self.populations)
-
-
 def _check_populations(p: np.ndarray) -> np.ndarray:
     """p, refused if it leaves [0, 1] beyond POPULATION_TOL."""
     if (p < -POPULATION_TOL).any() or (p > 1.0 + POPULATION_TOL).any():
@@ -122,8 +106,9 @@ def _check_populations(p: np.ndarray) -> np.ndarray:
 class Samples:
     """Samples k < n of a series, computed by `block(i, j)` for i <= k < j.
 
-    `len()` and `[i:j]` read like an array's, so a writer can take the
-    series a block at a time without ever holding all of it."""
+    `len()` and `[i:j]` read like an array's, negative and open bounds
+    included, so a writer can take the series a block at a time without
+    ever holding all of it; `[:]` is the whole series."""
 
     def __init__(self, n: int, block):
         self.n, self.block = n, block
@@ -132,7 +117,9 @@ class Samples:
         return self.n
 
     def __getitem__(self, key: slice) -> np.ndarray:
-        i, j, _ = key.indices(self.n)
+        i, j, step = key.indices(self.n)
+        if step != 1:
+            raise ValueError(f"Samples are read in slices of step 1, not {step}")
         return self.block(i, max(i, j))
 
 
@@ -158,11 +145,6 @@ def _dt_bounds(kernel: MemoryKernel) -> dict[str, float]:
         if gmax > 0:
             bounds["max coupling"] = 1.0 / (10.0 * gmax) / 10.0
     return bounds
-
-
-def max_stable_dt(kernel: MemoryKernel) -> float:
-    """Resolution guard: dt must not exceed min(2pi/max|detuning|, 1/Gamma, 1/(10 g_max))/10."""
-    return min(_dt_bounds(kernel).values(), default=math.inf)
 
 
 def _time_step(kernel: MemoryKernel, t_end: float, dt: float | None,
@@ -258,13 +240,6 @@ def _propagator(A: np.ndarray, y0, n: int, dt: float, rows):
     count = (n - 1).bit_length()
     powers = _doubling_powers(A * dt, count) if count else iter(())
     return _row_sampler(y0, n, powers, rows)
-
-
-def propagate(A: np.ndarray, y0, times: np.ndarray, rows) -> np.ndarray:
-    """Exact samples of the components `rows` of expm(A t_k) y0, t_k = k*dt,
-    as a (len(rows), times.size) array: `_propagator`'s, read whole."""
-    n = times.size
-    return _propagator(A, y0, n, times[1] if n > 1 else 0.0, rows)(0, n)
 
 
 def _squares(T: np.ndarray):
@@ -370,47 +345,25 @@ def _pade_values(B: np.ndarray, scales: np.ndarray):
         yield from _pade13(B * scales[k:k + size, None, None])
 
 
-def evolve_volterra(kernel: MemoryKernel, t_end: float, dt: float | None = None,
-                    n_samples: int | None = None) -> TimeSeries:
-    """Trapezoidal-history integration of the Volterra equation.
-
-    Crank-Nicolson in time with a trapezoid rule over the full history;
-    second order in dt. With z_m = exp(s_m dt), the history at step k is
-    sum_m w_m P_m(k), where P_m(k) = z_m (P_m(k-1) + c_k) and
-    P_m(-1) = -c_0/2. So x_k = (c_k, f_k, P(k-1)), with f the derivative,
-    advances by one constant (modes + 2)-square map T, and c is sampled from
-    its powers by `_row_sampler`; cost O(N * modes). The step follows
-    `_time_step`.
-    """
-    return _series(*_decay_sampler(kernel, t_end, dt, n_samples, "volterra"))
-
-
-def evolve_pseudomode(kernel: MemoryKernel, t_end: float, dt: float | None = None,
-                      n_samples: int | None = None) -> TimeSeries:
-    """Exact propagation of the equivalent damped-mode linear system.
-
-    y = (c, b_1..b_n): dc/dt = -i sum_n g_n b_n, db_n/dt = -i g_n c + s_n b_n.
-    The step follows `_time_step`.
-    """
-    return _series(*_decay_sampler(kernel, t_end, dt, n_samples, "pseudomode"))
-
-
 def decay_populations(kernel: MemoryKernel, t_end: float, dt: float | None = None,
                       n_samples: int | None = None,
                       solver: str = "pseudomode") -> tuple[Samples, float]:
-    """The populations of evolve_<solver>'s series as `Samples`, and dt.
+    """The populations |c(t_k)|^2 at t_k = k dt as `Samples`, and dt.
 
-    Each block is computed as it is read, bit for bit the series' values,
-    and refused as the series would be if it leaves [0, 1]."""
+    `solver` "pseudomode" propagates y = (c, b_1..b_n) exactly:
+    dc/dt = -i sum_n g_n b_n, db_n/dt = -i g_n c + s_n b_n, with g_n^2 and
+    s_n the kernel's weights and rates. "volterra" integrates the memory
+    equation by `_decay_sampler`'s recursion. The step follows `_time_step`.
+
+    Each block is computed as it is read and refused if it leaves [0, 1]
+    beyond POPULATION_TOL. A block whose bounds are multiples of
+    `_text.WRITE_CHUNK`, as the CSV writer reads, has the bits of the same
+    range of the whole read `[:]`. Other ranges did too at every state
+    width tried up to 128 values; from about 150 values up, BLAS rounded
+    some unaligned ranges otherwise, in the last bit (OpenBLAS 0.3.31,
+    Haswell kernels)."""
     read, n, dt = _decay_sampler(kernel, t_end, dt, n_samples, solver)
     return Samples(n, lambda i, j: _check_populations(_abs_square(read(i, j)[0]))), dt
-
-
-def _series(read, n: int, dt: float) -> TimeSeries:
-    """The TimeSeries of the amplitude sampler `read` of n samples, read whole."""
-    c = read(0, n)[0]
-    return TimeSeries(times=np.arange(n, dtype=float) * dt, populations=_abs_square(c),
-                      amplitudes=c, metadata={"dt_s": dt})
 
 
 def _abs_square(c: np.ndarray) -> np.ndarray:
@@ -421,7 +374,15 @@ def _abs_square(c: np.ndarray) -> np.ndarray:
 def _decay_sampler(kernel: MemoryKernel, t_end: float, dt: float | None,
                    n_samples: int | None, solver: str) -> tuple:
     """(read, n, dt): the sampler read(i, j) of c by `solver`, "pseudomode"
-    or "volterra", over the n sample times k*dt of `_time_step`."""
+    or "volterra", over the n sample times k*dt of `_time_step`.
+
+    "volterra" is Crank-Nicolson in time with a trapezoid rule over the
+    full history, second order in dt. With z_m = exp(s_m dt), the history
+    at step k is sum_m w_m P_m(k), where P_m(k) = z_m (P_m(k-1) + c_k) and
+    P_m(-1) = -c_0/2. So x_k = (c_k, f_k, P(k-1)), with f the derivative,
+    advances by one constant (modes + 2)-square map T, and c is sampled
+    from its powers by `_row_sampler`; cost O(N * modes).
+    """
     if solver not in ("pseudomode", "volterra"):
         raise ConfigError(f"unknown solver {solver!r}")
     w = len(kernel.weights)
@@ -452,48 +413,9 @@ def _decay_sampler(kernel: MemoryKernel, t_end: float, dt: float | None,
 
 
 def _pseudomode_matrix(kernel: MemoryKernel) -> np.ndarray:
-    """The generator A of y = (c, b_1..b_n) in evolve_pseudomode's y' = A y."""
+    """The generator A of y = (c, b_1..b_n) in the pseudo-mode decay's y' = A y."""
     g = np.sqrt(np.array(kernel.weights))
     A = np.diag(np.array((0.0, *kernel.rates), dtype=complex))
     A[0, 1:] = -1j * g
     A[1:, 0] = -1j * g
     return A
-
-
-def local_extrema(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the interior local minima and maxima of p, each ascending.
-
-    k is a minimum where p[k] < p[k-1] and p[k] <= p[k+1], and a maximum
-    where p[k] > p[k-1] and p[k] >= p[k+1]; a NaN at or beside k rules it out.
-    """
-    mid, left, right = p[1:-1], p[:-2], p[2:]
-    minima = np.flatnonzero((mid < left) & (mid <= right)) + 1
-    maxima = np.flatnonzero((mid > left) & (mid >= right)) + 1
-    return minima, maxima
-
-
-def extract_rabi_frequency(ts: TimeSeries) -> float:
-    """Omega = pi/t_min from the first local minimum of the population."""
-    minima, _ = local_extrema(ts.populations)
-    if not minima.size:
-        raise NumericalError("no population minimum found; horizon too short?")
-    return math.pi / ts.times[minima[0]]
-
-
-def first_revival_time(ts: TimeSeries) -> float:
-    """Time of the first local population maximum after the first minimum."""
-    minima, maxima = local_extrema(ts.populations)
-    revivals = maxima[maxima > minima[0]] if minima.size else maxima[:0]
-    if not revivals.size:
-        raise NumericalError("no population revival found; horizon too short?")
-    return float(ts.times[revivals[0]])
-
-
-def fit_decay_rate(ts: TimeSeries, floor: float = 1e-3) -> float:
-    """Exponential rate from a linear fit of log population (Markovian regime)."""
-    mask = ts.populations > floor
-    mask[0] = False  # log(1) anchors the fit too strongly at t = 0
-    if mask.sum() < 10:
-        raise NumericalError("too few points above the fit floor")
-    slope, _ = np.polyfit(ts.times[mask], np.log(ts.populations[mask]), 1)
-    return float(-slope)

@@ -13,9 +13,11 @@ Lindblad evolution restricted to at most one excitation. The magnon sees the
 spins only through the bright sum beta = g1 c1 + g2 c2, so the system is
 propagated exactly (matrix exponential) in (beta, b, I = Int b dt), of which
 only b and I are sampled, and each spin follows from
-c_j(t) = c_j(0) - i g_j I(t). In the dispersive
-window |Delta| >> g the magnon mediates an effective spin-spin coupling
-g_eff ~ g^2/Delta; the vacuum dipole-dipole baseline at separation d is
+c_j(t) = c_j(0) - i g_j I(t). `transfer_populations` finds the swap in one
+streamed pass and returns the populations as `dynamics.Samples`, computed a
+block at a time as they are read. In the dispersive window |Delta| >> g
+the magnon mediates an effective spin-spin coupling g_eff ~ g^2/Delta; the
+vacuum dipole-dipole baseline at separation d is
 g_dip/(2pi) = mu0*muB^2/(hbar*(2pi)^2*d^3).
 """
 
@@ -25,13 +27,11 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI, check_budget
-from .dynamics import (MemoryKernel, POPULATION_TOL, Samples, _abs_square, _propagator,
-                       _time_step, local_extrema)
+from .dynamics import MemoryKernel, POPULATION_TOL, Samples, _abs_square, _propagator, _time_step
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, mode_table
 
@@ -100,22 +100,6 @@ def coupling_vs_separation_sweep(G: float, R_min: float, R_max: float, n_R: int,
             "g_eff_rad_per_s": g_eff, "g_dip_rad_per_s": dipole_dipole_coupling(2.0 * a)}
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """Populations P1, P2, Pb over time plus extracted swap frequency and fidelity."""
-
-    times: np.ndarray
-    P1: np.ndarray
-    P2: np.ndarray
-    Pb: np.ndarray
-    swap_frequency: float
-    fidelity: float
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _check_total(self.P1, self.P2, self.Pb)
-
-
 def _check_total(P1: np.ndarray, P2: np.ndarray, Pb: np.ndarray) -> tuple[np.ndarray, ...]:
     """(P1, P2, Pb), refused if their total exceeds 1 beyond POPULATION_TOL."""
     if np.any(P1 + P2 + Pb > 1.0 + POPULATION_TOL):
@@ -123,34 +107,25 @@ def _check_total(P1: np.ndarray, P2: np.ndarray, Pb: np.ndarray) -> tuple[np.nda
     return P1, P2, Pb
 
 
-def transfer_dynamics(cavity: CavityConfig, positions, Delta: float, t_end: float,
-                      dt: float | None = None, n_samples: int | None = None, dipole_scale=1.0,
-                      initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
-                      ) -> TransferResult:
-    """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel mode.
-
-    positions (2, 3) in m, Delta = omega0 - omega_K in rad/s, dipole_scale one
-    factor or one per emitter. `transfer_populations`, read whole."""
-    columns, swap, fidelity, metadata = transfer_populations(
-        cavity, positions, Delta, t_end, dt, n_samples, dipole_scale, initial_state)
-    n = len(columns["P1"])
-    return TransferResult(np.arange(n, dtype=float) * metadata["dt_s"],
-                          *(column[:] for column in columns.values()),
-                          swap_frequency=swap, fidelity=fidelity, metadata=metadata)
-
-
 def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: float,
                          dt: float | None = None, n_samples: int | None = None,
                          dipole_scale=1.0,
                          initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
                          ) -> tuple[dict[str, Samples], float, float, dict]:
-    """transfer_dynamics' populations {"P1", "P2", "Pb"} as `Samples` at the
-    times k * dt, its swap frequency, fidelity and metadata.
+    """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel
+    mode: the populations {"P1", "P2", "Pb"} as `Samples` at the times
+    k * dt, the swap frequency, the fidelity and the metadata
+    {g, g2, Delta, Gamma, dt_s}.
 
-    The swap is found first, in one pass over blocks of the target's
-    population. A block of the populations is then computed as it is read,
-    once for all three columns, bit for bit the values of the whole series,
-    and refused as TransferResult refuses the series if the total exceeds 1.
+    positions (2, 3) in m, Delta = omega0 - omega_K in rad/s, dipole_scale
+    one factor or one per emitter. The swap is found first, in one pass over
+    blocks of the target's population. A block of the populations is then
+    computed as it is read, once for all three columns, and refused if their
+    total exceeds 1 beyond POPULATION_TOL. A block whose bounds are
+    multiples of `_text.WRITE_CHUNK`, as the CSV writer reads, has the bits
+    of the same range of the whole read `[:]`, and so did every other range
+    tried at this 3-value state (`dynamics.decay_populations` gives the
+    scope for wide states).
     """
     if np.shape(positions) != (2, 3):
         raise DomainError(f"positions must have shape (2, 3), got {np.shape(positions)}")
@@ -273,8 +248,3 @@ def _smoothed(blocks, width: int):
         m = max(0, sums.size - width)
         yield (sums[width:] - sums[:m]) / width, x_open[:m]
         sums, x_open = sums[m:], x_open[m:]
-
-
-def has_fast_ripples(result: TransferResult, min_count: int = 5) -> bool:
-    """Detect the fast modulation riding on the slow swap: count local maxima of P1."""
-    return local_extrema(result.P1)[1].size >= min_count

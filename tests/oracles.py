@@ -21,9 +21,13 @@ gradients of the scalar potential are taken by central differences. The
 Volterra oracle sums the trapezoid history literally at every step, the
 Lorentzian oracle builds the spectral density's terms as one broadcast, the
 doubling-power oracle takes one Pade value per power, the extremum
-oracles are the loops that `dynamics.local_extrema` replaced, and the swap
-oracle smooths the whole series with one cumulative sum, where
+oracles are the loops that `local_extrema` replaced, and the swap oracle
+smooths the whole series with one cumulative sum, where
 `network._extract_swap` reads it in blocks.
+
+The extractors that only tests read live here too, on whole arrays: the
+resolution guard `max_stable_dt`, `local_extrema` and the Rabi, revival,
+decay-rate and ripple extractors built on it.
 """
 
 import itertools
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from magnoncavity import CONSTANTS, CavityConfig, DomainError, MaterialParams, NumericalError
-from magnoncavity.dynamics import _pade13, _squarings, _squares
+from magnoncavity import (CONSTANTS, CavityConfig, DomainError, MaterialParams, NumericalError,
+                          decay_populations)
+from magnoncavity.dynamics import _dt_bounds, _pade13, _squarings, _squares, sample_times
 from magnoncavity.material import StaticFieldState
 
 # Surface shell this thin (relative to R) is evaluated as exterior.
@@ -254,8 +259,8 @@ def volterra_history_oracle(kernel, t_end: float, dt: float) -> np.ndarray:
     """Amplitudes c_k of the trapezoidal-history Volterra scheme, summed literally.
 
     Crank-Nicolson in time with the trapezoid history rebuilt at every step
-    from the kernel samples: O(N^2), the reference for evolve_volterra's
-    recursion.
+    from the kernel samples: O(N^2), the reference for the Volterra
+    solver's recursion.
     """
     N = int(round(t_end / dt))
     times = np.arange(N + 1) * dt
@@ -289,18 +294,72 @@ def doubling_powers_oracle(B, count: int):
         yield from itertools.islice(_squares(_pade13(B * 2.0**-s)), max(0, s), s + count)
 
 
-def rabi_frequency_oracle(ts) -> float:
+def max_stable_dt(kernel) -> float:
+    """Resolution guard: dt must not exceed min(2pi/max|detuning|, 1/Gamma, 1/(10 g_max))/10."""
+    return min(_dt_bounds(kernel).values(), default=math.inf)
+
+
+def decay_series(kernel, t_end: float, dt: float | None = None, n_samples: int | None = None,
+                 solver: str = "pseudomode") -> tuple[np.ndarray, np.ndarray]:
+    """(times k * dt, populations) of `decay_populations`, read whole with `[:]`."""
+    populations, dt = decay_populations(kernel, t_end, dt, n_samples, solver)
+    return sample_times(len(populations), dt, 1.0)[:], populations[:]
+
+
+def local_extrema(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the interior local minima and maxima of p, each ascending.
+
+    k is a minimum where p[k] < p[k-1] and p[k] <= p[k+1], and a maximum
+    where p[k] > p[k-1] and p[k] >= p[k+1]; a NaN at or beside k rules it out.
+    """
+    mid, left, right = p[1:-1], p[:-2], p[2:]
+    minima = np.flatnonzero((mid < left) & (mid <= right)) + 1
+    maxima = np.flatnonzero((mid > left) & (mid >= right)) + 1
+    return minima, maxima
+
+
+def extract_rabi_frequency(times: np.ndarray, p: np.ndarray) -> float:
+    """Omega = pi/t_min from the first local minimum of the population p."""
+    minima, _ = local_extrema(p)
+    if not minima.size:
+        raise NumericalError("no population minimum found; horizon too short?")
+    return math.pi / times[minima[0]]
+
+
+def first_revival_time(times: np.ndarray, p: np.ndarray) -> float:
+    """Time of the first local population maximum after the first minimum."""
+    minima, maxima = local_extrema(p)
+    revivals = maxima[maxima > minima[0]] if minima.size else maxima[:0]
+    if not revivals.size:
+        raise NumericalError("no population revival found; horizon too short?")
+    return float(times[revivals[0]])
+
+
+def fit_decay_rate(times: np.ndarray, p: np.ndarray, floor: float = 1e-3) -> float:
+    """Exponential rate from a linear fit of log population (Markovian regime)."""
+    mask = p > floor
+    mask[0] = False  # log(1) anchors the fit too strongly at t = 0
+    if mask.sum() < 10:
+        raise NumericalError("too few points above the fit floor")
+    slope, _ = np.polyfit(times[mask], np.log(p[mask]), 1)
+    return float(-slope)
+
+
+def has_fast_ripples(P1: np.ndarray, min_count: int = 5) -> bool:
+    """Detect the fast modulation riding on the slow swap: count local maxima of P1."""
+    return local_extrema(P1)[1].size >= min_count
+
+
+def rabi_frequency_oracle(times: np.ndarray, p: np.ndarray) -> float:
     """Omega = pi/t_min from the first local minimum, found by a per-sample loop."""
-    p = ts.populations
     for k in range(1, p.size - 1):
         if p[k] < p[k - 1] and p[k] <= p[k + 1]:
-            return math.pi / ts.times[k]
+            return math.pi / times[k]
     raise NumericalError("no population minimum found; horizon too short?")
 
 
-def revival_time_oracle(ts) -> float:
+def revival_time_oracle(times: np.ndarray, p: np.ndarray) -> float:
     """Time of the first local maximum after the first minimum, by per-sample loops."""
-    p = ts.populations
     k = 1
     while k < p.size - 1 and not (p[k] < p[k - 1] and p[k] <= p[k + 1]):
         k += 1
@@ -308,14 +367,13 @@ def revival_time_oracle(ts) -> float:
         k += 1
     if k >= p.size - 1:
         raise NumericalError("no population revival found; horizon too short?")
-    return float(ts.times[k])
+    return float(times[k])
 
 
-def fast_ripples_oracle(result, min_count: int = 5) -> bool:
+def fast_ripples_oracle(P1: np.ndarray, min_count: int = 5) -> bool:
     """At least min_count local maxima of P1, counted from shifted comparisons."""
-    p = result.P1
-    rising = p[1:-1] > p[:-2]
-    falling = p[1:-1] >= p[2:]
+    rising = P1[1:-1] > P1[:-2]
+    falling = P1[1:-1] >= P1[2:]
     return int(np.sum(rising & falling)) >= min_count
 
 

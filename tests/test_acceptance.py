@@ -12,20 +12,17 @@ import numpy as np
 import pytest
 
 from magnoncavity import (CONSTANTS, CavityConfig, EmitterConfig,
-                          MaterialParams, build_kernel,
-                          evolve_pseudomode, evolve_volterra,
-                          kittel_frequency, mode_table,
+                          MaterialParams, build_kernel, kittel_frequency, mode_table,
                           state_from_internal, symmetric_pair, tesla_to_field,
-                          transfer_dynamics)
+                          transfer_populations)
 from magnoncavity.cli import parse_config, run
-from magnoncavity.dynamics import (_pseudomode_matrix, extract_rabi_frequency,
-                                   first_revival_time, fit_decay_rate, max_stable_dt,
-                                   propagate)
+from magnoncavity.dynamics import _decay_sampler, _propagator, _pseudomode_matrix
 from magnoncavity.network import dipole_dipole_coupling, effective_coupling
 from magnoncavity.spectral import spectral_density
 
-from oracles import (fd_curl_and_divergence, mode_field, mode_frequency, mode_potential,
-                     quantized_mode_oracle)
+from oracles import (decay_series, extract_rabi_frequency, fd_curl_and_divergence,
+                     first_revival_time, fit_decay_rate, has_fast_ripples, max_stable_dt,
+                     mode_field, mode_frequency, mode_potential, quantized_mode_oracle)
 
 TWO_PI = 2.0 * math.pi
 MM3 = 1e9  # m^3 -> mm^3
@@ -111,8 +108,8 @@ def test_criterion_4a_rabi_frequency_consistency():
     emitter = resonant_emitter(cavity)
     kernel = build_kernel(emitter, cavity)
     g = math.sqrt(kernel.K0)
-    ts = evolve_pseudomode(kernel, 1e-6, max_stable_dt(kernel) / 2.0)
-    Omega = extract_rabi_frequency(ts)
+    ts = decay_series(kernel, 1e-6, max_stable_dt(kernel) / 2.0)
+    Omega = extract_rabi_frequency(*ts)
     rel = abs(Omega - 2.0 * g) / (2.0 * g)
     check("criterion 4a", rel <= 0.05,
           f"extracted Omega = {Omega:.4e} rad/s vs 2g = {2 * g:.4e} ({rel:.1%})")
@@ -121,8 +118,8 @@ def test_criterion_4a_rabi_frequency_consistency():
 def test_criterion_4b_population_revival():
     cavity = dynamics_cavity()
     kernel = build_kernel(resonant_emitter(cavity), cavity)
-    ts = evolve_pseudomode(kernel, 1e-6, max_stable_dt(kernel) / 2.0)
-    t_rev = first_revival_time(ts)
+    ts = decay_series(kernel, 1e-6, max_stable_dt(kernel) / 2.0)
+    t_rev = first_revival_time(*ts)
     check("criterion 4b", 0.25e-6 <= t_rev <= 1.0e-6,
           f"first revival at {t_rev * 1e6:.3f} us vs 0.5 us within a factor 2")
 
@@ -136,7 +133,7 @@ def test_criterion_4c_rabi_decreases_with_radius():
         emitter = EmitterConfig(position=(1.2 * R, 0.0, 0.0),
                                 omega0=kittel_frequency(fields, mat))
         kernel = build_kernel(emitter, cavity)
-        omegas.append(extract_rabi_frequency(evolve_pseudomode(kernel, 3.2e-6)))
+        omegas.append(extract_rabi_frequency(*decay_series(kernel, 3.2e-6)))
     mono = all(b < a for a, b in zip(omegas, omegas[1:]))
     check("criterion 4c", mono,
           "Rabi frequency decreases over R = 30..100 nm: "
@@ -149,9 +146,9 @@ def test_criterion_5a_cross_solver_agreement():
     cavity = dynamics_cavity()
     kernel = build_kernel(resonant_emitter(cavity), cavity)
     dt = max_stable_dt(kernel) / 2.0
-    a = evolve_volterra(kernel, 1e-6, dt)
-    b = evolve_pseudomode(kernel, 1e-6, dt)
-    dev = float(np.max(np.abs(a.populations - b.populations)))
+    _, a = decay_series(kernel, 1e-6, dt, solver="volterra")
+    _, b = decay_series(kernel, 1e-6, dt)
+    dev = float(np.max(np.abs(a - b)))
     check("criterion 5a", dev <= 1e-4,
           f"Volterra vs pseudo-mode max |c_e|^2 deviation {dev:.2e} <= 1e-4")
 
@@ -162,8 +159,7 @@ def test_criterion_5b_markovian_rate():
     kernel = build_kernel(emitter, cavity)
     # J already contains the scaled couplings, so 2*pi*J(omega0) is the rate.
     expected = TWO_PI * spectral_density(emitter.omega0, emitter, cavity)
-    ts = evolve_pseudomode(kernel, 1.2e-4, 1e-8)
-    rate = fit_decay_rate(ts)
+    rate = fit_decay_rate(*decay_series(kernel, 1.2e-4, 1e-8))
     rel = abs(rate - expected) / expected
     check("criterion 5b", rel <= 0.05,
           f"fitted rate {rate:.4e}/s vs 2 pi J(omega0) = {expected:.4e}/s ({rel:.1%})")
@@ -207,13 +203,13 @@ def test_criterion_6_spectral_structure():
 def test_criterion_7_dispersive_transfer():
     cavity = dynamics_cavity(Gamma=0.0)
     positions, Delta = symmetric_pair(cavity, a=36e-9, Delta_over_g=10.0)
-    res = transfer_dynamics(cavity, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
-    g = res.metadata["g"]
+    columns, swap, _, metadata = transfer_populations(cavity, positions, Delta, t_end=3.0e-6,
+                                                      dt=1.0e-9)
+    g = metadata["g"]
     g_eff = effective_coupling(g, Delta)
-    rel_swap = abs(res.swap_frequency - g_eff) / g_eff
+    rel_swap = abs(swap - g_eff) / g_eff
 
-    from magnoncavity.network import has_fast_ripples
-    ripples = has_fast_ripples(res)
+    ripples = has_fast_ripples(columns["P1"][:])
 
     g_eff_kHz = g_eff / TWO_PI / 1e3
     ok_geff = 100.0 / 3.0 <= g_eff_kHz <= 300.0
@@ -228,7 +224,7 @@ def test_criterion_7_dispersive_transfer():
 
     check("criterion 7",
           rel_swap <= 0.10 and ripples and ok_geff and ok_dip and ok_ratio,
-          f"swap {res.swap_frequency:.4e} vs g_eff {g_eff:.4e} ({rel_swap:.1%}); "
+          f"swap {swap:.4e} vs g_eff {g_eff:.4e} ({rel_swap:.1%}); "
           f"ripples={ripples}; g_eff/(2pi) = {g_eff_kHz:.1f} kHz; "
           f"g_dip/(2pi) = {g_dip / TWO_PI:.2f} Hz; g_eff/g_dip = {ratio:.0f}")
 
@@ -267,20 +263,21 @@ def test_criterion_8_property_suite(tmp_path):
     # Norm conservation at Gamma = 0 to 1e-9.
     lossless = dynamics_cavity(n_max=3, Gamma=0.0)
     kernel = build_kernel(resonant_emitter(lossless), lossless)
-    ts = evolve_pseudomode(kernel, 5e-8, max_stable_dt(kernel) / 2.0)
+    dt = max_stable_dt(kernel) / 2.0
+    _, p = decay_series(kernel, 5e-8, dt)
     # The mode amplitudes b_n: every component of the same propagation.
     A = _pseudomode_matrix(kernel)
-    y = propagate(A, np.eye(A.shape[0], dtype=complex)[0], ts.times, rows=range(A.shape[0]))
-    same_c = np.array_equal(y[0], ts.amplitudes)
-    total = ts.populations + np.sum(np.abs(y[1:]) ** 2, axis=0)
+    read, n, _ = _decay_sampler(kernel, 5e-8, dt, None, "pseudomode")
+    y = _propagator(A, np.eye(A.shape[0], dtype=complex)[0], n, dt, range(A.shape[0]))(0, n)
+    same_c = np.array_equal(y[0], read(0, n)[0])
+    total = p + np.sum(np.abs(y[1:]) ** 2, axis=0)
     norm_dev = float(np.max(np.abs(total - 1.0)))
     norm_ok = norm_dev <= 1e-9 and same_c
 
     # Population bounds on a lossy run.
     lossy = build_kernel(resonant_emitter(dynamics_cavity()), dynamics_cavity())
-    lossy_ts = evolve_pseudomode(lossy, 1e-6, max_stable_dt(lossy) / 2.0)
-    pop_ok = bool(np.all(lossy_ts.populations <= 1.0 + 1e-9)
-                  and np.all(lossy_ts.populations >= -1e-9))
+    _, lossy_p = decay_series(lossy, 1e-6, max_stable_dt(lossy) / 2.0)
+    pop_ok = bool(np.all(lossy_p <= 1.0 + 1e-9) and np.all(lossy_p >= -1e-9))
 
     # Determinism: identical configuration twice, byte-identical CSV.
     blobs = []
@@ -294,6 +291,6 @@ def test_criterion_8_property_suite(tmp_path):
 
     check("criterion 8", field_ok and cont_ok and norm_ok and pop_ok and det_ok,
           f"curl/div<=1e-6: {field_ok}; continuity<=1e-10: {cont_ok}; "
-          f"norm dev {norm_dev:.1e}<=1e-9; c as evolve_pseudomode's, bitwise: {same_c}; "
+          f"norm dev {norm_dev:.1e}<=1e-9; c as decay_populations' sampler's, bitwise: {same_c}; "
           f"populations bounded: {pop_ok}; "
           f"byte-identical reruns: {det_ok}")

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import functools
 import importlib
 import inspect
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -716,14 +718,14 @@ def test_state_budget_counts_each_solvers_state():
     # 3 340 001 samples at n_max = 1: the Volterra state (c, dc/dt, one
     # history term) is over the budget, the pseudo-mode state (c, b) is not.
     from magnoncavity.cli import build_cavity, build_emitter, build_kernel
-    from magnoncavity.dynamics import _time_step, evolve_volterra
+    from magnoncavity.dynamics import _time_step, decay_populations
 
     overrides = dict(zip(_VOLTERRA_OVER_BUDGET[1::2], _VOLTERRA_OVER_BUDGET[2::2]))
     cfg = parse_config(None, {k.lstrip("-"): v for k, v in overrides.items()})
     cavity = build_cavity(cfg, R=30e-9)
     kernel = build_kernel(build_emitter(cfg, cavity), cavity)
     with pytest.raises(ConfigError, match="3 state values"):
-        evolve_volterra(kernel, 3.34e-6, 1e-12)
+        decay_populations(kernel, 3.34e-6, 1e-12, solver="volterra")
     n, dt = _time_step(kernel, 3.34e-6, 1e-12, None, len(kernel.weights) + 1)
     assert dt == pytest.approx(1e-12)
     assert n == 3_340_001
@@ -1037,8 +1039,8 @@ def test_cli_import_leaves_out_ode_integrators(tmp_path):
 
 def test_public_surface():
     assert sorted(magnoncavity.__all__) == sorted(
-        "mode_table spectral_grid field_sweep_map build_kernel evolve_pseudomode evolve_volterra "
-        "symmetric_pair transfer_dynamics coupling_vs_separation_sweep CavityConfig "
+        "mode_table spectral_grid field_sweep_map build_kernel decay_populations symmetric_pair "
+        "transfer_populations coupling_vs_separation_sweep CavityConfig "
         "MaterialParams EmitterConfig state_from_internal internal_field tesla_to_field "
         "kittel_frequency CONSTANTS ConfigError DomainError NumericalError".split())
     assert all(hasattr(magnoncavity, name) for name in magnoncavity.__all__)
@@ -1059,6 +1061,42 @@ def test_public_surface():
     assert [len(inspect.signature(f).parameters) for f in (tesla_to_field, field_to_tesla)] == [1, 1]
 
 
+# The library call each experiment's runner makes, as `cli` binds it.
+EXPERIMENT_CALLS = ("mode_table", "spectral_grid", "field_sweep_map", "build_kernel",
+                    "decay_populations", "symmetric_pair", "transfer_populations",
+                    "coupling_vs_separation_sweep")
+
+
+def test_exported_calls_are_the_clis():
+    # The package exports the very functions that the CLI runs, so the
+    # library cannot fork from the experiments.
+    import magnoncavity.cli as cli
+    import oracles
+
+    for name in EXPERIMENT_CALLS:
+        assert name in magnoncavity.__all__
+        assert getattr(cli, name) is getattr(magnoncavity, name), name
+    # The README's "Library" section: its first paragraph gives the count and
+    # lists exactly the exports, and every `name` or `module.name` it cites
+    # exists, in the package, one of its modules or tests/oracles.py.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    exports = section.strip().split("\n\n")[0]
+    assert f"exports {len(magnoncavity.__all__)} names" in exports
+    assert set(re.findall(r"`(\w+)`", exports)) == set(magnoncavity.__all__)
+    modules = {info.name: importlib.import_module(f"magnoncavity.{info.name}")
+               for info in pkgutil.iter_modules(magnoncavity.__path__)}
+    names = {"magnoncavity": magnoncavity, **modules}
+    for module in (*modules.values(), oracles, magnoncavity):
+        names.update(vars(module))
+    cited = re.findall(r"`([A-Za-z_][\w.]*)`", section)
+    assert "decay_populations" in cited and "local_extrema" in cited
+    for ref in cited:
+        head, *attrs = ref.split(".")
+        assert head in names, ref
+        functools.reduce(getattr, attrs, names[head])
+
+
 def test_write_csv_columns_exact_text(tmp_path):
     from magnoncavity.cli import _write_csv
 
@@ -1074,15 +1112,16 @@ def test_write_csv_columns_exact_text(tmp_path):
 ], ids=["0", "1", "chunk-1", "chunk", "chunk+1", "2chunk+3"])
 def test_write_csv_block_boundaries(tmp_path, nrows):
     # Block formatting must give exactly the text of one `template % row` per row.
-    # A text column from _format_column must read as the numbers written with %.12g.
-    from magnoncavity.cli import _format_column, _write_csv
+    # A text column from TextColumn must read as the numbers written with %.12g.
+    from magnoncavity._text import TextColumn
+    from magnoncavity.cli import _write_csv
 
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 15.661334567890123]
     n = np.arange(nrows) + (2**53 - 3)     # odd values past 2**53 have no exact float
     x = np.resize(specials, nrows)
     y = np.linspace(-1.0, 1.0, nrows)
     path = tmp_path / "t.csv"
-    _write_csv(path, {"n": n, "x": x, "y": y, "x_text": _format_column(x)}, "abc123", {})
+    _write_csv(path, {"n": n, "x": x, "y": y, "x_text": TextColumn(x)}, "abc123", {})
     expected = ["# manifest_hash=abc123", "n,x,y,x_text"] + [
         "%d,%.12g,%.12g,%.12g" % (*row, row[1])
         for row in zip(n.tolist(), x.tolist(), y.tolist())]
@@ -1192,7 +1231,8 @@ def test_encoder_leaves_out_all_nul_word_columns():
 def test_write_csv_mixed_columns(tmp_path):
     # An indexed text axis, two adjacent float columns and an int column,
     # over three chunks whose float columns take different widths.
-    from magnoncavity.cli import _format_column, _write_csv
+    from magnoncavity._text import TextColumn
+    from magnoncavity.cli import _write_csv
 
     n = 2 * WRITE_CHUNK + 1
     rng = np.random.default_rng(3)
@@ -1204,7 +1244,7 @@ def test_write_csv_mixed_columns(tmp_path):
     y[-1] = 5e-324
     k = rng.integers(-10**6, 10**6, n)
     path = tmp_path / "t.csv"
-    _write_csv(path, {"t": _format_column(axis, index), "x": x, "y": y, "k": k}, "abc123", {})
+    _write_csv(path, {"t": TextColumn(axis, index), "x": x, "y": y, "k": k}, "abc123", {})
     expected = ["# manifest_hash=abc123", "t,x,y,k"] + [
         "%.12g,%.12g,%.12g,%d" % row
         for row in zip(axis[index].tolist(), x.tolist(), y.tolist(), k.tolist())]
@@ -1251,7 +1291,7 @@ def test_decay_time_axis_matches_each_radius(tmp_path, monkeypatch, radii, extra
     # grids are equal; with n_max = 1 the coupling guard gives each radius
     # its own dt, and at 30 and 30.001 nm two steps give grids of one size.
     series = _recording(monkeypatch, "decay_populations")
-    texts = _recording(monkeypatch, "_format_column")
+    texts = _recording(monkeypatch, "TextColumn")
     argv = ["decay", "--R_list_nm", radii, "--n_samples", "7", "--out", str(tmp_path)]
     assert main(argv + extra) == 0
     assert len({(len(populations), dt) for populations, dt in series}) == n_grids

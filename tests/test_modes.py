@@ -300,7 +300,7 @@ def test_coupling_phase_follows_the_mode(cavity):
                          ids=["x-axis", "oblique"])
 def test_antipodal_couplings_have_equal_magnitude(yig, fields, n_max, direction):
     # Emitters at r and -r get g_n and (-1)^(n+1) g_n bit for bit, so equal
-    # |g_n|: transfer_dynamics relies on this, and does not check it.
+    # |g_n|: transfer_populations relies on this, and does not check it.
     cavity = CavityConfig(R=30e-9, mat=yig, fields=fields, n_max=n_max)
     r = 1.2 * cavity.R * np.array(direction) / np.linalg.norm(direction)
     g1, g2 = mode_table(cavity, [r, -r]).g

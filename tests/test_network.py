@@ -5,13 +5,26 @@ import pytest
 
 from magnoncavity import (CavityConfig, ConfigError, DomainError,
                           coupling_vs_separation_sweep, mode_table,
-                          symmetric_pair, transfer_dynamics)
+                          symmetric_pair, transfer_populations)
 from magnoncavity import NumericalError, network
 from magnoncavity._text import WRITE_CHUNK
 from magnoncavity.constants import TWO_PI
+from magnoncavity.dynamics import sample_times
 from magnoncavity.network import (dipole_dipole_coupling, dispersive_coupling,
-                                  effective_coupling, has_fast_ripples)
-from oracles import boxcar_oracle, swap_oracle
+                                  effective_coupling)
+from oracles import boxcar_oracle, decay_series, has_fast_ripples, swap_oracle
+
+
+def transfer(*args, **kwargs):
+    """`transfer_populations` with its columns read whole: (P, swap, fidelity,
+    metadata), where P maps "P1", "P2" and "Pb" to arrays."""
+    columns, swap, fidelity, metadata = transfer_populations(*args, **kwargs)
+    return {name: column[:] for name, column in columns.items()}, swap, fidelity, metadata
+
+
+def times_of(P, metadata):
+    """The sample times k * dt of the populations P, in s."""
+    return sample_times(P["P1"].size, metadata["dt_s"], 1.0)[:]
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +35,7 @@ def dispersive_pair(cavity_narrow):
 
 @pytest.fixture(scope="module")
 def dispersive_run(cavity_narrow, dispersive_pair):
-    return transfer_dynamics(cavity_narrow, *dispersive_pair, t_end=3.0e-6, dt=1.0e-9)
+    return transfer(cavity_narrow, *dispersive_pair, t_end=3.0e-6, dt=1.0e-9)
 
 
 def lossless_cavity(yig_lossless, fields, R=30e-9):
@@ -44,13 +57,13 @@ def test_symmetric_pair_geometry(dispersive_pair, cavity_narrow):
 def test_emitters_must_be_outside(cavity_narrow):
     positions = [(0.5 * cavity_narrow.R, 0, 0), (2.0 * cavity_narrow.R, 0, 0)]
     with pytest.raises(DomainError, match="outside the sphere"):
-        transfer_dynamics(cavity_narrow, positions, 1e7, t_end=1e-7, dt=1e-9)
+        transfer_populations(cavity_narrow, positions, 1e7, t_end=1e-7, dt=1e-9)
 
 
 def test_positions_must_be_two_points(cavity_narrow):
     with pytest.raises(DomainError, match=r"\(2, 3\)"):
-        transfer_dynamics(cavity_narrow, (1.2 * cavity_narrow.R, 0, 0), 1e7,
-                          t_end=1e-7, dt=1e-9)
+        transfer_populations(cavity_narrow, (1.2 * cavity_narrow.R, 0, 0), 1e7,
+                             t_end=1e-7, dt=1e-9)
 
 
 def test_asymmetric_placement_runs(cavity_narrow, dispersive_pair):
@@ -59,14 +72,14 @@ def test_asymmetric_placement_runs(cavity_narrow, dispersive_pair):
     # dipoles (1, 1 + 1e-15) to rounding.
     positions = [(1.2 * cavity_narrow.R, 0, 0), (-1.25 * cavity_narrow.R, 0, 0)]
     Delta = dispersive_pair[1]
-    res = transfer_dynamics(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
+    P, swap, _, _ = transfer(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
     g1, g2 = np.abs(mode_table(cavity_narrow, positions).g[:, 0])
     assert g2 < 0.9 * g1
-    assert res.swap_frequency == pytest.approx(g1 * g2 / Delta, rel=0.02)
-    nudged = transfer_dynamics(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9,
-                               dipole_scale=(1.0, 1.0 + 1e-15))
-    assert res.swap_frequency == pytest.approx(nudged.swap_frequency, rel=1e-12)
-    assert np.max(np.abs(res.P2 - nudged.P2)) < 1e-12
+    assert swap == pytest.approx(g1 * g2 / Delta, rel=0.02)
+    nudged, nudged_swap, _, _ = transfer(cavity_narrow, positions, Delta, t_end=3.0e-6,
+                                         dt=1.0e-9, dipole_scale=(1.0, 1.0 + 1e-15))
+    assert swap == pytest.approx(nudged_swap, rel=1e-12)
+    assert np.max(np.abs(P["P2"] - nudged["P2"])) < 1e-12
 
 
 def test_asymmetric_pair_records_both_couplings(cavity_narrow, dispersive_pair):
@@ -75,14 +88,14 @@ def test_asymmetric_pair_records_both_couplings(cavity_narrow, dispersive_pair):
     # (6.099e5 rad/s), not g1^2/Delta (6.893e5 rad/s).
     positions = [(1.2 * cavity_narrow.R, 0, 0), (-1.25 * cavity_narrow.R, 0, 0)]
     Delta = dispersive_pair[1]
-    res = transfer_dynamics(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
+    _, swap, _, metadata = transfer(cavity_narrow, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
     g1, g2 = np.abs(mode_table(cavity_narrow, positions).g[:, 0])
-    assert (res.metadata["g"], res.metadata["g2"]) == (g1, g2)
+    assert (metadata["g"], metadata["g2"]) == (g1, g2)
     assert g1 == pytest.approx(6.893e6, rel=1e-3)
     assert g2 == pytest.approx(6.099e6, rel=1e-3)
-    assert res.swap_frequency == pytest.approx(6.059e5, rel=1e-3)
-    assert res.swap_frequency == pytest.approx(g1 * g2 / Delta, rel=0.01)
-    assert res.swap_frequency < 0.9 * g1 * g1 / Delta
+    assert swap == pytest.approx(6.059e5, rel=1e-3)
+    assert swap == pytest.approx(g1 * g2 / Delta, rel=0.01)
+    assert swap < 0.9 * g1 * g1 / Delta
 
 
 def test_receiver_on_the_z_axis_is_decoupled(cavity_narrow, dispersive_pair):
@@ -90,10 +103,10 @@ def test_receiver_on_the_z_axis_is_decoupled(cavity_narrow, dispersive_pair):
     # swaps, and the extractor's decoupled branch reports a NaN rate.
     positions = [(1.2 * cavity_narrow.R, 0, 0), (0, 0, 1.2 * cavity_narrow.R)]
     assert mode_table(cavity_narrow, positions[1]).g[0] == 0.0
-    res = transfer_dynamics(cavity_narrow, positions, dispersive_pair[1], t_end=3.0e-6,
-                            dt=1.0e-9)
-    assert np.max(res.P2) == 0.0
-    assert math.isnan(res.swap_frequency) and res.fidelity == 0.0
+    P, swap, fidelity, _ = transfer(cavity_narrow, positions, dispersive_pair[1], t_end=3.0e-6,
+                                    dt=1.0e-9)
+    assert np.max(P["P2"]) == 0.0
+    assert math.isnan(swap) and fidelity == 0.0
 
 
 def test_transfer_reads_one_mode_table(cavity, monkeypatch):
@@ -107,20 +120,20 @@ def test_transfer_reads_one_mode_table(cavity, monkeypatch):
         return mode_table(*args, **kwargs)
 
     monkeypatch.setattr(network, "mode_table", counted)
-    res = transfer_dynamics(cavity, positions, Delta, t_end=3e-6, dt=1e-9,
-                            dipole_scale=(1.0, 0.0))
+    _, _, _, metadata = transfer(cavity, positions, Delta, t_end=3e-6, dt=1e-9,
+                                 dipole_scale=(1.0, 0.0))
     assert len(calls) == 1
     g = mode_table(*calls[0]).g
     assert np.array_equal(g[0], mode_table(cavity, positions[0], 1.0).g)
     assert np.array_equal(g[1], mode_table(cavity, positions[1], 0.0).g)
-    assert (res.metadata["g"], res.metadata["g2"]) == (abs(g[0, 0]), abs(g[1, 0]))
+    assert (metadata["g"], metadata["g2"]) == (abs(g[0, 0]), abs(g[1, 0]))
 
 
 def test_single_mode_validity_warning(cavity):
     # Kittel detuning within a factor 10 of the n = 2 splitting triggers a warning.
     positions, Delta = symmetric_pair(cavity, a=1.2 * cavity.R, Delta_over_g=40.0)
     with pytest.warns(UserWarning, match="mode n = 2 .*single-mode"):
-        transfer_dynamics(cavity, positions, Delta, t_end=12e-6, dt=1e-9)
+        transfer_populations(cavity, positions, Delta, t_end=12e-6, dt=1e-9)
 
 
 # --------------------------------------------------------- closed-form limit
@@ -132,12 +145,12 @@ def test_resonant_bright_state_solution(yig_lossless, fields):
     positions, Delta = symmetric_pair(cavity, a=1.2 * cavity.R, Delta_over_g=0.0)
     g = abs(mode_table(cavity, positions[0]).g[0])
     t_end = 1.2 * math.pi / (math.sqrt(2.0) * g)
-    res = transfer_dynamics(cavity, positions, Delta, t_end=t_end, dt=1e-9)
-    c = np.cos(math.sqrt(2.0) * g * res.times)
-    assert np.max(np.abs(res.P1 - (1 + c) ** 2 / 4.0)) < 1e-7
-    assert np.max(np.abs(res.P2 - (1 - c) ** 2 / 4.0)) < 1e-7
-    assert np.max(np.abs(res.Pb - (1 - c**2) / 2.0)) < 1e-7
-    assert np.max(res.P2) > 1.0 - 1e-4  # grid-limited: the true peak is 1
+    P, _, _, metadata = transfer(cavity, positions, Delta, t_end=t_end, dt=1e-9)
+    c = np.cos(math.sqrt(2.0) * g * times_of(P, metadata))
+    assert np.max(np.abs(P["P1"] - (1 + c) ** 2 / 4.0)) < 1e-7
+    assert np.max(np.abs(P["P2"] - (1 - c) ** 2 / 4.0)) < 1e-7
+    assert np.max(np.abs(P["Pb"] - (1 - c**2) / 2.0)) < 1e-7
+    assert np.max(P["P2"]) > 1.0 - 1e-4  # grid-limited: the true peak is 1
 
 
 def test_resonant_magnon_start_solution(yig_lossless, fields):
@@ -147,71 +160,71 @@ def test_resonant_magnon_start_solution(yig_lossless, fields):
     positions, Delta = symmetric_pair(cavity, a=1.2 * cavity.R, Delta_over_g=0.0)
     g = abs(mode_table(cavity, positions[0]).g[0])
     t_end = 1.2 * math.pi / (math.sqrt(2.0) * g)
-    res = transfer_dynamics(cavity, positions, Delta, t_end=t_end, dt=1e-9,
-                            initial_state=(0.0, 0.0, 1.0))
-    s = np.sin(math.sqrt(2.0) * g * res.times)
-    assert np.max(np.abs(res.Pb - (1 - s**2))) < 1e-12
-    assert np.max(np.abs(res.P1 - s**2 / 2.0)) < 1e-12
-    assert np.max(np.abs(res.P2 - s**2 / 2.0)) < 1e-12
+    P, _, _, metadata = transfer(cavity, positions, Delta, t_end=t_end, dt=1e-9,
+                                 initial_state=(0.0, 0.0, 1.0))
+    s = np.sin(math.sqrt(2.0) * g * times_of(P, metadata))
+    assert np.max(np.abs(P["Pb"] - (1 - s**2))) < 1e-12
+    assert np.max(np.abs(P["P1"] - s**2 / 2.0)) < 1e-12
+    assert np.max(np.abs(P["P2"] - s**2 / 2.0)) < 1e-12
 
 
 def test_decoupled_receiver_reduces_to_single_emitter(yig_lossless, fields):
     # dipole_scale = 0 on emitter 2 must reproduce the one-emitter detuned decay.
-    from magnoncavity import evolve_pseudomode
     from magnoncavity.dynamics import MemoryKernel
 
     cavity = lossless_cavity(yig_lossless, fields)
     positions = [(1.2 * cavity.R, 0, 0), (-1.2 * cavity.R, 0, 0)]
     g = abs(mode_table(cavity, positions[0]).g[0])
     Delta = 10.0 * g
-    res = transfer_dynamics(cavity, positions, Delta, t_end=3e-7, dt=1e-9,
-                            dipole_scale=(1.0, 0.0))
+    P, swap, _, _ = transfer(cavity, positions, Delta, t_end=3e-7, dt=1e-9,
+                             dipole_scale=(1.0, 0.0))
     kernel = MemoryKernel(weights=(g * g,), rates=(1j * Delta,))
-    single = evolve_pseudomode(kernel, 3e-7, 1e-9)
-    assert np.max(np.abs(res.P1 - single.populations)) < 1e-10
-    assert np.max(res.P2) == 0.0
-    assert math.isnan(res.swap_frequency)
+    _, single = decay_series(kernel, 3e-7, 1e-9)
+    assert np.max(np.abs(P["P1"] - single)) < 1e-10
+    assert np.max(P["P2"]) == 0.0
+    assert math.isnan(swap)
 
 
 def test_label_swap_symmetry(cavity_narrow, dispersive_pair, dispersive_run):
     # Starting the excitation on emitter 2 mirrors the populations exactly:
     # identical couplings make the equations symmetric under 1 <-> 2.
-    mirrored = transfer_dynamics(cavity_narrow, *dispersive_pair, t_end=3.0e-6, dt=1.0e-9,
+    mirrored, _, _, _ = transfer(cavity_narrow, *dispersive_pair, t_end=3.0e-6, dt=1.0e-9,
                                  initial_state=(0.0, 1.0, 0.0))
-    assert np.array_equal(mirrored.P1, dispersive_run.P2)
-    assert np.array_equal(mirrored.P2, dispersive_run.P1)
-    assert np.array_equal(mirrored.Pb, dispersive_run.Pb)
+    P = dispersive_run[0]
+    assert np.array_equal(mirrored["P1"], P["P2"])
+    assert np.array_equal(mirrored["P2"], P["P1"])
+    assert np.array_equal(mirrored["Pb"], P["Pb"])
 
 
 def test_initial_state_must_be_normalized(cavity_narrow, dispersive_pair):
     with pytest.raises(DomainError):
-        transfer_dynamics(cavity_narrow, *dispersive_pair, t_end=1e-7, dt=1e-9,
-                          initial_state=(2.0, 0.0, 0.0))
+        transfer_populations(cavity_narrow, *dispersive_pair, t_end=1e-7, dt=1e-9,
+                             initial_state=(2.0, 0.0, 0.0))
 
 
 # --------------------------------------------------------- dispersive regime
 
 def test_swap_frequency_matches_g_eff(dispersive_pair, dispersive_run):
-    g = dispersive_run.metadata["g"]
-    g_eff = effective_coupling(g, dispersive_pair[1])
-    assert dispersive_run.swap_frequency == pytest.approx(g_eff, rel=0.10)
+    _, swap, _, metadata = dispersive_run
+    g_eff = effective_coupling(metadata["g"], dispersive_pair[1])
+    assert swap == pytest.approx(g_eff, rel=0.10)
 
 
 def test_transfer_fidelity_with_loss(dispersive_run):
-    assert 0.9 < dispersive_run.fidelity < 1.0
+    assert 0.9 < dispersive_run[2] < 1.0
 
 
 def test_transfer_fidelity_lossless(yig_lossless, fields):
     cavity = lossless_cavity(yig_lossless, fields)
     positions, Delta = symmetric_pair(cavity, a=1.2 * cavity.R, Delta_over_g=10.0)
-    res = transfer_dynamics(cavity, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
+    _, _, fidelity, _ = transfer(cavity, positions, Delta, t_end=3.0e-6, dt=1.0e-9)
     # The reported fidelity sits at the smoothed peak, slightly below the
     # ripple tops, so it lands just under the ideal 1 - O((g/Delta)^2).
-    assert res.fidelity > 0.95
+    assert fidelity > 0.95
 
 
 def test_fast_ripples_present(dispersive_run):
-    assert has_fast_ripples(dispersive_run)
+    assert has_fast_ripples(dispersive_run[0]["P1"])
 
 
 def _random_blocks(x: np.ndarray, rng) -> list[np.ndarray]:
@@ -269,8 +282,8 @@ def test_streamed_swap_is_the_whole_series_swap(n, width):
     ("dispersive", 1000), ("dispersive", WRITE_CHUNK), ("dispersive", 10_000),
     ("target-P1", 3001), ("decoupled", 3001)])
 def test_streamed_transfer_is_transfer_dynamics(cavity_narrow, yig_lossless, fields, case, size):
-    # Read a writer's block at a time, the populations are transfer_dynamics'
-    # arrays bit for bit; the swap and the fidelity, found in one streamed
+    # Read a writer's block at a time, the populations are the whole read's
+    # (`[:]`) bit for bit; the swap and the fidelity, found in one streamed
     # pass, are those of the whole target population. `size` is the number
     # of samples, or for "dispersive" the smoothing window of 100 001.
     lossless = lossless_cavity(yig_lossless, fields)
@@ -290,28 +303,28 @@ def test_streamed_transfer_is_transfer_dynamics(cavity_narrow, yig_lossless, fie
     else:
         positions = [dispersive[0], on_axis] if case == "decoupled" else dispersive
         args = cavity_narrow, positions, Delta, (size - 1) * 1e-9, 1e-9
-    res = transfer_dynamics(*args, initial_state=state)
-    columns, swap, fidelity, metadata = network.transfer_populations(*args, initial_state=state)
-    n = res.times.size
+    P, *whole = transfer(*args, initial_state=state)     # [swap, fidelity, metadata]
+    columns, swap, fidelity, metadata = transfer_populations(*args, initial_state=state)
+    n = P["P1"].size
     assert n == (100_001 if case == "dispersive" else size)
-    assert len(columns["P1"]) == n and metadata == res.metadata
+    assert len(columns["P1"]) == n and metadata == whole[2]
     for key, column in columns.items():
         blocks = [column[i:i + WRITE_CHUNK] for i in range(0, n, WRITE_CHUNK)]
-        assert np.concatenate(blocks).tobytes() == getattr(res, key).tobytes(), key
-    expected = swap_oracle(res.times, res.P1 if state[1] else res.P2, args[2])
-    assert repr((swap, fidelity)) == repr((res.swap_frequency, res.fidelity)) == repr(expected)
+        assert np.concatenate(blocks).tobytes() == P[key].tobytes(), key
+    expected = swap_oracle(times_of(P, metadata), P["P1"] if state[1] else P["P2"], args[2])
+    assert repr((swap, fidelity)) == repr(tuple(whole[:2])) == repr(expected)
     assert math.isnan(swap) == case.startswith("decoupled")
 
 
 def test_magnon_population_bound(dispersive_pair, dispersive_run):
-    g = dispersive_run.metadata["g"]
-    bound = 4.0 * (g / dispersive_pair[1]) ** 2 + 1e-3
-    assert np.max(dispersive_run.Pb) <= bound
+    P, _, _, metadata = dispersive_run
+    bound = 4.0 * (metadata["g"] / dispersive_pair[1]) ** 2 + 1e-3
+    assert np.max(P["Pb"]) <= bound
 
 
 def test_transfer_dt_guard(cavity_narrow, dispersive_pair):
     with pytest.raises(ConfigError):
-        transfer_dynamics(cavity_narrow, *dispersive_pair, t_end=1e-6, dt=1e-7)
+        transfer_populations(cavity_narrow, *dispersive_pair, t_end=1e-6, dt=1e-7)
 
 
 # ---------------------------------------------------- coupling scale context
