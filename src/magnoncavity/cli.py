@@ -472,7 +472,8 @@ def _run_transfer(cfg: RunConfig) -> Iterator[tuple]:
     yield "transfer.csv", (
         {"t_us": t_us, **columns},
         {"g_rad_per_s": meta["g"], "Delta_rad_per_s": meta["Delta"],
-         "swap_frequency_rad_per_s": swap, "fidelity": fidelity, "dt_s": meta["dt_s"]})
+         "swap_frequency_rad_per_s": swap, "fidelity": fidelity,
+         "average_fidelity": meta["average_fidelity"], "dt_s": meta["dt_s"]})
 
 
 def _run_coupling_sweep(cfg: RunConfig) -> Iterator[tuple]:

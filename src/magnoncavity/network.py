@@ -13,25 +13,26 @@ Lindblad evolution restricted to at most one excitation. The magnon sees the
 spins only through the bright sum beta = g1 c1 + g2 c2, so the system is
 propagated exactly (matrix exponential) in (beta, b, I = Int b dt), of which
 only b and I are sampled, and each spin follows from
-c_j(t) = c_j(0) - i g_j I(t). `transfer_populations` finds the swap in one
-streamed pass and returns the populations as `dynamics.Samples`, computed a
-block at a time as they are read. In the dispersive window |Delta| >> g
-the magnon mediates an effective spin-spin coupling g_eff ~ g^2/Delta; the
-vacuum dipole-dipole baseline at separation d is
-g_dip/(2pi) = mu0*muB^2/(hbar*(2pi)^2*d^3).
+c_j(t) = c_j(0) - i g_j I(t). beta and b obey lambda^2 - s lambda + G^2 = 0,
+s = i Delta - Gamma/2 and G^2 = g1^2 + g2^2, whose slow root gives the swap
+and its time before anything propagates. `transfer_populations` returns the
+populations as `dynamics.Samples`, computed a block at a time as they are
+read. In the dispersive window |Delta| >> g the magnon mediates an effective
+spin-spin coupling g_eff ~ g^2/Delta; the vacuum dipole-dipole baseline at
+separation d is g_dip/(2pi) = mu0*muB^2/(hbar*(2pi)^2*d^3).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI, check_budget
-from .dynamics import MemoryKernel, POPULATION_TOL, Samples, _abs_square, _propagator, _time_step
+from .dynamics import (MemoryKernel, POPULATION_TOL, Samples, _abs_square, _doubling_powers,
+                       _propagator, _time_step)
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, mode_table
 
@@ -115,17 +116,18 @@ def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: f
     """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel
     mode: the populations {"P1", "P2", "Pb"} as `Samples` at the times
     k * dt, the swap frequency, the fidelity and the metadata
-    {g, g2, Delta, Gamma, dt_s}.
+    {g, g2, Delta, Gamma, dt_s, average_fidelity}.
 
     positions (2, 3) in m, Delta = omega0 - omega_K in rad/s, dipole_scale
-    one factor or one per emitter. The swap is found first, in one pass over
-    blocks of the target's population. A block of the populations is then
-    computed as it is read, once for all three columns, and refused if their
-    total exceeds 1 beyond POPULATION_TOL. A block whose bounds are
-    multiples of `_text.WRITE_CHUNK`, as the CSV writer reads, has the bits
-    of the same range of the whole read `[:]`, and so did every other range
-    tried at this 3-value state (`dynamics.decay_populations` gives the
-    scope for wide states).
+    one factor or one per emitter. The swap, its time t* and both fidelities
+    come from the generator's slow root (`_swap`) before anything is
+    propagated; a horizon that ends before t* is refused. A block of the
+    populations is then computed as it is read, once for all three columns,
+    and refused if their total exceeds 1 beyond POPULATION_TOL. A block
+    whose bounds are multiples of `_text.WRITE_CHUNK`, as the CSV writer
+    reads, has the bits of the same range of the whole read `[:]`, and so
+    did every other range tried at this 3-value state
+    (`dynamics.decay_populations` gives the scope for wide states).
     """
     if np.shape(positions) != (2, 3):
         raise DomainError(f"positions must have shape (2, 3), got {np.shape(positions)}")
@@ -142,31 +144,26 @@ def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: f
                       "single-mode approximation may be inaccurate", stacklevel=2)
 
     Gamma = table.Gamma[0]
+    s = 1j * Delta - Gamma / 2.0
     # Same step rule, guard and budget as the single-emitter solvers; the
     # state is (beta, b, I).
-    n, dt = _time_step(MemoryKernel(weights=(g1 * g1, g2 * g2),
-                                    rates=(1j * Delta - Gamma / 2.0,) * 2),
+    n, dt = _time_step(MemoryKernel(weights=(g1 * g1, g2 * g2), rates=(s,) * 2),
                        t_end, dt, n_samples, 3)
     y0 = np.array(initial_state, dtype=complex)
     norm = np.sum(np.abs(y0) ** 2)
     if abs(norm - 1.0) > POPULATION_TOL:
         raise DomainError("initial state must be normalized in the single-excitation sector")
-    # (beta, b, I): dbeta/dt = -i (g1^2 + g2^2) b, db/dt = -i beta + (i Delta - Gamma/2) b,
+    # (beta, b, I): dbeta/dt = -i (g1^2 + g2^2) b, db/dt = -i beta + s b,
     # dI/dt = b. Unlike expm of the (c1, c2, b) matrix, which is not bitwise
     # permutation-equivariant, this form makes a label swap exactly symmetric.
     A = np.array([[0.0, -1j * (g1 * g1 + g2 * g2), 0.0],
-                  [-1j, 1j * Delta - Gamma / 2.0, 0.0],
+                  [-1j, s, 0.0],
                   [0.0, 1.0, 0.0]])
-    read = _propagator(A, [g1 * y0[0] + g2 * y0[1], y0[2], 0.0], n, dt, (1, 2))
-
-    # The CSV writer's blocks; imported here, so that importing the library
-    # leaves the CSV encoder unloaded.
-    from ._text import WRITE_CHUNK
-
+    x0 = [g1 * y0[0] + g2 * y0[1], y0[2], 0.0]
     # Track the population of whichever emitter starts empty.
-    c0, g = (y0[1], g2) if abs(y0[0]) >= abs(y0[1]) else (y0[0], g1)
-    swap, fidelity = _extract_swap((_spin_population(c0, g, read(i, min(i + WRITE_CHUNK, n))[1])
-                                    for i in range(0, n, WRITE_CHUNK)), n, dt, Delta)
+    target = (y0[1], g2) if abs(y0[0]) >= abs(y0[1]) else (y0[0], g1)
+    swap, fidelity, average = _swap(A, x0, target, g1, g2, (n - 1) * dt)
+    read = _propagator(A, x0, n, dt, (1, 2))
 
     @functools.lru_cache(maxsize=1)
     def populations(i: int, j: int) -> tuple[np.ndarray, ...]:
@@ -177,7 +174,42 @@ def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: f
     columns = {name: Samples(n, lambda i, j, k=k: populations(i, j)[k])
                for k, name in enumerate(("P1", "P2", "Pb"))}
     return columns, swap, fidelity, {"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma,
-                                     "dt_s": dt}
+                                     "dt_s": dt, "average_fidelity": average}
+
+
+def _swap(A: np.ndarray, x0, target: tuple[complex, float], g1: float, g2: float,
+          horizon: float) -> tuple[float, float, float]:
+    """(swap frequency, fidelity, average fidelity) of the (beta, b, I)
+    generator A, whose bright block has the characteristic polynomial
+    lambda^2 - s lambda + G^2, s = A[1, 1] and G^2 = g1^2 + g2^2.
+
+    The slow root lambda_s, of the two the one with the smaller |Im|, gives
+    the swap frequency |Im lambda_s|/2 and the swap time t* = pi/|Im lambda_s|.
+    The fidelity is |c0 - i g I(t*)|^2 for the target (c0, g) and the start
+    x0; the average fidelity is 1/2 + |f|/3 + |f|^2/6 with f = c2(t*) from
+    c(0) = (1, 0, 0) (Bose, Phys. Rev. Lett. 91, 207901 (2003)). Both come
+    from one expm(A t*). With g1 g2 = 0 nothing swaps: (nan, 0, 1/2).
+    """
+    if g1 * g2 == 0:
+        return math.nan, 0.0, 0.5
+    s, G = complex(A[1, 1]), math.hypot(g1, g2)
+    # The roots, scaled by m so that no square overflows: the larger one
+    # without cancellation, the other from the product of the two, G^2.
+    m = max(abs(s), G)
+    q = m * ((s / m) ** 2 / 4.0 - (G / m) ** 2) ** 0.5
+    fast = s / 2.0 + (q if (s.conjugate() * q).real >= 0 else -q)
+    rate = min(abs(fast.imag), abs((G * (G / fast)).imag))
+    if rate == 0:
+        raise NumericalError(f"the bright mode is overdamped (Gamma >= 4 sqrt(g1^2 + g2^2) "
+                             f"= {4.0 * G:g} rad/s at Delta = 0): the spins never swap")
+    t_star = math.pi / rate
+    if horizon < t_star:
+        raise NumericalError(f"the horizon {horizon:g} s ends before the first swap at "
+                             f"t* = {t_star:.6g} s; extend t_end")
+    to_I = next(_doubling_powers(A * t_star, 1))[2]      # I(t*) = to_I @ x(0)
+    c0, g = target
+    f = float(g1 * g2 * abs(to_I[0]))
+    return rate / 2.0, float(abs(c0 - 1j * g * (to_I @ x0)) ** 2), 0.5 + f / 3.0 + f * f / 6.0
 
 
 def _spin_population(c0: complex, g: float, I: np.ndarray) -> np.ndarray:
@@ -186,65 +218,3 @@ def _spin_population(c0: complex, g: float, I: np.ndarray) -> np.ndarray:
     np.subtract(c0, P, out=P)
     P = np.abs(P)
     return np.square(P, out=P)
-
-
-def _extract_swap(blocks, n: int, dt: float, Delta: float) -> tuple[float, float]:
-    """Slow swap frequency pi/(2 t*) from the first broad maximum of P2, whose
-    n samples k * dt come as consecutive blocks, read in one pass.
-
-    Fast ripples at the detuning scale are smoothed away before peak finding;
-    t_end must extend past the first half-swap for the extraction to be valid.
-    The result is that of the whole series, however it is split.
-    """
-    if Delta != 0:
-        ripple_period = TWO_PI / abs(Delta)
-        window = 3.0 * ripple_period / dt     # in samples
-        if not window < n:
-            raise NumericalError("smoothing over 3 detuning ripple periods needs more than "
-                                 "the whole horizon; extend t_end or raise |Delta|")
-        pairs = _smoothed(blocks, max(3, int(round(window))))
-    else:
-        pairs = ((P2, P2) for P2 in blocks)
-    # The smoothed maximum, its first index k and P2[k]; the smoothed
-    # minimum; and the maximum of P2.
-    top, k, at, low, peak = -math.inf, 0, math.nan, math.inf, -math.inf
-    i = 0
-    for smooth, P2 in pairs:
-        if smooth.size:
-            j = int(np.argmax(smooth))
-            if smooth[j] > top:
-                top, k, at = smooth[j], i + j, P2[j]
-            low, peak = min(low, smooth.min()), max(peak, P2.max())
-            i += smooth.size
-    if top - low < 1e-12:
-        # Decoupled receiver: nothing swaps, no rate to extract.
-        return math.nan, float(peak)
-    if k == 0 or k == n - 1:
-        raise NumericalError("no interior P2 maximum; extend t_end to cover a half swap")
-    return math.pi / (2.0 * float(k * dt)), float(at)
-
-
-def _smoothed(blocks, width: int):
-    """(smooth, x) for the consecutive non-empty blocks x of a series: its
-    moving average over `width` samples, edge values repeated past both
-    ends, and the samples x that the averages are centred on, given as soon
-    as the samples they span have come.
-
-    Sample i averages x[i - width//2 : i - width//2 + width], the difference
-    of two running sums of the edge-padded series `width` apart. Each
-    block's sums continue from the last sum before it, so they are bit for
-    bit those of one `np.cumsum` over the whole padded series. Only the last
-    `width` sums are kept, and the samples whose average is still open.
-    """
-    sums = x_open = np.empty(0)
-    for x in itertools.chain(blocks, [None]):
-        if x is None:       # the right edge
-            x, padded = x_open[:0], np.full((width - 1) // 2, last)
-        else:
-            padded = x if sums.size else np.concatenate((np.full(width // 2 + 1, x[0]), x))
-            last = x[-1]
-        sums = np.concatenate((sums[:-1], np.cumsum(np.concatenate((sums[-1:], padded)))))
-        x_open = np.concatenate((x_open, x))
-        m = max(0, sums.size - width)
-        yield (sums[width:] - sums[:m]) / width, x_open[:m]
-        sums, x_open = sums[m:], x_open[m:]

@@ -21,9 +21,12 @@ gradients of the scalar potential are taken by central differences. The
 Volterra oracle sums the trapezoid history literally at every step, the
 Lorentzian oracle builds the spectral density's terms as one broadcast, the
 doubling-power oracle takes one Pade value per power, the extremum
-oracles are the loops that `local_extrema` replaced, and the swap oracle
-smooths the whole series with one cumulative sum, where
-`network._extract_swap` reads it in blocks.
+oracles are the loops that `local_extrema` replaced, and the eigenvalue
+swap oracle takes `np.linalg.eigvals` and a scipy expm of the plain
+(c1, c2, b) generator, where `network._swap` solves the bright block's
+quadratic. The smoothed swap oracle reads the swap from the first peak of
+the boxcar-smoothed series instead, which is unbiased only without loss
+and far from resonance.
 
 The extractors that only tests read live here too, on whole arrays: the
 resolution guard `max_stable_dt`, `local_extrema` and the Rabi, revival,
@@ -402,3 +405,32 @@ def swap_oracle(times: np.ndarray, P2: np.ndarray, Delta: float) -> tuple[float,
     if k == 0 or k == times.size - 1:
         raise NumericalError("no interior P2 maximum; extend t_end to cover a half swap")
     return math.pi / (2.0 * float(times[k])), float(P2[k])
+
+
+def eigen_swap_oracle(g1: float, g2: float, Delta: float, Gamma: float,
+                      initial_state=(1.0, 0.0, 0.0)) -> tuple[float, float, float]:
+    """(swap frequency, fidelity, average fidelity) from `np.linalg.eigvals`
+    and `scipy.linalg.expm` of the plain (c1, c2, b) generator, where
+    `network._swap` solves the bright block's quadratic in (beta, b, I).
+
+    Of the three eigenvalues, the one nearest 0 is the dark state
+    g2 c1 - g1 c2; of the two bright ones, the one with the smaller |Im|
+    gives the swap |Im|/2 and t* = pi/|Im|. The fidelity is the population
+    at t* of the emitter that starts empty, and the average fidelity
+    1/2 + |f|/3 + |f|^2/6 with f = c2(t*) from c(0) = (1, 0, 0).
+    """
+    from scipy.linalg import expm
+
+    if g1 * g2 == 0:
+        return math.nan, 0.0, 0.5
+    M = np.array([[0.0, 0.0, -1j * g1],
+                  [0.0, 0.0, -1j * g2],
+                  [-1j * g1, -1j * g2, 1j * Delta - Gamma / 2.0]])
+    lam = np.linalg.eigvals(M)
+    bright = np.delete(lam, np.argmin(np.abs(lam)))
+    rate = float(np.min(np.abs(bright.imag)))
+    U = expm(M * (math.pi / rate))
+    target = 1 if abs(initial_state[0]) >= abs(initial_state[1]) else 0
+    f = abs(U[1, 0])
+    return (rate / 2.0, float(abs(U[target] @ np.asarray(initial_state, dtype=complex)) ** 2),
+            0.5 + f / 3.0 + f * f / 6.0)

@@ -841,10 +841,12 @@ def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, va
 
 
 def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
-    # The swap is found in one streamed pass and the populations are
-    # streamed into the file, so a run holds O(sqrt(n)) state, the smoothing
-    # window of 3 ripple periods (27 000 and 91 000 samples here) and one
-    # block, where b, Int b, P1, P2, Pb and the times took 7.2 and 72 MB.
+    # The swap comes from the generator's roots and the populations are
+    # streamed into the file, so a run holds O(sqrt(n)) state and one block:
+    # 1.6 MB at 1 000 001 samples, where b, Int b, P1, P2, Pb and the times
+    # took 72 MB and a smoothing window of 3 ripple periods another 1.5 MB.
+    # The default run is refused from the roots before anything propagates
+    # (about 20 KB; 0.97 MB with the window).
     import tracemalloc
 
     def peak(*argv):
@@ -856,9 +858,9 @@ def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
             tracemalloc.stop()
 
     peak("--n_samples", "100")      # caches built on a first call stay out of the peaks
-    assert peak() < 2.5e6           # 100 001 samples; exits 3, no interior P2 maximum
+    assert peak() < 1e5             # 100 001 samples; exits 3, the horizon ends before t*
     assert not (tmp_path / "0" / "transfer.csv").exists()
-    assert peak("--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "1000000") < 8e6
+    assert peak("--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "1000000") < 2e6
     _, rows, _ = read_csv(tmp_path / "6" / "transfer.csv")
     assert rows.shape == (1_000_001, 4)
 
@@ -870,10 +872,10 @@ def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
 ], ids=["clean", "nan", "above-one"])
 def test_bad_transfer_block_fails_the_run(tmp_path, monkeypatch, value, error):
     # The magnon amplitude at a sample of the second block is a NaN or
-    # sqrt(1.1). The swap pass reads only Int b, so the run finds its swap,
-    # then meets the bad block as it is streamed: it exits 3 with the
+    # sqrt(1.1). The swap comes from the generator, not from the samples, so
+    # the run meets the bad block as it is streamed: it exits 3 with the
     # message of a whole-series check, and no data file is left. Each block
-    # is read once for the swap and once for all three columns.
+    # is read exactly once, for all three columns.
     import magnoncavity.network as network
 
     propagator, reads, k = network._propagator, [], WRITE_CHUNK + 5
@@ -895,7 +897,7 @@ def test_bad_transfer_block_fails_the_run(tmp_path, monkeypatch, value, error):
     if value is None:
         assert main(argv) == 0
         blocks = [(i, min(i + WRITE_CHUNK, 30_001)) for i in range(0, 30_001, WRITE_CHUNK)]
-        assert reads == blocks + blocks
+        assert reads == blocks
         return
     assert main(argv) == 3
     record = json.loads((tmp_path / "error.json").read_text())
@@ -941,7 +943,6 @@ def test_undefined_g_eff_is_null(tmp_path, argv):
     (["coupling-sweep", "--Delta_over_g", "0"], "DomainError", "Delta = 0"),
     (["spectrum", "--mu0_H0_T", "1e300"], "DomainError", "not finite"),
     (["transfer", "--t_end_us", "1e-300"], "NumericalError", "horizon"),
-    (["transfer", "--Delta_over_g", "1e-300"], "NumericalError", "horizon"),
     (["modes", "--mu0_H0_T", "1e300"], "NumericalError",
      "modes.csv column 'omega_over_2pi_GHz' holds a non-finite value"),
     (["decay", "--mu0_H0_T", "1e300"], "DomainError", "kernel weights and rates must be finite"),
@@ -949,17 +950,74 @@ def test_undefined_g_eff_is_null(tmp_path, argv):
      "kernel weights and rates must be finite"),
     (["coupling-sweep", "--Delta_over_g", "1e-320"], "DomainError",
      "Delta = 0 or g^2/Delta overflows"),
-    # dt = 1 ns over a 0.1 ns horizon: one sample, shorter than any smoothing window.
+    # |Delta| = 7e206 rad/s: s^2 overflows unless the roots are scaled, and
+    # the slow root puts t* at 2e193 s, far past the 1e-306 s horizon.
+    (["transfer", "--Delta_over_g", "1e200", "--t_end_us", "1e-300"], "NumericalError",
+     "ends before the first swap at t* = 2.27872e+193 s"),
+    # dt = 1 ns over a 0.1 ns horizon: one sample, ending long before the swap.
     (["transfer", "--dt_ns", "1", "--t_end_us", "1e-4"], "NumericalError", "horizon"),
 ], ids=["sweep-g_eff-undefined", "mode-frequencies-overflow", "swap-horizon-underflows",
-        "swap-ripple-period-overflows", "mode-table-overflows", "decay-kernel-overflows",
-        "transfer-kernel-overflows", "sweep-g_eff-overflows", "transfer-single-sample"])
+        "mode-table-overflows", "decay-kernel-overflows",
+        "transfer-kernel-overflows", "sweep-g_eff-overflows", "swap-roots-scaled",
+        "transfer-single-sample"])
 def test_exit_code_3_for_unresolvable_inputs(tmp_path, argv, error, cause):
     assert main(argv + ["--out", str(tmp_path)]) == 3
     record = json.loads((tmp_path / "error.json").read_text())
     assert record["type"] == error
     assert cause in record["error"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("argv, swap", [
+    (["--Delta_over_g", "1e-300"], 4.7113e6),
+    (["--Delta_over_g", "0.25", "--t_end_us", "3"], 4.3015e6),
+], ids=["swap-ripple-period-overflows", "non-dispersive-swap"])
+def test_transfer_swaps_where_no_smoothing_window_fits(tmp_path, argv, swap):
+    # Resonant and near-resonant pairs swap within the horizon. A boxcar
+    # over 3 detuning periods refused both (the period overflows, or spans
+    # more than the horizon); the slow root reads their swap.
+    assert main(["transfer", *argv, "--out", str(tmp_path)]) == 0
+    _assert_finite_outputs(tmp_path)
+    _, _, meta = read_csv(tmp_path / "transfer.csv")
+    assert float(meta["swap_frequency_rad_per_s"]) == pytest.approx(swap, rel=1e-4)
+
+
+@pytest.mark.parametrize("argv, cause", [
+    ([], "ends before the first swap at t* = 2.3345"),
+    (["--Delta_over_g", "0", "--Gamma_rad_per_s", "3.9e7", "--t_end_us", "3"],
+     "the bright mode is overdamped"),
+], ids=["default-horizon", "overdamped"])
+def test_transfer_without_a_swap_in_reach_exits_3_before_propagating(tmp_path, monkeypatch,
+                                                                     argv, cause):
+    # The default 1 us horizon ends before the swap time t* = 2.3345 us; at
+    # Delta = 0, Gamma >= 4 sqrt(g1^2 + g2^2) damps the bright mode before
+    # it swaps anything. Either is refused from the generator's roots, before
+    # anything is propagated, and no data file is left.
+    import magnoncavity.network as network
+
+    def unused(*args):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(network, "_propagator", unused)
+    assert main(["transfer", *argv, "--out", str(tmp_path)]) == 3
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["type"] == "NumericalError" and cause in record["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+def test_transfer_swap_header_does_not_move_with_n_samples(tmp_path):
+    # The swap frequency and the fidelities come from the generator at the
+    # swap time, not from the sampled populations.
+    cfgfile = Path(__file__).parents[1] / "configs" / "transfer.cfg"
+    keys = ("# swap_frequency_rad_per_s=", "# fidelity=", "# average_fidelity=")
+    headers = []
+    for n in ("5000", "100000"):
+        out = tmp_path / n
+        assert main(["transfer", "--config", str(cfgfile), "--n_samples", n,
+                     "--out", str(out)]) == 0
+        lines = (out / "transfer.csv").read_bytes().splitlines()
+        headers.append([line for line in lines if line.decode().startswith(keys)])
+    assert len(headers[0]) == 3 and headers[0] == headers[1]
 
 
 def test_fieldmap_narrow_linewidth_runs(tmp_path, no_big_arrays):
@@ -1014,8 +1072,8 @@ def test_checked_in_configs_run(tmp_path):
 
 
 def test_cli_import_leaves_out_ode_integrators(tmp_path):
-    # All dynamics propagate exactly with a numpy expm and the swap extractor
-    # smooths with a cumulative sum; neither scipy.integrate nor scipy.ndimage
+    # All dynamics propagate exactly with a numpy expm, and the swap comes
+    # from the generator's roots; neither scipy.integrate nor scipy.ndimage
     # loads, nor scipy.linalg.
     src = str(Path(magnoncavity.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -1319,6 +1377,7 @@ def test_transfer_header_records_the_time_step(tmp_path, monkeypatch):
     _, _, meta = read_csv(tmp_path / "transfer.csv")
     ((_, _, _, metadata),) = results
     assert float(meta["dt_s"]) == metadata["dt_s"]
+    assert float(meta["average_fidelity"]) == metadata["average_fidelity"]
 
 
 def test_run_config_roundtrip_hash_changes():
