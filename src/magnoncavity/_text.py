@@ -5,15 +5,21 @@ bytes, with NUL bytes wherever a byte is unused. Side by side, a file's
 word columns hold each row's text and separators; they are copied into one
 row block, and its bytes without the NULs are the CSV lines (`join_rows`).
 
-`encode_g12` gives each float64 the exact bytes of ``'%.12g' % x``. It
-scales |x| by a power of ten to s in [1e11, 1e12), rounds s to the 12-digit
-integer m and reads m's three 4-digit groups from a table. The relative
-error of s is a few ulp, at most about 3e-4 in absolute terms below 1e12,
-so m is the correctly rounded digit string unless the fraction of s lies
-within 1e-3 of one half (Gay, "Correctly rounded binary-decimal and
-decimal-binary conversions", AT&T NAM 90-10, 1990). Those near-ties, zeros,
-nan, infinities and magnitudes outside [1e-290, 1e290] are formatted by
-Python's own `%`, as are integer columns (with '%d').
+`encode_g12` gives each float64 the exact bytes of ``'%.12g' % x``. A
+binade [2**b, 2**(b+1)) meets at most two decades, so the biased exponent
+of x (its 11 bits above the mantissa) indexes the lower decade's scale and
+the power of ten where the upper one starts, and one comparison settles it
+(Adams, "Ryu: fast float-to-string conversion", PLDI 2018). |x| is scaled
+by a power of ten to s in [1e11, 1e12), rounded to the 12-digit integer
+m = floor(s + 0.5), and m's three 4-digit groups are read from a table.
+The relative error of s is a few ulp, at most about 3e-4 in absolute terms
+below 1e12, so m is the correctly rounded digit string unless s lies
+within 1e-3 of a tie, |s - m| > 0.499 (Gay, "Correctly rounded
+binary-decimal and decimal-binary conversions", AT&T NAM 90-10, 1990).
+Those near-ties and every value outside the binades 2**-962 up to below
+2**963, which lie inside [1e-290, 1e290] (zeros, subnormals, infinities
+and nan among them), are formatted by Python's own `%`, as are integer
+columns (with '%d').
 
 A float has up to four words: sign and the "0.000" before fixed-notation
 magnitudes below 1; two words of the 12 digits, four bytes per group, where
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +54,30 @@ def text_rows(texts: list[str], words: int | None = None) -> np.ndarray:
 # Table index k serves decimal exponent e = _P0 + 11 - k: s = |x| * _POW10[k]
 # with _POW10[k] = 10**(k - _P0), correctly rounded (parsed).
 _P0 = 310
-_LOG10_2 = np.log10(2.0)
 _E = _P0 + 11 - np.arange(2 * _P0 + 1)
 _POW10 = np.array([float(f"1e{k}") for k in range(-_P0, _P0 + 1)])
 _FIXED = (_E >= -4) & (_E < 12)             # '%g' writes these without an exponent
 # Per k: the digit tables' row at tz = 0, 12 times the notation class (e + 4
 # in fixed notation, 16 in exponent notation); the lead word, its first byte
-# left for the sign; and the lead and exponent text's length, with separator.
+# left for the sign; and the exponent text.
 _ROW0 = np.where(_FIXED, _E + 4, 16) * 12
-_LEAD_TEXT = ["0." + (-e - 1) * "0" if -4 <= e < 0 else "" for e in _E.tolist()]
+_LEAD = text_rows(["\0" + ("0." + (-e - 1) * "0" if -4 <= e < 0 else "")
+                   for e in _E.tolist()], 1).ravel()
 _EXP_TEXT = ["" if -4 <= e < 12 else "e%+03d" % e for e in _E.tolist()]
-_LEAD = text_rows(["\0" + t for t in _LEAD_TEXT], 1).ravel()
-_OUTER_LEN = np.array([len(a) + len(b) + bool(b) for a, b in zip(_LEAD_TEXT, _EXP_TEXT)])
 _MINUS = np.uint64(ord("-"))
+
+
+def _decades() -> tuple[np.ndarray, np.ndarray]:
+    """Per biased exponent: k of the lower decade, 10**e0 <= 2**b, -1 out of
+    the band; and 10**(e0 + 1), where the upper decade starts."""
+    e0 = [math.floor(b * math.log10(2.0)) for b in range(-962, 963)]
+    k = [-1] * 61 + [_P0 + 11 - e for e in e0] + [-1] * 62
+    upper = [1.0] * 61 + [float(f"1e{e + 1}") for e in e0] + [1.0] * 62
+    return np.array(k, np.intp), np.array(upper)
+
+
+_K, _UPPER = _decades()
+_ONE = 1023                                 # the biased exponent of 1.0
 
 # '%04d' of 0..9999 in the low four bytes of a word; and the number of
 # trailing zero digits of each 4-digit group (4 for 0000).
@@ -69,7 +87,7 @@ _QUAD[:, :4] = _GROUP[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 
 _QUAD = _QUAD.view(np.uint64).ravel()
 _TZ = sum(_GROUP % 10 ** k == 0 for k in range(1, 5)).astype(np.intp)
 del _GROUP
-_8, _32, _56 = np.uint64(8), np.uint64(32), np.uint64(56)
+_8, _32, _56, _63 = np.uint64(8), np.uint64(32), np.uint64(56), np.uint64(63)
 
 
 @functools.cache
@@ -77,9 +95,9 @@ def _tables(sep: str) -> tuple[np.ndarray, ...]:
     """The digit words' tables, per row 12*c + tz (notation class c, tz
     trailing zeros), each as two words: the bytes that move up one byte to
     make room for the point, the bytes kept after the move, and the point
-    and a fixed-notation value's separator. Then the digit text's length
-    with that separator, and per k the exponent word, `sep` last."""
-    rows, lens = [], []
+    and a fixed-notation value's separator. Then per k the exponent word,
+    `sep` last."""
+    rows = []
     for c, tz in itertools.product(range(17), range(12)):
         nd, q = 12 - tz, (c - 3 if c < 16 else 1)   # q digits before the point; <= 0 below 1
         point = 1 <= q < nd
@@ -89,37 +107,34 @@ def _tables(sep: str) -> tuple[np.ndarray, ...]:
         add[n if c < 16 else 16] = ord(sep)
         up = bytes(q) + (16 - q) * b"\xff" if point else bytes(16)
         rows.append(up + n * b"\xff" + bytes(16 - n) + add[:16])
-        lens.append(n + (c < 16))
     words = np.frombuffer(b"".join(rows), np.uint64).reshape(-1, 6).T.copy()
     exp = text_rows([t and t.ljust(7, "\0") + sep for t in _EXP_TEXT], 1).ravel()
-    return (*words, np.array(lens), exp)
+    return (*words, exp)
 
 
-def encode_g12(x: np.ndarray, sep: str, lengths: bool = False):
-    """Word columns holding '%.12g' % v, then `sep`, for each v in x; with
-    `lengths`, also each row's text length, separator included."""
+def encode_g12(x: np.ndarray, sep: str) -> list[np.ndarray]:
+    """Word columns holding '%.12g' % v, then `sep`, for each v in x."""
     x = np.asarray(x, dtype=np.float64)
+    # e = floor(log10 |x|): the lower of its binade's two decades, or the
+    # upper from the power where that starts.
     a = np.abs(x)
-    with np.errstate(invalid="ignore"):         # nan compares False, silently
-        fast = (a >= 1e-290) & (a <= 1e290)
-    a = np.where(fast, x, 1.0)
-    neg = np.signbit(a)
-    np.abs(a, out=a)
-    # e = floor(log10 |x|) from the binary exponent: one of two decades,
-    # told apart by one comparison with a power of ten.
-    e = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.intp)
-    e += a >= _POW10.take(e + (_P0 + 1))
-    k = np.subtract(_P0 + 11, e, out=e)
+    be = a.view(np.int64) >> 52
+    k = _K.take(be)
+    slow = k < 0
+    if slow.any():                              # outside the band: formatted by Python
+        a[slow], be[slow], k[slow] = 1.0, _ONE, _K[_ONE]
+    k -= a >= _UPPER.take(be)
+    del be                                      # one block array less held from here
     s = np.multiply(a, _POW10.take(k), out=a)
-    m = np.floor(s)
+    m = s + 0.5
+    np.floor(m, out=m)
     frac = np.subtract(s, m, out=s)
-    slow = np.abs(frac - 0.5) < 1e-3
-    slow |= ~fast
-    m += frac > 0.5
+    slow |= np.abs(frac, out=frac) > 0.499      # within 1e-3 of a tie
     # s from 999999999999.5 up rounds to 1e12: 1e11 at the next exponent.
     carry = m >= 1e12
-    m[carry] = 1e11
-    k -= carry
+    if carry.any():
+        m[carry] = 1e11
+        k -= carry
     # m < 1e12 < 2**53: exact float floor-division into three 4-digit groups.
     g0 = np.floor(m / 1e8)
     m -= g0 * 1e8
@@ -133,9 +148,9 @@ def encode_g12(x: np.ndarray, sep: str, lengths: bool = False):
         mid_zero = low_zero[g1[low_zero] == 0]
         row[mid_zero] += _TZ.take(g0[mid_zero])
     row += _ROW0.take(k)
-    up1, up2, keep1, keep2, add1, add2, text_len, exp = _tables(sep)
+    up1, up2, keep1, keep2, add1, add2, exp = _tables(sep)
     lead = _LEAD.take(k)
-    lead |= neg.astype(np.uint64) * _MINUS
+    lead |= (x.view(np.uint64) >> _63) * _MINUS
     d1 = _QUAD.take(g1)
     d1 <<= _32
     d1 |= _QUAD.take(g0)
@@ -156,7 +171,6 @@ def encode_g12(x: np.ndarray, sep: str, lengths: bool = False):
     d2 |= add2.take(row)
     cols = [lead, d1, d2, exp.take(k)]
     kept = [np.count_nonzero(c) > 0 for c in cols]
-    lens = _OUTER_LEN.take(k) + neg + text_len.take(row) if lengths else None
     if np.count_nonzero(slow):
         rows = np.flatnonzero(slow)
         texts = ["%.12g%s" % (v, sep) for v in x[rows].tolist()]
@@ -166,47 +180,59 @@ def encode_g12(x: np.ndarray, sep: str, lengths: bool = False):
         text = text_rows(texts, sum(kept))
         for j, col in enumerate(col for col, keep in zip(cols, kept) if keep):
             col[rows] = text[:, j]
-        if lengths:
-            lens[rows] = list(map(len, texts))
-    words = [col for col, keep in zip(cols, kept) if keep]
-    return (words, lens) if lengths else words
+    return [col for col, keep in zip(cols, kept) if keep]
 
 
 class TextColumn:
     """The %.12g text of an axis that many rows or files share, encoded once.
 
     Written row i holds value index[i], or value i without an index. Each
-    text is stored NUL-padded in whole words, the last byte left for the
-    separator. `values` is anything with len() and [start:stop] slicing,
-    read `chunk` values at a time."""
+    `chunk` values are read ([start:stop] of anything with len()) and their
+    texts stored NUL-padded in whole words, as wide as the chunk's longest
+    text needs with the last byte left for the separator."""
 
     def __init__(self, values, index: np.ndarray | None = None, chunk: int = WRITE_CHUNK):
-        # The width grows to the longest text so far; a wider array takes
-        # only the rows filled.
-        chars = np.zeros((len(values), 8), np.uint8)
-        for i in range(0, len(values), chunk):
-            words, lens = encode_g12(values[i:i + chunk], "\n", lengths=True)
-            text = np.frombuffer(join_rows(words), np.uint8)
-            width = 8 * -(-int(lens.max()) // 8)
-            if width > chars.shape[1]:
-                wider = np.zeros((len(values), width), np.uint8)
-                wider[:i, :chars.shape[1]] = chars[:i]
-                chars = wider
-            rows = chars[i:i + len(lens)]
-            rows[np.arange(chars.shape[1]) < lens[:, None]] = text
-            rows[np.arange(len(lens)), lens - 1] = 0
-        self.words, self.index = chars.view(np.uint64), index
+        self.chunks = [_padded_rows(values[i:i + chunk]) for i in range(0, len(values), chunk)]
+        self.size, self.chunk, self.index = len(values), chunk, index
 
     def __len__(self) -> int:
-        return len(self.words) if self.index is None else len(self.index)
+        return self.size if self.index is None else len(self.index)
 
     def block(self, start: int, stop: int, sep: str) -> list[np.ndarray]:
         """Word columns of rows start..stop, each row followed by `sep`."""
-        if self.index is None:
-            words = self.words[start:stop]
+        stop = min(stop, len(self))
+        if self.index is not None:
+            words = self._rows(self.index[start:stop])
+        elif start % self.chunk == 0 and start < stop <= start + self.chunk:
+            words = self.chunks[start // self.chunk][:stop - start]
         else:
-            words = self.words.take(self.index[start:stop], axis=0)
+            words = self._rows(np.arange(start, stop))
         return [*words[:, :-1].T, words[:, -1] | np.uint64(ord(sep) << 56)]
+
+    def _rows(self, where: np.ndarray) -> np.ndarray:
+        """The words of values `where`, padded to the widest chunk they read."""
+        if len(self.chunks) == 1:
+            return self.chunks[0].take(where, axis=0)
+        chunk, row = np.divmod(where, self.chunk)
+        read = np.unique(chunk).tolist()
+        width = max((self.chunks[c].shape[1] for c in read), default=1)
+        words = np.zeros((len(where), width), np.uint64)
+        for c in read:
+            at = chunk == c
+            words[at, :self.chunks[c].shape[1]] = self.chunks[c].take(row[at], axis=0)
+        return words
+
+
+def _padded_rows(values) -> np.ndarray:
+    """One row of words per value, holding its %.12g text left-aligned and
+    NUL-padded, at least its last byte NUL; the row length is read from the
+    newlines that end the joined texts."""
+    text = np.frombuffer(join_rows(encode_g12(values, "\n")), np.uint8)
+    lens = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
+    rows = np.zeros((len(lens), 8 * -(-int(lens.max()) // 8)), np.uint8)
+    rows[np.arange(rows.shape[1]) < lens[:, None]] = text
+    rows[np.arange(len(lens)), lens - 1] = 0
+    return rows.view(np.uint64)
 
 
 def block_text(col, start: int, stop: int, sep: str, where: str | None = None):

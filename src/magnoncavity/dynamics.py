@@ -361,7 +361,7 @@ def decay_populations(kernel: MemoryKernel, t_end: float, dt: float | None = Non
     range of the whole read `[:]`. Other ranges did too at every state
     width tried up to 128 values; from about 150 values up, BLAS rounded
     some unaligned ranges otherwise, in the last bit (OpenBLAS 0.3.31,
-    Haswell kernels)."""
+    SkylakeX kernels)."""
     read, n, dt = _decay_sampler(kernel, t_end, dt, n_samples, solver)
     return Samples(n, lambda i, j: _check_populations(_abs_square(read(i, j)[0]))), dt
 

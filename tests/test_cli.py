@@ -788,7 +788,7 @@ def test_decay_holds_one_radius_at_a_time(tmp_path):
 def test_decay_holds_the_time_text_and_the_sampler(tmp_path):
     # A radius is streamed from its sampler into its file, so a run holds
     # the shared time text (8 or 16 bytes per sample) and O(sqrt(n)) state,
-    # with no array of n samples: at 1e6 samples about 24 MB traced, where
+    # with no array of n samples: at 1e6 samples about 17 MB traced, where
     # the complex amplitudes, the populations and two time arrays took 46 MB.
     import tracemalloc
 
@@ -802,7 +802,7 @@ def test_decay_holds_the_time_text_and_the_sampler(tmp_path):
 
     peak("--n_samples", "100")      # caches built on a first call stay out of the peaks
     assert peak() < 2.5e6           # 4 x 100 001 samples
-    assert peak("--R_list_nm", "30", "--n_samples", "1000000") < 30e6
+    assert peak("--R_list_nm", "30", "--n_samples", "1000000") < 18e6
 
 
 @pytest.mark.parametrize("k", [WRITE_CHUNK + 5, 5 * WRITE_CHUNK + 5],
@@ -1284,6 +1284,94 @@ def test_encoder_leaves_out_all_nul_word_columns():
     assert width("integers", 5e-324) == 3
     assert width("from-1", 1e12) == 3
     assert width("below-1", 9.9e-5) == 4
+
+
+def test_write_csv_every_binade(tmp_path):
+    # Each biased exponent 1..2046 gives 2**(b - 1023), the float below it
+    # and the binade's largest value; exponent 0 gives zero and the smallest
+    # subnormal, 2047 inf and nan. The bulk path's band starts at 2**-962
+    # and ends below 2**963.
+    low = (np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)).view(np.float64)
+    largest = (low.view(np.uint64) | np.uint64(2**52 - 1)).view(np.float64)
+    family = np.concatenate([[0.0, 5e-324, np.inf, np.nan], low, np.nextafter(low, -np.inf),
+                             largest, _neighbours([2.0**-962, 2.0**963])])
+    values = [-v for v in family.tolist()] + family.tolist()
+    assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
+
+
+# The CPU features that numpy dispatches to at run time on this CPU, and
+# the SHA-256 of the file that write_csv makes of the array saved in
+# argv[1], one line each; the file is argv[2].
+_WRITE_AND_HASH = """
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:                                     # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+from magnoncavity._text import write_csv
+print(" ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)))
+write_csv(Path(sys.argv[2]), {"x": np.load(sys.argv[1])}, "abc123", {})
+print(hashlib.sha256(Path(sys.argv[2]).read_bytes()).hexdigest())
+"""
+
+
+def test_writer_bytes_do_not_depend_on_simd_dispatch(tmp_path, monkeypatch):
+    # 10**6 random bit patterns and one default decay radius's populations,
+    # written in a process where numpy dispatches to none of the CPU
+    # features it dispatches to here, hash as they do here.
+    series = _recording(monkeypatch, "decay_populations")
+    assert main(["decay", "--R_list_nm", "30", "--out", str(tmp_path)]) == 0
+    rng = np.random.default_rng(20240601)
+    bit_patterns = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    np.save(tmp_path / "values.npy", np.concatenate([bit_patterns, series[0][0][:]]))
+    argv = [str(tmp_path / "values.npy"), str(tmp_path / "here.csv")]
+    monkeypatch.setattr(sys, "argv", ["-c", *argv])
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_WRITE_AND_HASH, {})
+    features, digest = here.getvalue().splitlines()
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": features,
+           "PYTHONPATH": str(Path(magnoncavity.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _WRITE_AND_HASH, argv[0],
+                          str(tmp_path / "simd-off.csv")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split("\n") == ["", digest, ""]
+
+
+def test_text_column_chunks_keep_their_own_width(tmp_path, monkeypatch):
+    # Each chunk's rows are as wide as its own longest text needs: 8, 16
+    # and 24 bytes here, the last through Python's text of 5e-324, and no
+    # chunk is widened after it is stored. Aligned blocks, blocks across
+    # chunks and an index all read the %.12g text.
+    from magnoncavity._text import TextColumn, join_rows
+
+    chunk = 64
+    rng = np.random.default_rng(4)
+    values = np.concatenate([np.arange(1.0, chunk + 1), rng.uniform(1.0, 1e11, chunk),
+                             np.arange(1.0, chunk - 23)])
+    values[-7] = 5e-324
+    index = rng.integers(0, values.size, 500)
+    column, indexed = TextColumn(values, chunk=chunk), TextColumn(values, index, chunk=chunk)
+    assert sum(words.nbytes for words in column.chunks) == chunk * (8 + 16) + (chunk - 24) * 24
+
+    def read(col, start, stop):
+        return join_rows(col.block(start, stop, ",")).decode()
+
+    def text(vals):
+        return "".join("%.12g," % v for v in vals.tolist())
+
+    for start in range(0, values.size, chunk):
+        assert read(column, start, start + chunk) == text(values[start:start + chunk])
+    for start, stop in [(0, values.size), (5, 70), (60, 140), (127, 129), (130, 500)]:
+        assert read(column, start, stop) == text(values[start:stop])
+    for start, stop in [(0, 500), (0, chunk), (10, 250), (499, 600)]:
+        assert read(indexed, start, stop) == text(values[index[start:stop]])
+    # The default decay's shared time text takes one word per sample.
+    texts = _recording(monkeypatch, "TextColumn")
+    assert main(["decay", "--R_list_nm", "30", "--out", str(tmp_path)]) == 0
+    assert sum(words.nbytes for words in texts[0].chunks) == 8 * len(texts[0])
 
 
 def test_write_csv_mixed_columns(tmp_path):
