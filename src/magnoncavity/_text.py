@@ -1,9 +1,10 @@
 """CSV text of numeric columns, built with numpy, and the CSV file writer.
 
 Text is held in word columns: uint64 arrays, one word per row, read as
-bytes, with NUL bytes wherever a byte is unused. Side by side, a file's
-word columns hold each row's text and separators; they are copied into one
-row block, and its bytes without the NULs are the CSV lines (`join_rows`).
+bytes. Each value's text is packed left-aligned in the fewest words, with
+NUL bytes only after it. Side by side, a file's word columns hold each
+row's text and separators; they are copied into one row block, and its
+bytes without the NULs are the CSV lines (`join_rows`).
 
 `encode_g12` gives each float64 the exact bytes of ``'%.12g' % x``. A
 binade [2**b, 2**(b+1)) meets at most two decades, so the biased exponent
@@ -21,12 +22,15 @@ Those near-ties and every value outside the binades 2**-962 up to below
 and nan among them), are formatted by Python's own `%`, as are integer
 columns (with '%d').
 
-A float has up to four words: sign and the "0.000" before fixed-notation
-magnitudes below 1; two words of the 12 digits, four bytes per group, where
-the digits after the point move up one byte to make room for it, trailing
-zeros are masked off and a fixed-notation separator follows; and "e", sign,
-exponent digits and separator. A word column that is NUL in every row of a
-block is left out, unless Python's text needs its width.
+The 12 digits take two words, four bytes per group: the digits after the
+point move up one byte to make room for it, trailing zeros are masked off
+and a fixed-notation separator follows the last digit. In exponent notation
+"e", the exponent and the separator start at the digits' length, which can
+carry them into a third word. Then the sign and the "0.000" before
+fixed-notation magnitudes below 1 go first, and each row's words move up
+behind them by their length, 0 to 48 bits (a funnel shift); a block where
+no value has either skips the move. A block is as many words wide as its
+widest text needs, Python's text included.
 """
 
 from __future__ import annotations
@@ -58,13 +62,21 @@ _E = _P0 + 11 - np.arange(2 * _P0 + 1)
 _POW10 = np.array([float(f"1e{k}") for k in range(-_P0, _P0 + 1)])
 _FIXED = (_E >= -4) & (_E < 12)             # '%g' writes these without an exponent
 # Per k: the digit tables' row at tz = 0, 12 times the notation class (e + 4
-# in fixed notation, 16 in exponent notation); the lead word, its first byte
-# left for the sign; and the exponent text.
+# in fixed notation, 16 in exponent notation); and the exponent text.
 _ROW0 = np.where(_FIXED, _E + 4, 16) * 12
-_LEAD = text_rows(["\0" + ("0." + (-e - 1) * "0" if -4 <= e < 0 else "")
-                   for e in _E.tolist()], 1).ravel()
 _EXP_TEXT = ["" if -4 <= e < 12 else "e%+03d" % e for e in _E.tolist()]
-_MINUS = np.uint64(ord("-"))
+# Per 2k + sign bit: the text before the digits (the sign, then "0.000"
+# before fixed-notation magnitudes below 1); its length in bits, by which
+# each digit word moves up; and the right shift that gives what a word
+# carries into the next, 64 bits less that length. A word's top bit is 0,
+# its bytes being ASCII, so where nothing goes first a shift by 63 carries
+# nothing, and no shift reaches 64.
+_LEAD_TEXT = [sign + ("0." + (-e - 1) * "0" if -4 <= e < 0 else "")
+              for e in _E.tolist() for sign in ("", "-")]
+_LEAD = text_rows(_LEAD_TEXT, 1).ravel()
+_LEFT = np.array([8 * len(t) for t in _LEAD_TEXT], np.uint64)
+_RIGHT = np.minimum(np.uint64(64) - _LEFT, np.uint64(63))
+del _LEAD_TEXT
 
 
 def _decades() -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +99,7 @@ _QUAD[:, :4] = _GROUP[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 
 _QUAD = _QUAD.view(np.uint64).ravel()
 _TZ = sum(_GROUP % 10 ** k == 0 for k in range(1, 5)).astype(np.intp)
 del _GROUP
-_8, _32, _56, _63 = np.uint64(8), np.uint64(32), np.uint64(56), np.uint64(63)
+_8, _32, _56, _63, _64 = (np.uint64(b) for b in (8, 32, 56, 63, 64))
 
 
 @functools.cache
@@ -95,9 +107,10 @@ def _tables(sep: str) -> tuple[np.ndarray, ...]:
     """The digit words' tables, per row 12*c + tz (notation class c, tz
     trailing zeros), each as two words: the bytes that move up one byte to
     make room for the point, the bytes kept after the move, and the point
-    and a fixed-notation value's separator. Then per k the exponent word,
+    and a fixed-notation value's separator. Then per row the digits' text
+    length in bits, where an exponent starts, and per k the exponent text,
     `sep` last."""
-    rows = []
+    rows, at = [], []
     for c, tz in itertools.product(range(17), range(12)):
         nd, q = 12 - tz, (c - 3 if c < 16 else 1)   # q digits before the point; <= 0 below 1
         point = 1 <= q < nd
@@ -107,14 +120,16 @@ def _tables(sep: str) -> tuple[np.ndarray, ...]:
         add[n if c < 16 else 16] = ord(sep)
         up = bytes(q) + (16 - q) * b"\xff" if point else bytes(16)
         rows.append(up + n * b"\xff" + bytes(16 - n) + add[:16])
+        at.append(8 * n)
     words = np.frombuffer(b"".join(rows), np.uint64).reshape(-1, 6).T.copy()
-    exp = text_rows([t and t.ljust(7, "\0") + sep for t in _EXP_TEXT], 1).ravel()
-    return (*words, exp)
+    exp = text_rows([t and t + sep for t in _EXP_TEXT], 1).ravel()
+    return (*words, np.array(at, np.uint64), exp)
 
 
-def encode_g12(x: np.ndarray, sep: str) -> list[np.ndarray]:
-    """Word columns holding '%.12g' % v, then `sep`, for each v in x."""
-    x = np.asarray(x, dtype=np.float64)
+def _digits(x: np.ndarray, sep: str) -> tuple[np.ndarray, ...]:
+    """Per value of x: the two words of its digits, the point, and a
+    fixed-notation value's separator; its table row and k; and whether
+    Python formats it. Returning frees the block's other arrays."""
     # e = floor(log10 |x|): the lower of its binade's two decades, or the
     # upper from the power where that starts.
     a = np.abs(x)
@@ -148,9 +163,7 @@ def encode_g12(x: np.ndarray, sep: str) -> list[np.ndarray]:
         mid_zero = low_zero[g1[low_zero] == 0]
         row[mid_zero] += _TZ.take(g0[mid_zero])
     row += _ROW0.take(k)
-    up1, up2, keep1, keep2, add1, add2, exp = _tables(sep)
-    lead = _LEAD.take(k)
-    lead |= (x.view(np.uint64) >> _63) * _MINUS
+    up1, up2, keep1, keep2, add1, add2, *_ = _tables(sep)
     d1 = _QUAD.take(g1)
     d1 <<= _32
     d1 |= _QUAD.take(g0)
@@ -169,18 +182,54 @@ def encode_g12(x: np.ndarray, sep: str) -> list[np.ndarray]:
     d1 |= add1.take(row)
     d2 &= keep2.take(row)
     d2 |= add2.take(row)
-    cols = [lead, d1, d2, exp.take(k)]
-    kept = [np.count_nonzero(c) > 0 for c in cols]
+    return d1, d2, row, k, slow
+
+
+def encode_g12(x: np.ndarray, sep: str) -> list[np.ndarray]:
+    """Word columns holding '%.12g' % v, then `sep`, for each v in x, packed
+    left-aligned: NULs follow a row's text, and the last column holds text
+    in some row."""
+    x = np.asarray(x, dtype=np.float64)
+    d1, d2, row, k, slow = _digits(x, sep)
+    *_, at, exp = _tables(sep)
+    d3 = None
+    sci = np.flatnonzero(row >= 16 * 12)
+    if sci.size:
+        # The exponent and the separator start at the digits' length n, in
+        # the first word or, from n = 8, the second; what does not fit
+        # moves into the next word (no shift reaches 64, as for _RIGHT).
+        n8, text = at.take(row[sci]), exp.take(k[sci])
+        d3 = np.zeros_like(d1)
+        for lo, hi, part in (d1, d2, n8 < 64), (d2, d3, n8 >= 64):
+            rows, bits = sci[part], n8[part] & _63
+            lo[rows] |= text[part] << bits
+            hi[rows] |= text[part] >> np.minimum(_64 - bits, _63)
+    # The sign and "0.000" go first, and the words move up behind them.
+    k <<= 1
+    k -= x.view(np.int64) >> 63
+    left = _LEFT.take(k)
+    if np.count_nonzero(left):
+        right = _RIGHT.take(k)
+        top = d2 >> right
+        if d3 is not None:
+            d3 <<= left
+            top |= d3
+        d2 <<= left
+        d2 |= d1 >> right
+        d1 <<= left
+        d1 |= _LEAD.take(k)
+        d3 = top
+    cols = [d1, d2] if d3 is None else [d1, d2, d3]
+    while len(cols) > 1 and not np.count_nonzero(cols[-1]):
+        cols.pop()
     if np.count_nonzero(slow):
         rows = np.flatnonzero(slow)
-        texts = ["%.12g%s" % (v, sep) for v in x[rows].tolist()]
-        need = -(-max(map(len, texts)) // 8)
-        for j in range(len(cols)):              # keep the width the widest text needs
-            kept[j] |= sum(kept) < need
-        text = text_rows(texts, sum(kept))
-        for j, col in enumerate(col for col, keep in zip(cols, kept) if keep):
+        texts = ["%.12g%s" % (v, sep.strip("\0")) for v in x[rows].tolist()]
+        text = text_rows(texts, max(len(cols), -(-max(map(len, texts)) // 8)))
+        cols += [np.zeros_like(d1) for _ in range(len(cols), text.shape[1])]
+        for j, col in enumerate(cols):
             col[rows] = text[:, j]
-    return [col for col, keep in zip(cols, kept) if keep]
+    return cols
 
 
 class TextColumn:
@@ -225,14 +274,11 @@ class TextColumn:
 
 def _padded_rows(values) -> np.ndarray:
     """One row of words per value, holding its %.12g text left-aligned and
-    NUL-padded, at least its last byte NUL; the row length is read from the
-    newlines that end the joined texts."""
-    text = np.frombuffer(join_rows(encode_g12(values, "\n")), np.uint8)
-    lens = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
-    rows = np.zeros((len(lens), 8 * -(-int(lens.max()) // 8)), np.uint8)
-    rows[np.arange(rows.shape[1]) < lens[:, None]] = text
-    rows[np.arange(len(lens)), lens - 1] = 0
-    return rows.view(np.uint64)
+    NUL-padded, at least its last byte NUL."""
+    cols = encode_g12(values, "\0")
+    if np.count_nonzero(cols[-1] >> _56):       # a text fills its last word
+        cols.append(np.zeros_like(cols[-1]))
+    return np.column_stack(cols)
 
 
 def block_text(col, start: int, stop: int, sep: str, where: str | None = None):
@@ -253,10 +299,14 @@ def block_text(col, start: int, stop: int, sep: str, where: str | None = None):
     return encode_g12(piece, sep)
 
 
-def join_rows(words: list[np.ndarray]) -> bytes:
+def join_rows(words: list[np.ndarray]) -> bytearray:
     """The text of word columns of the same rows, side by side, without the
-    NULs; each column is copied once, into one row block."""
-    return np.column_stack(words).tobytes().translate(None, b"\0")
+    NULs; each column is copied once, into one row block that is the buffer
+    of the text the NULs are dropped from."""
+    rows, width = len(words[0]), len(words)
+    block = bytearray(8 * rows * width)
+    np.stack(words, axis=1, out=np.frombuffer(block, np.uint64).reshape(rows, width))
+    return block.translate(None, b"\0")
 
 
 def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict,

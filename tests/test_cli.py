@@ -788,8 +788,9 @@ def test_decay_holds_one_radius_at_a_time(tmp_path):
 def test_decay_holds_the_time_text_and_the_sampler(tmp_path):
     # A radius is streamed from its sampler into its file, so a run holds
     # the shared time text (8 or 16 bytes per sample) and O(sqrt(n)) state,
-    # with no array of n samples: at 1e6 samples about 17 MB traced, where
-    # the complex amplitudes, the populations and two time arrays took 46 MB.
+    # with no array of n samples: 1.4 MB traced at the defaults, and at 1e6
+    # samples about 17 MB, where the complex amplitudes, the populations and
+    # two time arrays took 46 MB.
     import tracemalloc
 
     def peak(*argv):
@@ -801,7 +802,7 @@ def test_decay_holds_the_time_text_and_the_sampler(tmp_path):
             tracemalloc.stop()
 
     peak("--n_samples", "100")      # caches built on a first call stay out of the peaks
-    assert peak() < 2.5e6           # 4 x 100 001 samples
+    assert peak() < 1.6e6           # 4 x 100 001 samples
     assert peak("--R_list_nm", "30", "--n_samples", "1000000") < 18e6
 
 
@@ -843,7 +844,7 @@ def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, va
 def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
     # The swap comes from the generator's roots and the populations are
     # streamed into the file, so a run holds O(sqrt(n)) state and one block:
-    # 1.6 MB at 1 000 001 samples, where b, Int b, P1, P2, Pb and the times
+    # 1.3 MB at 1 000 001 samples, where b, Int b, P1, P2, Pb and the times
     # took 72 MB and a smoothing window of 3 ripple periods another 1.5 MB.
     # The default run is refused from the roots before anything propagates
     # (about 20 KB; 0.97 MB with the window).
@@ -860,7 +861,7 @@ def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
     peak("--n_samples", "100")      # caches built on a first call stay out of the peaks
     assert peak() < 1e5             # 100 001 samples; exits 3, the horizon ends before t*
     assert not (tmp_path / "0" / "transfer.csv").exists()
-    assert peak("--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "1000000") < 2e6
+    assert peak("--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "1000000") < 1.5e6
     _, rows, _ = read_csv(tmp_path / "6" / "transfer.csv")
     assert rows.shape == (1_000_001, 4)
 
@@ -1239,10 +1240,9 @@ def test_write_csv_boundary_floats(tmp_path, family):
     assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
 
 
-# Chunks whose text needs fewer words: fixed-notation values from 1 up need no
-# lead word (short ones no second digit word either), and values in (0, 1)
-# no exponent word. One added value widens its own chunk: the last row is in
-# the first chunk, or alone in the second.
+# Chunks whose text needs fewer words: short integers take one, fixed-notation
+# values from 1 up two, and values in (1e-4, 1) three. One added value widens
+# its own chunk: the last row is in the first chunk, or alone in the second.
 _NARROW_BASES = {
     "integers": lambda n: np.arange(1.0, n + 1),
     "from-1": lambda n: np.random.default_rng(1).uniform(1.0, 1e11, n),
@@ -1265,38 +1265,74 @@ def test_write_csv_narrow_chunks(tmp_path, base, extra, nrows):
     assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
 
 
-def test_encoder_leaves_out_all_nul_word_columns():
-    # The narrow chunks above do take fewer words, and a Python-formatted
-    # value keeps the width its text needs.
-    from magnoncavity._text import encode_g12
-
-    def width(name, extra=None):
-        values = _NARROW_BASES[name](WRITE_CHUNK)
-        if extra is not None:
-            values[-1] = extra
-        return len(encode_g12(values, ","))
-
-    assert [width(name) for name in _NARROW_BASES] == [1, 2, 3]
-    assert width("integers", -0.5) == 2
-    # Python's text of these is wider than the bulk path's: "1.00000000001,"
-    # (a near-tie the bulk path rounds to "1,") and "4.94065645841e-324,".
-    assert width("integers", 1.000000000005) == 2
-    assert width("integers", 5e-324) == 3
-    assert width("from-1", 1e12) == 3
-    assert width("below-1", 9.9e-5) == 4
-
-
-def test_write_csv_every_binade(tmp_path):
-    # Each biased exponent 1..2046 gives 2**(b - 1023), the float below it
-    # and the binade's largest value; exponent 0 gives zero and the smallest
-    # subnormal, 2047 inf and nan. The bulk path's band starts at 2**-962
-    # and ends below 2**963.
+def _binades():
+    """Each biased exponent 1..2046 gives 2**(b - 1023), the float below it
+    and the binade's largest value; exponent 0 gives zero and the smallest
+    subnormal, 2047 inf and nan. The bulk path's band starts at 2**-962
+    and ends below 2**963. Both signs."""
     low = (np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)).view(np.float64)
     largest = (low.view(np.uint64) | np.uint64(2**52 - 1)).view(np.float64)
     family = np.concatenate([[0.0, 5e-324, np.inf, np.nan], low, np.nextafter(low, -np.inf),
                              largest, _neighbours([2.0**-962, 2.0**963])])
-    values = [-v for v in family.tolist()] + family.tolist()
+    return np.concatenate([-family, family])
+
+
+@pytest.mark.parametrize("sep", [",", "\n", "\0"], ids=["comma", "newline", "nul"])
+@pytest.mark.parametrize("family", ["bit-patterns", "binades", "near-tie"])
+def test_encoder_packs_each_text_left_in_the_fewest_words(family, sep):
+    # Each row's words hold '%.12g' % v and the separator from the first
+    # byte on, then only NULs, and a block is as many words wide as its
+    # widest text needs. The bulk path, Python's text of the values it
+    # leaves out and a NUL separator, which takes no room, all pack alike:
+    # the near-tie's text, "0.00123456789012", fills two words.
+    from magnoncavity._text import encode_g12
+
+    if family == "bit-patterns":
+        rng = np.random.default_rng(20240602)
+        values = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    elif family == "binades":
+        values = _binades()
+    else:
+        values = np.array([1.0, 0.001234567890125, -0.5])
+    texts = [("%.12g%s" % (v, sep)).rstrip("\0").encode() for v in values.tolist()]
+    width = -(-max(map(len, texts)) // 8)
+    words = np.column_stack(encode_g12(values, sep))
+    assert words.shape == (len(values), width)
+    assert words.tobytes() == b"".join(t.ljust(8 * width, b"\0") for t in texts)
+    # Shorter blocks take fewer words: 8, 16 and 24 bytes per row.
+    assert [len(encode_g12(base(WRITE_CHUNK), sep)) for base in _NARROW_BASES.values()] == [
+        1, 2, 3]
+
+
+def test_write_csv_every_binade(tmp_path):
+    values = _binades().tolist()
     assert _write_g12(tmp_path / "t.csv", values) == _g12_text(values)
+
+
+def _table_row_values(c, tz, sign):
+    """Values of notation class c (e = c - 4 in fixed notation; 16 is
+    exponent notation) with 12 - tz significant digits, none of them 0."""
+    digits = "123456789123"[:12 - tz]
+    exponents = [c - 4] if c < 16 else [-289, -100, -99, -10, -5, 12, 13, 99, 100, 289]
+    return [float(f"{sign}{digits[0]}.{digits[1:]}e{e}") for e in exponents]
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+@pytest.mark.parametrize("tz", range(12), ids=lambda tz: f"tz{tz}")
+@pytest.mark.parametrize("c", range(17), ids=lambda c: f"e{c - 4}" if c < 16 else "exp")
+def test_write_csv_every_table_row(tmp_path, c, tz, sign):
+    # Every row of the digit tables, with either sign: the sign and "0.000"
+    # move the digits up by 0 to 48 bits, and an exponent starts in the first
+    # or the second word, as the digits' length puts it, with 2 or 3 digits.
+    # Each value is written after a ',', a '\n' and, as a text column, NUL.
+    from magnoncavity._text import TextColumn
+    from magnoncavity.cli import _write_csv
+
+    values = np.array(_table_row_values(c, tz, sign))
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"x": values, "t": TextColumn(values), "y": values}, "abc123", {})
+    assert path.read_text().split("\n")[2:] == [
+        "%.12g,%.12g,%.12g" % (v, v, v) for v in values.tolist()] + [""]
 
 
 # The CPU features that numpy dispatches to at run time on this CPU, and
