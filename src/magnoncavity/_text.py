@@ -3,7 +3,7 @@
 Text is held in word columns: uint64 arrays, one word per row, read as
 bytes. Each value's text is packed left-aligned in the fewest words, with
 NUL bytes only after it. Side by side, a file's word columns hold each
-row's text and separators; they are copied into one row block, and its
+row's text and separators; they are copied into a row block, and its
 bytes without the NULs are the CSV lines (`join_rows`).
 
 `encode_g12` gives each float64 the exact bytes of ``'%.12g' % x``. A
@@ -30,7 +30,16 @@ carry them into a third word. Then the sign and the "0.000" before
 fixed-notation magnitudes below 1 go first, and each row's words move up
 behind them by their length, 0 to 48 bits (a funnel shift); a block where
 no value has either skips the move. A block is as many words wide as its
-widest text needs, Python's text included.
+widest text needs, Python's text included. The steps run in place where
+they can and free each array once it is used, so that encoding n values
+allocates at most about 50 n bytes, its result included (49-53 n on the
+default decay's population blocks).
+
+`write_csv` encodes WRITE_CHUNK rows at a time: each numeric column's block
+is encoded and checked (a non-finite value is refused as it is formatted),
+a `TextColumn` gives the stored words of its rows, views where they are one
+chunk's, and `join_rows` copies them into row blocks of at most 256 KiB,
+drops them, and gives each block's text without its NULs to be written.
 """
 
 from __future__ import annotations
@@ -44,7 +53,20 @@ import numpy as np
 
 from .constants import NumericalError
 
-WRITE_CHUNK = 4096      # CSV rows per encoded block
+# CSV rows per encoded block. An `encode_g12` call costs about 37 us
+# whatever its length, its ~60 numpy calls' dispatch: 22 % of a 4096-value
+# call on decay populations, 13 % at 8192, 7 % at 16384 (fastest of 20,
+# 2-vCPU Xeon). Its temporaries take about 50 bytes per value, so 16384
+# rows would take the default decay past its 1.6 MB traced-memory test
+# bound; 8192 rows peak at 1.41 MB there.
+WRITE_CHUNK = 8192
+# A block's rows are joined at most this many rows and words at a time, so
+# that the writer's largest buffers, a joined piece and its text, stay those
+# of 4096-row blocks at most 256 KiB whatever a file's width: joined whole,
+# the 8192-row blocks of 10-word transfer rows held 640 KiB, and the
+# experiment-mix benchmark child's peak RSS read 0.1-0.3 MB higher.
+_JOIN_ROWS = 4096
+_JOIN_WORDS = 1 << 15
 
 
 def text_rows(texts: list[str], words: int | None = None) -> np.ndarray:
@@ -100,6 +122,7 @@ _QUAD = _QUAD.view(np.uint64).ravel()
 _TZ = sum(_GROUP % 10 ** k == 0 for k in range(1, 5)).astype(np.intp)
 del _GROUP
 _8, _32, _56, _63, _64 = (np.uint64(b) for b in (8, 32, 56, 63, 64))
+_COMMA = np.uint64(ord(",") << 56)
 
 
 @functools.cache
@@ -129,7 +152,7 @@ def _tables(sep: str) -> tuple[np.ndarray, ...]:
 def _digits(x: np.ndarray, sep: str) -> tuple[np.ndarray, ...]:
     """Per value of x: the two words of its digits, the point, and a
     fixed-notation value's separator; its table row and k; and whether
-    Python formats it. Returning frees the block's other arrays."""
+    Python formats it. At most six arrays of x's length are alive at once."""
     # e = floor(log10 |x|): the lower of its binade's two decades, or the
     # upper from the power where that starts.
     a = np.abs(x)
@@ -139,45 +162,59 @@ def _digits(x: np.ndarray, sep: str) -> tuple[np.ndarray, ...]:
     if slow.any():                              # outside the band: formatted by Python
         a[slow], be[slow], k[slow] = 1.0, _ONE, _K[_ONE]
     k -= a >= _UPPER.take(be)
-    del be                                      # one block array less held from here
-    s = np.multiply(a, _POW10.take(k), out=a)
-    m = s + 0.5
+    del be
+    np.multiply(a, _POW10.take(k), out=a)       # s
+    m = a + 0.5
     np.floor(m, out=m)
-    frac = np.subtract(s, m, out=s)
-    slow |= np.abs(frac, out=frac) > 0.499      # within 1e-3 of a tie
+    np.subtract(a, m, out=a)
+    slow |= np.abs(a, out=a) > 0.499            # s within 1e-3 of a tie
     # s from 999999999999.5 up rounds to 1e12: 1e11 at the next exponent.
     carry = m >= 1e12
     if carry.any():
         m[carry] = 1e11
         k -= carry
-    # m < 1e12 < 2**53: exact float floor-division into three 4-digit groups.
-    g0 = np.floor(m / 1e8)
-    m -= g0 * 1e8
-    g1 = np.floor(m / 1e4)
-    m -= g1 * 1e4
-    g0, g1, g2 = g0.astype(np.intp), g1.astype(np.intp), m.astype(np.intp)
-    row = _TZ.take(g2)                          # trailing zeros, then the table row
-    low_zero = np.flatnonzero(g2 == 0)
+    # m < 1e12 < 2**53: exact float floor-division into three 4-digit
+    # groups, g0 and g1 taken off m in turn (a's buffer reused), m the last.
+    np.floor(np.divide(m, 1e8, out=a), out=a)
+    g0 = a.astype(np.intp)
+    m -= np.multiply(a, 1e8, out=a)
+    np.floor(np.divide(m, 1e4, out=a), out=a)
+    g1 = a.astype(np.intp)
+    m -= np.multiply(a, 1e4, out=a)
+    del a
+    # Trailing zeros of the groups before a zero last group; then d1.
+    low_zero = np.flatnonzero(m == 0)
     if low_zero.size:
-        row[low_zero] += _TZ.take(g1[low_zero])
-        mid_zero = low_zero[g1[low_zero] == 0]
-        row[mid_zero] += _TZ.take(g0[mid_zero])
-    row += _ROW0.take(k)
-    up1, up2, keep1, keep2, add1, add2, *_ = _tables(sep)
+        tz = _TZ.take(g1[low_zero])
+        mid_zero = g1[low_zero] == 0
+        tz[mid_zero] += _TZ.take(g0[low_zero[mid_zero]])
     d1 = _QUAD.take(g1)
+    del g1
     d1 <<= _32
     d1 |= _QUAD.take(g0)
+    del g0
+    g2 = m.astype(np.intp)
+    del m
+    row = _TZ.take(g2)                          # trailing zeros, then the table row
+    if low_zero.size:
+        row[low_zero] += tz
     d2 = _QUAD.take(g2)
+    del g2
+    row += _ROW0.take(k)
+    up1, up2, keep1, keep2, add1, add2, *_ = _tables(sep)
     up = up2.take(row)
     if np.count_nonzero(up):
         # The bytes after the point move up one; d1's top byte moves into d2.
         up &= d2
         d2 ^= up
-        d2 |= up << _8
-        up = d1 & up1.take(row)
+        up <<= _8
+        d2 |= up
+        np.bitwise_and(d1, up1.take(row), out=up)
         d1 ^= up
-        d1 |= up << _8
         d2 |= up >> _56
+        up <<= _8
+        d1 |= up
+    del up
     d1 &= keep1.take(row)
     d1 |= add1.take(row)
     d2 &= keep2.take(row)
@@ -185,46 +222,66 @@ def _digits(x: np.ndarray, sep: str) -> tuple[np.ndarray, ...]:
     return d1, d2, row, k, slow
 
 
-def encode_g12(x: np.ndarray, sep: str) -> list[np.ndarray]:
+def _exponents(d1: np.ndarray, d2: np.ndarray, row: np.ndarray, k: np.ndarray,
+               sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """Write the exponent and the separator of each value in exponent
+    notation at its digits' length n, in d1 or, from n = 8, in d2; what does
+    not fit moves into the next word (no shift reaches 64, as for _RIGHT).
+    Returns the rows whose text reaches a third word, and what it holds
+    there, so that no third word column is held before the words move."""
+    sci = np.flatnonzero(row >= 16 * 12)
+    if not sci.size:
+        return sci, sci
+    *_, at, exp = _tables(sep)
+    n8, text = at.take(row[sci]), exp.take(k[sci])
+    bits = n8 & _63
+    carried = text >> np.minimum(_64 - bits, _63)
+    text <<= bits
+    third = n8 >= 64
+    d1[sci[~third]] |= text[~third]
+    d2[sci[~third]] |= carried[~third]
+    d2[sci[third]] |= text[third]
+    return sci[third], carried[third]
+
+
+def encode_g12(x: np.ndarray, sep: str, where: str | None = None) -> list[np.ndarray]:
     """Word columns holding '%.12g' % v, then `sep`, for each v in x, packed
     left-aligned: NULs follow a row's text, and the last column holds text
-    in some row."""
+    in some row. With `where`, a non-finite value, which Python formats,
+    raises NumericalError "<where> holds a non-finite value"."""
     x = np.asarray(x, dtype=np.float64)
     d1, d2, row, k, slow = _digits(x, sep)
-    *_, at, exp = _tables(sep)
-    d3 = None
-    sci = np.flatnonzero(row >= 16 * 12)
-    if sci.size:
-        # The exponent and the separator start at the digits' length n, in
-        # the first word or, from n = 8, the second; what does not fit
-        # moves into the next word (no shift reaches 64, as for _RIGHT).
-        n8, text = at.take(row[sci]), exp.take(k[sci])
-        d3 = np.zeros_like(d1)
-        for lo, hi, part in (d1, d2, n8 < 64), (d2, d3, n8 >= 64):
-            rows, bits = sci[part], n8[part] & _63
-            lo[rows] |= text[part] << bits
-            hi[rows] |= text[part] >> np.minimum(_64 - bits, _63)
-    # The sign and "0.000" go first, and the words move up behind them.
+    rows3, words3 = _exponents(d1, d2, row, k, sep)
+    del row
+    # The sign and "0.000" go first, and the words move up behind them,
+    # into a third word where the second carries text out.
     k <<= 1
     k -= x.view(np.int64) >> 63
     left = _LEFT.take(k)
+    d3 = None
     if np.count_nonzero(left):
         right = _RIGHT.take(k)
-        top = d2 >> right
-        if d3 is not None:
-            d3 <<= left
-            top |= d3
+        d3 = d2 >> right
         d2 <<= left
-        d2 |= d1 >> right
+        d2 |= np.right_shift(d1, right, out=right)
+        del right
         d1 <<= left
         d1 |= _LEAD.take(k)
-        d3 = top
+    del k
+    if rows3.size:
+        if d3 is None:
+            d3 = np.zeros_like(d1)
+        d3[rows3] |= words3 << left[rows3]
+    del left
     cols = [d1, d2] if d3 is None else [d1, d2, d3]
     while len(cols) > 1 and not np.count_nonzero(cols[-1]):
         cols.pop()
     if np.count_nonzero(slow):
         rows = np.flatnonzero(slow)
-        texts = ["%.12g%s" % (v, sep.strip("\0")) for v in x[rows].tolist()]
+        values = x[rows].tolist()
+        if where and not all(map(math.isfinite, values)):
+            raise NumericalError(f"{where} holds a non-finite value")
+        texts = ["%.12g%s" % (v, sep.strip("\0")) for v in values]
         text = text_rows(texts, max(len(cols), -(-max(map(len, texts)) // 8)))
         cols += [np.zeros_like(d1) for _ in range(len(cols), text.shape[1])]
         for j, col in enumerate(cols):
@@ -238,7 +295,8 @@ class TextColumn:
     Written row i holds value index[i], or value i without an index. Each
     `chunk` values are read ([start:stop] of anything with len()) and their
     texts stored NUL-padded in whole words, as wide as the chunk's longest
-    text needs with the last byte left for the separator."""
+    text needs with the last byte left for the separator, which holds ','.
+    So a block of one chunk's rows followed by ',' is a view of its words."""
 
     def __init__(self, values, index: np.ndarray | None = None, chunk: int = WRITE_CHUNK):
         self.chunks = [_padded_rows(values[i:i + chunk]) for i in range(0, len(values), chunk)]
@@ -256,10 +314,14 @@ class TextColumn:
             words = self.chunks[start // self.chunk][:stop - start]
         else:
             words = self._rows(np.arange(start, stop))
-        return [*words[:, :-1].T, words[:, -1] | np.uint64(ord(sep) << 56)]
+        cols = [*words.T]
+        if sep != ",":
+            cols[-1] = cols[-1] ^ np.uint64((ord(sep) ^ ord(",")) << 56)
+        return cols
 
     def _rows(self, where: np.ndarray) -> np.ndarray:
-        """The words of values `where`, padded to the widest chunk they read."""
+        """The words of values `where`, padded to the widest chunk they read
+        with NULs before each row's last word, which holds the separator."""
         if len(self.chunks) == 1:
             return self.chunks[0].take(where, axis=0)
         chunk, row = np.divmod(where, self.chunk)
@@ -268,16 +330,19 @@ class TextColumn:
         words = np.zeros((len(where), width), np.uint64)
         for c in read:
             at = chunk == c
-            words[at, :self.chunks[c].shape[1]] = self.chunks[c].take(row[at], axis=0)
+            taken = self.chunks[c].take(row[at], axis=0)
+            words[at, :taken.shape[1] - 1] = taken[:, :-1]
+            words[at, -1] = taken[:, -1]
         return words
 
 
 def _padded_rows(values) -> np.ndarray:
     """One row of words per value, holding its %.12g text left-aligned and
-    NUL-padded, at least its last byte NUL."""
+    NUL-padded, and ',' in its last byte."""
     cols = encode_g12(values, "\0")
     if np.count_nonzero(cols[-1] >> _56):       # a text fills its last word
         cols.append(np.zeros_like(cols[-1]))
+    cols[-1] |= _COMMA
     return np.column_stack(cols)
 
 
@@ -294,19 +359,25 @@ def block_text(col, start: int, stop: int, sep: str, where: str | None = None):
     piece = col[start:stop]
     if np.issubdtype(piece.dtype, np.integer):
         return [*text_rows(["%d%s" % (v, sep) for v in piece.tolist()]).T]
-    if where and not np.isfinite(piece).all():
-        raise NumericalError(f"{where} holds a non-finite value")
-    return encode_g12(piece, sep)
+    return encode_g12(piece, sep, where)
 
 
-def join_rows(words: list[np.ndarray]) -> bytearray:
+def join_rows(words: list[np.ndarray]):
     """The text of word columns of the same rows, side by side, without the
-    NULs; each column is copied once, into one row block that is the buffer
-    of the text the NULs are dropped from."""
+    NULs, yielded in pieces of at most _JOIN_ROWS rows and _JOIN_WORDS
+    words. Each column is copied once, into the row block of its piece,
+    which is the buffer of the text the NULs are dropped from. `words` is
+    emptied once its last piece is copied, so that the columns it alone
+    holds are freed before that piece's text is made."""
     rows, width = len(words[0]), len(words)
-    block = bytearray(8 * rows * width)
-    np.stack(words, axis=1, out=np.frombuffer(block, np.uint64).reshape(rows, width))
-    return block.translate(None, b"\0")
+    step = max(1, min(_JOIN_ROWS, _JOIN_WORDS // width))
+    for i in range(0, rows, step):
+        block = bytearray(8 * min(step, rows - i) * width)
+        np.stack([w[i:i + step] for w in words], axis=1,
+                 out=np.frombuffer(block, np.uint64).reshape(-1, width))
+        if i + step >= rows:
+            words.clear()
+        yield block.translate(None, b"\0")
 
 
 def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict,
@@ -327,5 +398,6 @@ def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict,
     with path.open("wb") as f:
         f.write(("\n".join(head) + "\n").encode())
         for i in range(0, len(cols[0]), WRITE_CHUNK):
-            f.write(join_rows([w for key, c, sep in zip(columns, cols, seps) for w in block_text(
-                c, i, i + WRITE_CHUNK, sep, where and f"{where} {key!r}")]))
+            f.writelines(join_rows([w for key, c, sep in zip(columns, cols, seps)
+                                    for w in block_text(c, i, i + WRITE_CHUNK, sep,
+                                                        where and f"{where} {key!r}")]))

@@ -49,6 +49,10 @@ from .constants import ConfigError, DomainError, NumericalError, check_budget
 from .modes import CavityConfig, mode_table
 
 POPULATION_TOL = 1e-9
+# Samples per tile of the sampler's reads (`_row_sampler`): every range, the
+# whole read included, is cut from products of this many samples, and a CSV
+# block (`_text.WRITE_CHUNK`) is two of them.
+_TILE_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -200,10 +204,13 @@ def _row_sampler(y0, n: int, powers, rows):
     y_k[r] = (e_r^T M^(hB)) (M^l y0). One fill gives the B states M^l y0
     from the first powers; a second gives the H = ceil(n/B) rows
     e_r^T M^(hB) from the rest, transposed. Only these are kept, O(sqrt(n) w)
-    values for a w-value state. A read takes, per component, the product of
-    the rows h it spans with the states, (h1 - h0, w) @ (w, B); so n samples
-    cost O(n w) however they are read, and each component is computed the
-    same way whatever other rows are asked for.
+    values for a w-value state. A read is cut from fixed tiles: per
+    component, the product (T, w) @ (w, B) of T = max(2, _TILE_SAMPLES/B)
+    rows h, aligned to multiples of T, with the states. So every read takes
+    each sample from the same product, and any range has the bits of the
+    whole read at any w; n samples cost O(n w) however they are read; and
+    each component is computed the same way whatever other rows are asked
+    for. The tile a read ends inside is kept for the next read.
     """
     count = (n - 1).bit_length()
     B = 1 << (count + 1) // 2
@@ -217,16 +224,21 @@ def _row_sampler(y0, n: int, powers, rows):
         lefts.append(_fill_by_doubling(e_r, H, (M.T for M in later)))
     lefts = np.stack(lefts)
     del later
+    T = max(2, _TILE_SAMPLES // B)
+    span = T * B
+    kept: list = [None, None]           # the tile a read ended inside, and its product
 
     def read(i: int, j: int) -> np.ndarray:
-        h0, h1 = i // B, -(-j // B)
-        # numpy multiplies one row by BLAS gemv, whose sums can round
-        # otherwise than gemm's: a read of one row of several takes a
-        # neighbour along, so that it has the bits of the whole read.
-        if h1 - h0 == 1 < H:
-            h0, h1 = (h0, h1 + 1) if h1 < H else (h0 - 1, h1)
-        out = lefts[:, h0:h1] @ states.T
-        return out.reshape(len(lefts), -1)[:, i - h0 * B:j - h0 * B]
+        t0, t1 = i // span, max(i // span + 1, -(-j // span))
+        out = np.empty((len(lefts), max(0, min(t1 * T, H) - t0 * T), B), dtype=complex)
+        for t in range(t0, t1):
+            part = out[:, (t - t0) * T:(t - t0 + 1) * T]
+            if t == kept[0]:
+                part[...] = kept[1]
+            else:
+                np.matmul(lefts[:, t * T:t * T + T], states.T, out=part)
+        kept[:] = (t1 - 1, part.copy()) if j % span else (None, None)
+        return out.reshape(len(lefts), -1)[:, i - t0 * span:j - t0 * span]
 
     return read
 
@@ -356,12 +368,8 @@ def decay_populations(kernel: MemoryKernel, t_end: float, dt: float | None = Non
     equation by `_decay_sampler`'s recursion. The step follows `_time_step`.
 
     Each block is computed as it is read and refused if it leaves [0, 1]
-    beyond POPULATION_TOL. A block whose bounds are multiples of
-    `_text.WRITE_CHUNK`, as the CSV writer reads, has the bits of the same
-    range of the whole read `[:]`. Other ranges did too at every state
-    width tried up to 128 values; from about 150 values up, BLAS rounded
-    some unaligned ranges otherwise, in the last bit (OpenBLAS 0.3.31,
-    SkylakeX kernels)."""
+    beyond POPULATION_TOL. Any range has the bits of the same range of the
+    whole read `[:]`, since both are cut from the sampler's fixed tiles."""
     read, n, dt = _decay_sampler(kernel, t_end, dt, n_samples, solver)
     return Samples(n, lambda i, j: _check_populations(_abs_square(read(i, j)[0]))), dt
 

@@ -123,11 +123,8 @@ def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: f
     come from the generator's slow root (`_swap`) before anything is
     propagated; a horizon that ends before t* is refused. A block of the
     populations is then computed as it is read, once for all three columns,
-    and refused if their total exceeds 1 beyond POPULATION_TOL. A block
-    whose bounds are multiples of `_text.WRITE_CHUNK`, as the CSV writer
-    reads, has the bits of the same range of the whole read `[:]`, and so
-    did every other range tried at this 3-value state
-    (`dynamics.decay_populations` gives the scope for wide states).
+    and refused if their total exceeds 1 beyond POPULATION_TOL. Any range
+    has the bits of the same range of the whole read `[:]`.
     """
     if np.shape(positions) != (2, 3):
         raise DomainError(f"positions must have shape (2, 3), got {np.shape(positions)}")
@@ -165,13 +162,19 @@ def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: f
     swap, fidelity, average = _swap(A, x0, target, g1, g2, (n - 1) * dt)
     read = _propagator(A, x0, n, dt, (1, 2))
 
-    @functools.lru_cache(maxsize=1)
-    def populations(i: int, j: int) -> tuple[np.ndarray, ...]:
-        b, I = read(i, j)
-        return _check_total(_spin_population(y0[0], g1, I), _spin_population(y0[1], g2, I),
-                            _abs_square(b))
+    # One sampler read gives a block of all three columns. Each column is
+    # handed out once and then dropped, so none outlives its encoding.
+    unread: dict[tuple[int, int, int], np.ndarray] = {}
 
-    columns = {name: Samples(n, lambda i, j, k=k: populations(i, j)[k])
+    def population(k: int, i: int, j: int) -> np.ndarray:
+        if (k, i, j) not in unread:
+            b, I = read(i, j)
+            unread.clear()
+            unread.update(((c, i, j), p) for c, p in enumerate(_check_total(
+                _spin_population(y0[0], g1, I), _spin_population(y0[1], g2, I), _abs_square(b))))
+        return unread.pop((k, i, j))
+
+    columns = {name: Samples(n, functools.partial(population, k))
                for k, name in enumerate(("P1", "P2", "Pb"))}
     return columns, swap, fidelity, {"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma,
                                      "dt_s": dt, "average_fidelity": average}

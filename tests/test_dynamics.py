@@ -476,13 +476,15 @@ def test_sampler_never_holds_the_whole_state(request, monkeypatch):
     assert lengths == [512, 196]
 
 
-@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, WRITE_CHUNK - 1, WRITE_CHUNK + 1, 100_001])
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 4095, 4097, WRITE_CHUNK - 1, WRITE_CHUNK + 1,
+                               100_001])
 @pytest.mark.parametrize("solver", ["pseudomode", "volterra"])
 def test_streamed_blocks_are_the_whole_series(cavity, solver, n):
     # Read a writer's block at a time, a single sample, one row h of the
     # split k = h B + l, or any range, the populations and amplitudes have
     # the bits of the whole read `[:]`. The sizes straddle a default
-    # radius's B = 512 and the writer's block.
+    # radius's B = 512, the sampler's 4096-sample tiles and the writer's
+    # block.
     kernel, _ = resonant_kernel(cavity)
     dt = max_stable_dt(kernel) / 2.0
     populations, step = decay_populations(kernel, (n - 1) * dt, dt, solver=solver)
@@ -498,6 +500,28 @@ def test_streamed_blocks_are_the_whole_series(cavity, solver, n):
     for i, j in ((i, min(j, n)) for i, j in ranges if 0 <= i < n):
         assert populations[i:j].tobytes() == whole[i:j].tobytes(), (i, j)
         assert read(i, j)[0].tobytes() == c[i:j].tobytes(), (i, j)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize("w", [150, 301])
+def test_unaligned_reads_are_the_whole_read_at_wide_states(w, n):
+    # Every range is cut from the sampler's fixed tiles, so it has the bits
+    # of the whole read at any state width, although BLAS rounds a product of
+    # some rows of a wide fill otherwise than those rows of a larger product.
+    # Only the products' bits matter here, so the powers are random unitary
+    # matrices.
+    rng = np.random.default_rng(w * n)
+
+    def powers():
+        while True:
+            q, _ = np.linalg.qr(rng.normal(size=(w, w)) + 1j * rng.normal(size=(w, w)))
+            yield q
+
+    y0 = rng.normal(size=w) + 1j * rng.normal(size=w)
+    read = dynamics._row_sampler(y0, n, powers(), (0, w - 1))
+    whole = read(0, n)
+    for i, j in (sorted(rng.integers(0, n + 1, 2).tolist()) for _ in range(40)):
+        assert read(i, j).tobytes() == whole[:, i:j].tobytes(), (i, j)
 
 
 @pytest.mark.parametrize("scale, expected", [

@@ -242,8 +242,8 @@ def test_boxcar_matches_edge_clamped_moving_average(width):
 
 @pytest.mark.parametrize("case, size", [
     ("decoupled-resonant", 2), ("resonant", 4095), ("resonant", 4096), ("resonant", 4097),
-    ("dispersive", 1000), ("dispersive", WRITE_CHUNK), ("dispersive", 10_000),
-    ("target-P1", 3001), ("decoupled", 3001)])
+    ("dispersive", 1000), ("dispersive", 4096), ("dispersive", WRITE_CHUNK),
+    ("dispersive", 10_000), ("target-P1", 3001), ("decoupled", 3001)])
 def test_streamed_transfer_is_transfer_dynamics(cavity_narrow, yig_lossless, fields, case, size):
     # Read a writer's block at a time, the populations are the whole read's
     # (`[:]`) bit for bit; the swap and both fidelities are the eigenvalue
