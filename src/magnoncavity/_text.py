@@ -37,9 +37,10 @@ default decay's population blocks).
 
 `write_csv` encodes WRITE_CHUNK rows at a time: each numeric column's block
 is encoded and checked (a non-finite value is refused as it is formatted),
-a `TextColumn` gives the stored words of its rows, views where they are one
-chunk's, and `join_rows` copies them into row blocks of at most 256 KiB,
-drops them, and gives each block's text without its NULs to be written.
+a `TextColumn` gives the stored words of its rows with the separator in a
+copy of the last word column, and `join_rows` copies them into row blocks
+of at most 128 KiB, drops them, and gives each block's text without its
+NULs to be written.
 """
 
 from __future__ import annotations
@@ -58,15 +59,14 @@ from .constants import NumericalError
 # call on decay populations, 13 % at 8192, 7 % at 16384 (fastest of 20,
 # 2-vCPU Xeon). Its temporaries take about 50 bytes per value, so 16384
 # rows would take the default decay past its 1.6 MB traced-memory test
-# bound; 8192 rows peak at 1.41 MB there.
+# bound; 8192 rows peak at 1.47 MB there.
 WRITE_CHUNK = 8192
-# A block's rows are joined at most this many rows and words at a time, so
-# that the writer's largest buffers, a joined piece and its text, stay those
-# of 4096-row blocks at most 256 KiB whatever a file's width: joined whole,
-# the 8192-row blocks of 10-word transfer rows held 640 KiB, and the
-# experiment-mix benchmark child's peak RSS read 0.1-0.3 MB higher.
-_JOIN_ROWS = 4096
-_JOIN_WORDS = 1 << 15
+# A block's rows are joined at most this many words (128 KiB) at a time, so
+# that the writer's largest buffers, a joined piece and its text, stay small
+# whatever a file's width. Joined whole, the 8192-row blocks of 10-word
+# transfer rows held 640 KiB; in pieces of up to 256 KiB, the benchmark's
+# fieldmap-default child read 0.4 MB more peak RSS than in 128 KiB pieces.
+_JOIN_WORDS = 1 << 14
 
 
 def text_rows(texts: list[str], words: int | None = None) -> np.ndarray:
@@ -122,7 +122,6 @@ _QUAD = _QUAD.view(np.uint64).ravel()
 _TZ = sum(_GROUP % 10 ** k == 0 for k in range(1, 5)).astype(np.intp)
 del _GROUP
 _8, _32, _56, _63, _64 = (np.uint64(b) for b in (8, 32, 56, 63, 64))
-_COMMA = np.uint64(ord(",") << 56)
 
 
 @functools.cache
@@ -295,8 +294,7 @@ class TextColumn:
     Written row i holds value index[i], or value i without an index. Each
     `chunk` values are read ([start:stop] of anything with len()) and their
     texts stored NUL-padded in whole words, as wide as the chunk's longest
-    text needs with the last byte left for the separator, which holds ','.
-    So a block of one chunk's rows followed by ',' is a view of its words."""
+    text needs with the last byte left for the separator."""
 
     def __init__(self, values, index: np.ndarray | None = None, chunk: int = WRITE_CHUNK):
         self.chunks = [_padded_rows(values[i:i + chunk]) for i in range(0, len(values), chunk)]
@@ -314,14 +312,10 @@ class TextColumn:
             words = self.chunks[start // self.chunk][:stop - start]
         else:
             words = self._rows(np.arange(start, stop))
-        cols = [*words.T]
-        if sep != ",":
-            cols[-1] = cols[-1] ^ np.uint64((ord(sep) ^ ord(",")) << 56)
-        return cols
+        return [*words[:, :-1].T, words[:, -1] | np.uint64(ord(sep) << 56)]
 
     def _rows(self, where: np.ndarray) -> np.ndarray:
-        """The words of values `where`, padded to the widest chunk they read
-        with NULs before each row's last word, which holds the separator."""
+        """The words of values `where`, padded to the widest chunk they read."""
         if len(self.chunks) == 1:
             return self.chunks[0].take(where, axis=0)
         chunk, row = np.divmod(where, self.chunk)
@@ -330,19 +324,16 @@ class TextColumn:
         words = np.zeros((len(where), width), np.uint64)
         for c in read:
             at = chunk == c
-            taken = self.chunks[c].take(row[at], axis=0)
-            words[at, :taken.shape[1] - 1] = taken[:, :-1]
-            words[at, -1] = taken[:, -1]
+            words[at, :self.chunks[c].shape[1]] = self.chunks[c].take(row[at], axis=0)
         return words
 
 
 def _padded_rows(values) -> np.ndarray:
     """One row of words per value, holding its %.12g text left-aligned and
-    NUL-padded, and ',' in its last byte."""
+    NUL-padded, at least its last byte NUL."""
     cols = encode_g12(values, "\0")
     if np.count_nonzero(cols[-1] >> _56):       # a text fills its last word
         cols.append(np.zeros_like(cols[-1]))
-    cols[-1] |= _COMMA
     return np.column_stack(cols)
 
 
@@ -364,13 +355,13 @@ def block_text(col, start: int, stop: int, sep: str, where: str | None = None):
 
 def join_rows(words: list[np.ndarray]):
     """The text of word columns of the same rows, side by side, without the
-    NULs, yielded in pieces of at most _JOIN_ROWS rows and _JOIN_WORDS
-    words. Each column is copied once, into the row block of its piece,
-    which is the buffer of the text the NULs are dropped from. `words` is
-    emptied once its last piece is copied, so that the columns it alone
-    holds are freed before that piece's text is made."""
+    NULs, yielded in pieces of whole rows and at most _JOIN_WORDS words.
+    Each column is copied once, into the row block of its piece, which is
+    the buffer of the text the NULs are dropped from. `words` is emptied
+    once its last piece is copied, so that the columns it alone holds are
+    freed before that piece's text is made."""
     rows, width = len(words[0]), len(words)
-    step = max(1, min(_JOIN_ROWS, _JOIN_WORDS // width))
+    step = max(1, _JOIN_WORDS // width)
     for i in range(0, rows, step):
         block = bytearray(8 * min(step, rows - i) * width)
         np.stack([w[i:i + step] for w in words], axis=1,

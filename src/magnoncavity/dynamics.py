@@ -50,8 +50,9 @@ from .modes import CavityConfig, mode_table
 
 POPULATION_TOL = 1e-9
 # Samples per tile of the sampler's reads (`_row_sampler`): every range, the
-# whole read included, is cut from products of this many samples, and a CSV
-# block (`_text.WRITE_CHUNK`) is two of them.
+# whole read included, is cut from products of T = max(2, 4096/B) rows of B
+# samples: 4096 samples up to B = 2048, and 2B above. check_budget keeps B
+# at most 4096, so a CSV block (`_text.WRITE_CHUNK`) is one or two tiles.
 _TILE_SAMPLES = 4096
 
 
@@ -208,9 +209,9 @@ def _row_sampler(y0, n: int, powers, rows):
     component, the product (T, w) @ (w, B) of T = max(2, _TILE_SAMPLES/B)
     rows h, aligned to multiples of T, with the states. So every read takes
     each sample from the same product, and any range has the bits of the
-    whole read at any w; n samples cost O(n w) however they are read; and
-    each component is computed the same way whatever other rows are asked
-    for. The tile a read ends inside is kept for the next read.
+    whole read at any w; a read computes every tile it touches, so n
+    samples read in ranges aligned to the tiles cost O(n w); and each
+    component is computed the same way whatever other rows are asked for.
     """
     count = (n - 1).bit_length()
     B = 1 << (count + 1) // 2
@@ -226,18 +227,13 @@ def _row_sampler(y0, n: int, powers, rows):
     del later
     T = max(2, _TILE_SAMPLES // B)
     span = T * B
-    kept: list = [None, None]           # the tile a read ended inside, and its product
 
     def read(i: int, j: int) -> np.ndarray:
         t0, t1 = i // span, max(i // span + 1, -(-j // span))
         out = np.empty((len(lefts), max(0, min(t1 * T, H) - t0 * T), B), dtype=complex)
         for t in range(t0, t1):
-            part = out[:, (t - t0) * T:(t - t0 + 1) * T]
-            if t == kept[0]:
-                part[...] = kept[1]
-            else:
-                np.matmul(lefts[:, t * T:t * T + T], states.T, out=part)
-        kept[:] = (t1 - 1, part.copy()) if j % span else (None, None)
+            np.matmul(lefts[:, t * T:(t + 1) * T], states.T,
+                      out=out[:, (t - t0) * T:(t - t0 + 1) * T])
         return out.reshape(len(lefts), -1)[:, i - t0 * span:j - t0 * span]
 
     return read

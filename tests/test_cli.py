@@ -1306,10 +1306,11 @@ def test_encoder_packs_each_text_left_in_the_fewest_words(family, sep):
 
 
 def test_encoder_peak_is_about_fifty_bytes_per_value():
-    # The encoder works in place and frees each array once it is used: on
-    # one writer block of the default decay's populations at 30 nm, its
-    # traced peak, the result's two words per value included, is 49.1 bytes
-    # per value.
+    # The encoder works in place and frees each array once it is used: over
+    # the writer blocks of the default decay's populations, its traced peak,
+    # the result's words included, is 49.1-52.5 bytes per value (90-98 when
+    # it did not). The block taken is the widest of them, the tenth at
+    # 30 nm, whose rare wide texts take a third word.
     import tracemalloc
 
     from magnoncavity._text import encode_g12
@@ -1320,15 +1321,15 @@ def test_encoder_peak_is_about_fifty_bytes_per_value():
     cavity = build_cavity(cfg, R=30e-9)
     populations, _ = decay_populations(build_kernel(build_emitter(cfg, cavity), cavity), 1e-6,
                                        n_samples=100_000)
-    block = populations[WRITE_CHUNK:2 * WRITE_CHUNK]
+    block = populations[9 * WRITE_CHUNK:10 * WRITE_CHUNK]
     encode_g12(block, ",")          # the separator's tables are built on a first call
     tracemalloc.start()
     try:
-        assert len(encode_g12(block, ",")) == 2
+        assert len(encode_g12(block, ",")) == 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * WRITE_CHUNK
+    assert peak < 56 * WRITE_CHUNK
 
 
 def test_join_rows_drops_its_word_columns():
