@@ -1,10 +1,12 @@
 """CSV text of numeric columns, built with numpy, and the CSV file writer.
 
 Text is held in word columns: uint64 arrays, one word per row, read as
-bytes. Each value's text is packed left-aligned in the fewest words, with
-NUL bytes only after it. Side by side, a file's word columns hold each
-row's text and separators; they are copied into a row block, and its
-bytes without the NULs are the CSV lines (`join_rows`).
+bytes. Every column block the writer reads has one form: each row's text
+left-aligned, then at least one NUL, in as few words as that allows, so
+that the last byte of each row's last word is NUL. `write_csv` sets each
+row's separators there, once, and the blocks of a file's columns, side by
+side, are copied into a row block whose bytes without the NULs are the CSV
+lines (`join_rows`).
 
 `encode_g12` gives each float64 the exact bytes of ``'%.12g' % x``. A
 binade [2**b, 2**(b+1)) meets at most two decades, so the biased exponent
@@ -23,24 +25,24 @@ and nan among them), are formatted by Python's own `%`, as are integer
 columns (with '%d').
 
 The 12 digits take two words, four bytes per group: the digits after the
-point move up one byte to make room for it, trailing zeros are masked off
-and a fixed-notation separator follows the last digit. In exponent notation
-"e", the exponent and the separator start at the digits' length, which can
-carry them into a third word. Then the sign and the "0.000" before
+point move up one byte to make room for it and trailing zeros are masked
+off. In exponent notation "e" and the exponent start at the digits' length,
+which can carry them into a third word. Then the sign and the "0.000" before
 fixed-notation magnitudes below 1 go first, and each row's words move up
 behind them by their length, 0 to 48 bits (a funnel shift); a block where
 no value has either skips the move. A block is as many words wide as its
-widest text needs, Python's text included. The steps run in place where
-they can and free each array once it is used, so that encoding n values
-allocates at most about 50 n bytes, its result included (49-53 n on the
+widest text and one NUL need, Python's text included. The steps run in
+place where they can and free each array once it is used, so that encoding
+n values allocates at most about 50 n bytes, its result included (49-53 n on the
 default decay's population blocks).
 
 `write_csv` encodes WRITE_CHUNK rows at a time: each numeric column's block
-is encoded and checked (a non-finite value is refused as it is formatted),
-a `TextColumn` gives the stored words of its rows with the separator in a
-copy of the last word column, and `join_rows` copies them into row blocks
-of at most 128 KiB, drops them, and gives each block's text without its
-NULs to be written.
+is encoded and checked (a non-finite value is refused as it is formatted)
+and a `TextColumn` gives the stored words of its rows, with a copy of the
+last word column. The column's separator is ORed into the last byte of its
+last word column, and `join_rows` copies the columns into row blocks of at
+most 128 KiB, drops them, and gives each block's text without its NULs to
+be written.
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ WRITE_CHUNK = 8192
 _JOIN_WORDS = 1 << 14
 
 
-def text_rows(texts: list[str], words: int | None = None) -> np.ndarray:
-    """Rows of whole words holding each text left-aligned, NUL-padded."""
-    if words is None:
-        words = -(-max(map(len, texts), default=0) // 8)
+def text_rows(texts: list[str], words: int = 1) -> np.ndarray:
+    """Rows of at least `words` words, each holding its text left-aligned,
+    then at least one NUL, in the fewest words that allows (read-only)."""
+    words = max(words, max(map(len, texts), default=0) // 8 + 1)
     data = "".join(t.ljust(8 * words, "\0") for t in texts).encode("ascii")
     return np.frombuffer(data, np.uint64).reshape(len(texts), words)
 
@@ -122,36 +124,34 @@ _QUAD = _QUAD.view(np.uint64).ravel()
 _TZ = sum(_GROUP % 10 ** k == 0 for k in range(1, 5)).astype(np.intp)
 del _GROUP
 _8, _32, _56, _63, _64 = (np.uint64(b) for b in (8, 32, 56, 63, 64))
+_FULL = np.uint64(1 << 56)                  # a word whose last byte is not NUL is at least this
 
 
 @functools.cache
-def _tables(sep: str) -> tuple[np.ndarray, ...]:
+def _tables() -> tuple[np.ndarray, ...]:
     """The digit words' tables, per row 12*c + tz (notation class c, tz
     trailing zeros), each as two words: the bytes that move up one byte to
-    make room for the point, the bytes kept after the move, and the point
-    and a fixed-notation value's separator. Then per row the digits' text
-    length in bits, where an exponent starts, and per k the exponent text,
-    `sep` last."""
+    make room for the point, the bytes kept after the move, and the point.
+    Then per row the digits' text length in bits, where an exponent starts,
+    and per k the exponent text. Built on first use, out of import time."""
     rows, at = [], []
     for c, tz in itertools.product(range(17), range(12)):
         nd, q = 12 - tz, (c - 3 if c < 16 else 1)   # q digits before the point; <= 0 below 1
         point = 1 <= q < nd
         n = max(nd, q) + point                      # fixed from 1 up writes every integer digit
-        add = bytearray(17)                         # byte 16 takes what is not written
-        add[q if point else 16] = ord(".")
-        add[n if c < 16 else 16] = ord(sep)
         up = bytes(q) + (16 - q) * b"\xff" if point else bytes(16)
-        rows.append(up + n * b"\xff" + bytes(16 - n) + add[:16])
+        dot = (bytes(q) + b".").ljust(16, b"\0") if point else bytes(16)
+        rows.append(up + n * b"\xff" + bytes(16 - n) + dot)
         at.append(8 * n)
     words = np.frombuffer(b"".join(rows), np.uint64).reshape(-1, 6).T.copy()
-    exp = text_rows([t and t + sep for t in _EXP_TEXT], 1).ravel()
+    exp = text_rows(_EXP_TEXT).ravel()
     return (*words, np.array(at, np.uint64), exp)
 
 
-def _digits(x: np.ndarray, sep: str) -> tuple[np.ndarray, ...]:
-    """Per value of x: the two words of its digits, the point, and a
-    fixed-notation value's separator; its table row and k; and whether
-    Python formats it. At most six arrays of x's length are alive at once."""
+def _digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per value of x: the two words of its digits and the point; its table
+    row and k; and whether Python formats it. At most six arrays of x's
+    length are alive at once."""
     # e = floor(log10 |x|): the lower of its binade's two decades, or the
     # upper from the power where that starts.
     a = np.abs(x)
@@ -200,7 +200,7 @@ def _digits(x: np.ndarray, sep: str) -> tuple[np.ndarray, ...]:
     d2 = _QUAD.take(g2)
     del g2
     row += _ROW0.take(k)
-    up1, up2, keep1, keep2, add1, add2, *_ = _tables(sep)
+    up1, up2, keep1, keep2, dot1, dot2, *_ = _tables()
     up = up2.take(row)
     if np.count_nonzero(up):
         # The bytes after the point move up one; d1's top byte moves into d2.
@@ -215,23 +215,23 @@ def _digits(x: np.ndarray, sep: str) -> tuple[np.ndarray, ...]:
         d1 |= up
     del up
     d1 &= keep1.take(row)
-    d1 |= add1.take(row)
+    d1 |= dot1.take(row)
     d2 &= keep2.take(row)
-    d2 |= add2.take(row)
+    d2 |= dot2.take(row)
     return d1, d2, row, k, slow
 
 
-def _exponents(d1: np.ndarray, d2: np.ndarray, row: np.ndarray, k: np.ndarray,
-               sep: str) -> tuple[np.ndarray, np.ndarray]:
-    """Write the exponent and the separator of each value in exponent
-    notation at its digits' length n, in d1 or, from n = 8, in d2; what does
-    not fit moves into the next word (no shift reaches 64, as for _RIGHT).
-    Returns the rows whose text reaches a third word, and what it holds
-    there, so that no third word column is held before the words move."""
+def _exponents(d1: np.ndarray, d2: np.ndarray, row: np.ndarray,
+               k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the exponent of each value in exponent notation at its digits'
+    length n, in d1 or, from n = 8, in d2; what does not fit moves into the
+    next word (no shift reaches 64, as for _RIGHT). Returns the rows whose
+    text reaches a third word, and what it holds there, so that no third
+    word column is held before the words move."""
     sci = np.flatnonzero(row >= 16 * 12)
     if not sci.size:
         return sci, sci
-    *_, at, exp = _tables(sep)
+    *_, at, exp = _tables()
     n8, text = at.take(row[sci]), exp.take(k[sci])
     bits = n8 & _63
     carried = text >> np.minimum(_64 - bits, _63)
@@ -243,14 +243,14 @@ def _exponents(d1: np.ndarray, d2: np.ndarray, row: np.ndarray, k: np.ndarray,
     return sci[third], carried[third]
 
 
-def encode_g12(x: np.ndarray, sep: str, where: str | None = None) -> list[np.ndarray]:
-    """Word columns holding '%.12g' % v, then `sep`, for each v in x, packed
-    left-aligned: NULs follow a row's text, and the last column holds text
-    in some row. With `where`, a non-finite value, which Python formats,
-    raises NumericalError "<where> holds a non-finite value"."""
+def encode_g12(x: np.ndarray, where: str | None = None) -> list[np.ndarray]:
+    """Word columns holding '%.12g' % v for each v in x, left-aligned and
+    followed by at least one NUL, in the fewest words that allows. With
+    `where`, a non-finite value, which Python formats, raises
+    NumericalError "<where> holds a non-finite value"."""
     x = np.asarray(x, dtype=np.float64)
-    d1, d2, row, k, slow = _digits(x, sep)
-    rows3, words3 = _exponents(d1, d2, row, k, sep)
+    d1, d2, row, k, slow = _digits(x)
+    rows3, words3 = _exponents(d1, d2, row, k)
     del row
     # The sign and "0.000" go first, and the words move up behind them,
     # into a third word where the second carries text out.
@@ -273,18 +273,22 @@ def encode_g12(x: np.ndarray, sep: str, where: str | None = None) -> list[np.nda
         d3[rows3] |= words3 << left[rows3]
     del left
     cols = [d1, d2] if d3 is None else [d1, d2, d3]
-    while len(cols) > 1 and not np.count_nonzero(cols[-1]):
-        cols.pop()
     if np.count_nonzero(slow):
         rows = np.flatnonzero(slow)
         values = x[rows].tolist()
         if where and not all(map(math.isfinite, values)):
             raise NumericalError(f"{where} holds a non-finite value")
-        texts = ["%.12g%s" % (v, sep.strip("\0")) for v in values]
-        text = text_rows(texts, max(len(cols), -(-max(map(len, texts)) // 8)))
+        text = text_rows(["%.12g" % v for v in values], len(cols))
         cols += [np.zeros_like(d1) for _ in range(len(cols), text.shape[1])]
         for j, col in enumerate(cols):
             col[rows] = text[:, j]
+    # An all-NUL last column goes unless a row fills the one before it, and
+    # a column of NULs follows one that some row fills.
+    while (len(cols) > 1 and not np.count_nonzero(cols[-1])
+           and not np.count_nonzero(cols[-2] >= _FULL)):
+        cols.pop()
+    if np.count_nonzero(cols[-1] >= _FULL):
+        cols.append(np.zeros_like(d1))
     return cols
 
 
@@ -292,33 +296,34 @@ class TextColumn:
     """The %.12g text of an axis that many rows or files share, encoded once.
 
     Written row i holds value index[i], or value i without an index. Each
-    `chunk` values are read ([start:stop] of anything with len()) and their
-    texts stored NUL-padded in whole words, as wide as the chunk's longest
-    text needs with the last byte left for the separator."""
+    WRITE_CHUNK values are read ([start:stop] of anything with len()) and
+    their words stored as `encode_g12` gives them, as wide as the chunk's
+    longest text needs."""
 
-    def __init__(self, values, index: np.ndarray | None = None, chunk: int = WRITE_CHUNK):
-        self.chunks = [_padded_rows(values[i:i + chunk]) for i in range(0, len(values), chunk)]
-        self.size, self.chunk, self.index = len(values), chunk, index
+    def __init__(self, values, index: np.ndarray | None = None):
+        self.chunks = [np.column_stack(encode_g12(values[i:i + WRITE_CHUNK]))
+                       for i in range(0, len(values), WRITE_CHUNK)]
+        self.size, self.index = len(values), index
 
     def __len__(self) -> int:
         return self.size if self.index is None else len(self.index)
 
-    def block(self, start: int, stop: int, sep: str) -> list[np.ndarray]:
-        """Word columns of rows start..stop, each row followed by `sep`."""
+    def block(self, start: int, stop: int) -> list[np.ndarray]:
+        """Word columns of rows start..stop, the last one a copy."""
         stop = min(stop, len(self))
         if self.index is not None:
             words = self._rows(self.index[start:stop])
-        elif start % self.chunk == 0 and start < stop <= start + self.chunk:
-            words = self.chunks[start // self.chunk][:stop - start]
+        elif start % WRITE_CHUNK == 0 and start < stop <= start + WRITE_CHUNK:
+            words = self.chunks[start // WRITE_CHUNK][:stop - start]
         else:
             words = self._rows(np.arange(start, stop))
-        return [*words[:, :-1].T, words[:, -1] | np.uint64(ord(sep) << 56)]
+        return [*words[:, :-1].T, words[:, -1].copy()]
 
     def _rows(self, where: np.ndarray) -> np.ndarray:
         """The words of values `where`, padded to the widest chunk they read."""
         if len(self.chunks) == 1:
             return self.chunks[0].take(where, axis=0)
-        chunk, row = np.divmod(where, self.chunk)
+        chunk, row = np.divmod(where, WRITE_CHUNK)
         read = np.unique(chunk).tolist()
         width = max((self.chunks[c].shape[1] for c in read), default=1)
         words = np.zeros((len(where), width), np.uint64)
@@ -328,29 +333,21 @@ class TextColumn:
         return words
 
 
-def _padded_rows(values) -> np.ndarray:
-    """One row of words per value, holding its %.12g text left-aligned and
-    NUL-padded, at least its last byte NUL."""
-    cols = encode_g12(values, "\0")
-    if np.count_nonzero(cols[-1] >> _56):       # a text fills its last word
-        cols.append(np.zeros_like(cols[-1]))
-    return np.column_stack(cols)
-
-
-def block_text(col, start: int, stop: int, sep: str, where: str | None = None):
+def block_text(col, start: int, stop: int, where: str | None = None):
     """Word columns of rows start..stop of a TextColumn or a numeric column,
-    each row followed by `sep`.
+    each row's text followed by at least one NUL; the last column is the
+    caller's to change.
 
     Integer arrays are written with '%d', exactly at any size; others with
     '%.12g'. With `where`, a non-finite float raises NumericalError
     "<where> holds a non-finite value".
     """
     if isinstance(col, TextColumn):
-        return col.block(start, stop, sep)
+        return col.block(start, stop)
     piece = col[start:stop]
     if np.issubdtype(piece.dtype, np.integer):
-        return [*text_rows(["%d%s" % (v, sep) for v in piece.tolist()]).T]
-    return encode_g12(piece, sep, where)
+        return [*text_rows(["%d" % v for v in piece.tolist()]).T.copy()]
+    return encode_g12(piece, where)
 
 
 def join_rows(words: list[np.ndarray]):
@@ -383,12 +380,15 @@ def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict,
     non-finite value", with the blocks before it written.
     """
     cols = [np.asarray(c) if isinstance(c, (list, tuple)) else c for c in columns.values()]
-    seps = [","] * (len(cols) - 1) + ["\n"]
+    # Each separator goes into the last byte of its column's last word.
+    seps = [np.uint64(ord(sep) << 56) for sep in "," * (len(cols) - 1) + "\n"]
     head = [f"# manifest_hash={manifest_hash}", *(f"# {k}={v}" for k, v in meta.items()),
             ",".join(columns)]
     with path.open("wb") as f:
         f.write(("\n".join(head) + "\n").encode())
         for i in range(0, len(cols[0]), WRITE_CHUNK):
-            f.writelines(join_rows([w for key, c, sep in zip(columns, cols, seps)
-                                    for w in block_text(c, i, i + WRITE_CHUNK, sep,
-                                                        where and f"{where} {key!r}")]))
+            words = []
+            for key, c, sep in zip(columns, cols, seps):
+                words += block_text(c, i, i + WRITE_CHUNK, where and f"{where} {key!r}")
+                words[-1] |= sep
+            f.writelines(join_rows(words))

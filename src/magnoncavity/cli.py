@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._text import WRITE_CHUNK, TextColumn, write_csv as _write_csv
+from ._text import TextColumn, write_csv as _write_csv
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)

@@ -92,14 +92,6 @@ class MemoryKernel:
     def K0(self) -> float:
         return float(sum(self.weights))
 
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        if not self.weights:
-            return np.zeros(tau.shape, dtype=complex)
-        w = np.array(self.weights)
-        s = np.array(self.rates)
-        return np.sum(w * np.exp(s * tau[..., None]), axis=-1)
-
 
 def _check_populations(p: np.ndarray) -> np.ndarray:
     """p, refused if it leaves [0, 1] beyond POPULATION_TOL."""
@@ -122,6 +114,8 @@ class Samples:
         return self.n
 
     def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice):
+            raise TypeError(f"Samples are read in slices, not with {type(key).__name__} keys")
         i, j, step = key.indices(self.n)
         if step != 1:
             raise ValueError(f"Samples are read in slices of step 1, not {step}")

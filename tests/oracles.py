@@ -28,9 +28,11 @@ quadratic. The smoothed swap oracle reads the swap from the first peak of
 the boxcar-smoothed series instead, which is unbiased only without loss
 and far from resonance.
 
-The extractors that only tests read live here too, on whole arrays: the
-resolution guard `max_stable_dt`, `local_extrema` and the Rabi, revival,
-decay-rate and ripple extractors built on it.
+The memory kernel's values K(tau), which only the Volterra oracle and the
+kernel tests evaluate, live here too, as do the extractors that only tests
+read, on whole arrays: the resolution guard `max_stable_dt`,
+`local_extrema` and the Rabi, revival, decay-rate and ripple extractors
+built on it.
 """
 
 import itertools
@@ -258,6 +260,16 @@ def lorentzian_terms_oracle(omega, omega_n, weight_n, Gamma_n) -> np.ndarray:
     return weight_n * lor
 
 
+def kernel_values(kernel, tau) -> np.ndarray:
+    """K(tau) = sum_k weights[k] * exp(rates[k] * tau) of a MemoryKernel, at each tau."""
+    tau = np.asarray(tau, dtype=float)
+    if not kernel.weights:
+        return np.zeros(tau.shape, dtype=complex)
+    w = np.array(kernel.weights)
+    s = np.array(kernel.rates)
+    return np.sum(w * np.exp(s * tau[..., None]), axis=-1)
+
+
 def volterra_history_oracle(kernel, t_end: float, dt: float) -> np.ndarray:
     """Amplitudes c_k of the trapezoidal-history Volterra scheme, summed literally.
 
@@ -270,7 +282,7 @@ def volterra_history_oracle(kernel, t_end: float, dt: float) -> np.ndarray:
     c = np.zeros(N + 1, dtype=complex)
     c[0] = 1.0
 
-    Kgrid = kernel(times)
+    Kgrid = kernel_values(kernel, times)
     K0 = Kgrid[0]
     Krev = Kgrid[::-1].copy()    # Krev[N - j] = K(t_j), so each history is a contiguous slice
     f_prev = 0.0 + 0.0j          # dc/dt at t_0 (history integral is empty)

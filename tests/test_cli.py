@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import magnoncavity
 from magnoncavity import ConfigError
-from magnoncavity.cli import EXPERIMENTS, WRITE_CHUNK, RunConfig, main, parse_config, run
+from magnoncavity._text import WRITE_CHUNK
+from magnoncavity.cli import EXPERIMENTS, RunConfig, main, parse_config, run
 from magnoncavity.constants import CONSTANTS, MAX_STATE_VALUES, TWO_PI, US
 
 
@@ -842,7 +843,7 @@ def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, va
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
 
 
-def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
+def test_transfer_holds_the_sampler_and_one_block(tmp_path):
     # The swap comes from the generator's roots and the populations are
     # streamed into the file, so a run holds O(sqrt(n)) state and one block:
     # 1.3 MB at 1 000 001 samples, where b, Int b, P1, P2, Pb and the times
@@ -854,15 +855,20 @@ def test_transfer_holds_the_smoothing_window_and_the_sampler(tmp_path):
     def peak(*argv):
         tracemalloc.start()
         try:
-            main(["transfer", *argv, "--out", str(tmp_path / str(len(argv)))])
-            return tracemalloc.get_traced_memory()[1]
+            status = main(["transfer", *argv, "--out", str(tmp_path / str(len(argv)))])
+            return status, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak("--n_samples", "100")      # caches built on a first call stay out of the peaks
-    assert peak() < 1e5             # 100 001 samples; exits 3, the horizon ends before t*
+    # Caches built on a first call, the writer's among them, stay out of the
+    # peaks: the warm-up run writes its file.
+    assert peak("--t_end_us", "3", "--n_samples", "100")[0] == 0
+    status, default = peak()        # 100 001 samples; the horizon ends before t*
+    assert status == 3 and default < 1e5
     assert not (tmp_path / "0" / "transfer.csv").exists()
-    assert peak("--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "1000000") < 1.5e6
+    status, streamed = peak("--Gamma_rad_per_s", "1e6", "--t_end_us", "3",
+                            "--n_samples", "1000000")
+    assert status == 0 and streamed < 1.5e6
     _, rows, _ = read_csv(tmp_path / "6" / "transfer.csv")
     assert rows.shape == (1_000_001, 4)
 
@@ -1278,14 +1284,13 @@ def _binades():
     return np.concatenate([-family, family])
 
 
-@pytest.mark.parametrize("sep", [",", "\n", "\0"], ids=["comma", "newline", "nul"])
 @pytest.mark.parametrize("family", ["bit-patterns", "binades", "near-tie"])
-def test_encoder_packs_each_text_left_in_the_fewest_words(family, sep):
-    # Each row's words hold '%.12g' % v and the separator from the first
-    # byte on, then only NULs, and a block is as many words wide as its
-    # widest text needs. The bulk path, Python's text of the values it
-    # leaves out and a NUL separator, which takes no room, all pack alike:
-    # the near-tie's text, "0.00123456789012", fills two words.
+def test_encoder_packs_each_text_left_in_the_fewest_words(family):
+    # Each row's words hold '%.12g' % v from the first byte on, then at
+    # least one NUL, and a block is as many words wide as its widest text
+    # and a NUL need, so the last byte of each row is NUL. The bulk path and
+    # Python's text of the values it leaves out pack alike: the near-tie's
+    # text, "0.00123456789012", and its NUL take three words.
     from magnoncavity._text import encode_g12
 
     if family == "bit-patterns":
@@ -1295,14 +1300,29 @@ def test_encoder_packs_each_text_left_in_the_fewest_words(family, sep):
         values = _binades()
     else:
         values = np.array([1.0, 0.001234567890125, -0.5])
-    texts = [("%.12g%s" % (v, sep)).rstrip("\0").encode() for v in values.tolist()]
-    width = -(-max(map(len, texts)) // 8)
-    words = np.column_stack(encode_g12(values, sep))
+    texts = [("%.12g" % v).encode() for v in values.tolist()]
+    width = max(map(len, texts)) // 8 + 1
+    words = np.column_stack(encode_g12(values))
     assert words.shape == (len(values), width)
     assert words.tobytes() == b"".join(t.ljust(8 * width, b"\0") for t in texts)
     # Shorter blocks take fewer words: 8, 16 and 24 bytes per row.
-    assert [len(encode_g12(base(WRITE_CHUNK), sep)) for base in _NARROW_BASES.values()] == [
-        1, 2, 3]
+    assert [len(encode_g12(base(WRITE_CHUNK))) for base in _NARROW_BASES.values()] == [1, 2, 3]
+    # A text of 8 bytes takes a word of NULs after it, from either path; of 7, none.
+    assert [len(encode_g12(np.array([v]))) for v in [0.12345, 0.123456, 1e-300, 1.5e-300]] == [
+        1, 2, 1, 2]
+
+
+def test_writer_builds_one_table_set(tmp_path):
+    # Each column block ends its rows in a NUL and write_csv sets the
+    # separators there, so the encoder's tables do not depend on them: a
+    # decay (a time-text, a float and a last column) and a modes run in one
+    # process build one set.
+    from magnoncavity._text import _tables
+
+    _tables.cache_clear()
+    for argv in [["decay", "--R_list_nm", "30", "--n_samples", "100"], ["modes"]]:
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    assert _tables.cache_info().currsize == 1
 
 
 def test_encoder_peak_is_about_fifty_bytes_per_value():
@@ -1322,10 +1342,10 @@ def test_encoder_peak_is_about_fifty_bytes_per_value():
     populations, _ = decay_populations(build_kernel(build_emitter(cfg, cavity), cavity), 1e-6,
                                        n_samples=100_000)
     block = populations[9 * WRITE_CHUNK:10 * WRITE_CHUNK]
-    encode_g12(block, ",")          # the separator's tables are built on a first call
+    encode_g12(block)               # the tables are built on a first call
     tracemalloc.start()
     try:
-        assert len(encode_g12(block, ",")) == 3
+        assert len(encode_g12(block)) == 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1338,13 +1358,20 @@ def test_join_rows_drops_its_word_columns():
     # Rows wider than a piece are joined in several pieces, to the same text.
     from magnoncavity._text import _JOIN_WORDS, encode_g12, join_rows
 
-    words = [*encode_g12(np.array([0.5, -2.0]), ","), *encode_g12(np.array([1e-9, 3.0]), "\n")]
-    assert list(join_rows(words)) == [b"0.5,1e-09\n-2,3\n"]
-    assert words == []
+    def words(values, seps):
+        cols = []
+        for sep in seps:
+            cols += encode_g12(values)
+            cols[-1] |= np.uint64(ord(sep) << 56)
+        return cols
+
+    cols = words(np.array([0.5, -2.0]), ",") + words(np.array([1e-9, 3.0]), "\n")
+    assert list(join_rows(cols)) == [b"0.5,1e-09\n-2,3\n"]
+    assert cols == []
     values = np.arange(2000.0)
-    words = [*encode_g12(values, ",")] * 39 + [*encode_g12(values, "\n")]
-    pieces = list(join_rows(words))
-    assert len(pieces) == -(-2000 // (_JOIN_WORDS // 40)) and words == []
+    cols = words(values, 39 * "," + "\n")
+    pieces = list(join_rows(cols))
+    assert len(pieces) == -(-2000 // (_JOIN_WORDS // 40)) and cols == []
     assert b"".join(pieces).decode() == "".join(39 * ("%.12g," % v) + "%.12g\n" % v
                                                 for v in values.tolist())
 
@@ -1369,7 +1396,7 @@ def test_write_csv_every_table_row(tmp_path, c, tz, sign):
     # Every row of the digit tables, with either sign: the sign and "0.000"
     # move the digits up by 0 to 48 bits, and an exponent starts in the first
     # or the second word, as the digits' length puts it, with 2 or 3 digits.
-    # Each value is written after a ',', a '\n' and, as a text column, NUL.
+    # Each value is written as a float column and as a text column.
     from magnoncavity._text import TextColumn
     from magnoncavity.cli import _write_csv
 
@@ -1425,30 +1452,35 @@ def test_text_column_chunks_keep_their_own_width(tmp_path, monkeypatch):
     # Each chunk's rows are as wide as its own longest text needs: 8, 16
     # and 24 bytes here, the last through Python's text of 5e-324, and no
     # chunk is widened after it is stored. Aligned blocks, blocks across
-    # chunks and an index all read the %.12g text.
+    # chunks and an index all read the %.12g text, and the separator set in
+    # a block's last word column does not reach the stored chunk.
     from magnoncavity._text import TextColumn, join_rows
 
-    chunk = 64
+    chunk = WRITE_CHUNK
     rng = np.random.default_rng(4)
     values = np.concatenate([np.arange(1.0, chunk + 1), rng.uniform(1.0, 1e11, chunk),
                              np.arange(1.0, chunk - 23)])
     values[-7] = 5e-324
     index = rng.integers(0, values.size, 500)
-    column, indexed = TextColumn(values, chunk=chunk), TextColumn(values, index, chunk=chunk)
+    column, indexed = TextColumn(values), TextColumn(values, index)
     assert sum(words.nbytes for words in column.chunks) == chunk * (8 + 16) + (chunk - 24) * 24
 
     def read(col, start, stop):
-        return b"".join(join_rows(col.block(start, stop, ","))).decode()
+        words = col.block(start, stop)
+        words[-1] |= np.uint64(ord(",") << 56)
+        return b"".join(join_rows(words)).decode()
 
     def text(vals):
         return "".join("%.12g," % v for v in vals.tolist())
 
     for start in range(0, values.size, chunk):
         assert read(column, start, start + chunk) == text(values[start:start + chunk])
-    for start, stop in [(0, values.size), (5, 70), (60, 140), (127, 129), (130, 500)]:
+    for start, stop in [(0, values.size), (5, 70), (chunk - 4, chunk + 76),
+                        (2 * chunk - 1, 2 * chunk + 1), (2 * chunk + 2, 3 * chunk)]:
         assert read(column, start, stop) == text(values[start:stop])
     for start, stop in [(0, 500), (0, chunk), (10, 250), (499, 600)]:
         assert read(indexed, start, stop) == text(values[index[start:stop]])
+    assert not any(np.count_nonzero(words[:, -1] >> np.uint64(56)) for words in column.chunks)
     # The default decay's shared time text takes one word per sample.
     texts = _recording(monkeypatch, "TextColumn")
     assert main(["decay", "--R_list_nm", "30", "--out", str(tmp_path)]) == 0

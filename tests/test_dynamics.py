@@ -17,8 +17,8 @@ from magnoncavity.dynamics import (MemoryKernel, _doubling_powers, _pade13, _pro
                                    _pseudomode_matrix, _squarings, sample_times)
 from oracles import (decay_series, doubling_powers_oracle, extract_rabi_frequency,
                      fast_ripples_oracle, first_revival_time, fit_decay_rate, has_fast_ripples,
-                     local_extrema, max_stable_dt, rabi_frequency_oracle, revival_time_oracle,
-                     volterra_history_oracle)
+                     kernel_values, local_extrema, max_stable_dt, rabi_frequency_oracle,
+                     revival_time_oracle, volterra_history_oracle)
 
 
 def amplitudes(kernel, t_end, dt, solver="pseudomode"):
@@ -59,15 +59,15 @@ def test_kernel_zero_lag_is_total_weight(cavity_narrow):
     kernel, emitter = resonant_kernel(cavity_narrow)
     g_n = mode_table(cavity_narrow, emitter.position).g
     assert kernel.K0 == pytest.approx(np.sum(np.abs(g_n) ** 2), rel=1e-12)
-    assert kernel(0.0) == pytest.approx(kernel.K0)
+    assert kernel_values(kernel, 0.0) == pytest.approx(kernel.K0)
 
 
 def test_kernel_envelope_decays_at_half_linewidth(cavity_narrow):
     kernel, _ = resonant_kernel(cavity_narrow)
     Gamma = cavity_narrow.mat.Gamma
     tau = 3.0 / Gamma
-    assert abs(kernel(tau)) == pytest.approx(kernel.K0 * math.exp(-Gamma * tau / 2.0),
-                                             rel=1e-9)
+    assert abs(kernel_values(kernel, tau)) == pytest.approx(
+        kernel.K0 * math.exp(-Gamma * tau / 2.0), rel=1e-9)
 
 
 def test_kernel_rates_encode_detunings(cavity, emitter):
@@ -257,6 +257,15 @@ def test_samples_refuse_a_step_other_than_one(key):
     # A block is a run of consecutive samples; a stride or a reversal is
     # refused, not read as the run it would skip or not read at all.
     with pytest.raises(ValueError, match="step 1"):
+        sample_times(10, 1.0, 1.0)[key]
+
+
+@pytest.mark.parametrize("key", [3, -1, np.int64(2), (slice(None),)],
+                         ids=["int", "negative-int", "numpy-int", "tuple"])
+def test_samples_refuse_a_key_other_than_a_slice(key):
+    # Samples, which decay_populations and sample_times return, are read a
+    # block at a time; an index is refused with a TypeError that says so.
+    with pytest.raises(TypeError, match="Samples are read in slices"):
         sample_times(10, 1.0, 1.0)[key]
 
 
