@@ -1284,13 +1284,16 @@ def _binades():
     return np.concatenate([-family, family])
 
 
+@pytest.mark.parametrize("sep", [",", "\n", "\0"], ids=["comma", "newline", "nul"])
 @pytest.mark.parametrize("family", ["bit-patterns", "binades", "near-tie"])
-def test_encoder_packs_each_text_left_in_the_fewest_words(family):
+def test_encoder_packs_each_text_left_in_the_fewest_words(family, sep):
     # Each row's words hold '%.12g' % v from the first byte on, then at
     # least one NUL, and a block is as many words wide as its widest text
     # and a NUL need, so the last byte of each row is NUL. The bulk path and
     # Python's text of the values it leaves out pack alike: the near-tie's
-    # text, "0.00123456789012", and its NUL take three words.
+    # text, "0.00123456789012", and its NUL take three words. A separator
+    # ORed into that last byte, as write_csv sets it, lands after the
+    # text's NULs and leaves the text whole.
     from magnoncavity._text import encode_g12
 
     if family == "bit-patterns":
@@ -1305,6 +1308,9 @@ def test_encoder_packs_each_text_left_in_the_fewest_words(family):
     words = np.column_stack(encode_g12(values))
     assert words.shape == (len(values), width)
     assert words.tobytes() == b"".join(t.ljust(8 * width, b"\0") for t in texts)
+    words[:, -1] |= np.uint64(ord(sep) << 56)
+    assert words.tobytes() == b"".join(t.ljust(8 * width - 1, b"\0") + sep.encode()
+                                       for t in texts)
     # Shorter blocks take fewer words: 8, 16 and 24 bytes per row.
     assert [len(encode_g12(base(WRITE_CHUNK))) for base in _NARROW_BASES.values()] == [1, 2, 3]
     # A text of 8 bytes takes a word of NULs after it, from either path; of 7, none.
