@@ -37,9 +37,10 @@ n values allocates at most about 50 n bytes, its result included (49-53 n on the
 default decay's population blocks).
 
 `write_csv` encodes WRITE_CHUNK rows at a time: each numeric column's block
-is encoded and checked (a non-finite value is refused as it is formatted)
-and a `TextColumn` gives the stored words of its rows, with a copy of the
-last word column. The column's separator is ORed into the last byte of its
+is read once (a tuple key's as a tuple of arrays, one per name), encoded
+and checked (a non-finite value is refused as it is formatted), and a
+`TextColumn` gives the stored words of its rows, with a copy of the last
+word column. The column's separator is ORed into the last byte of its
 last word column, and `join_rows` copies the columns into row blocks of at
 most 128 KiB, drops them, and gives each block's text without its NULs to
 be written.
@@ -333,21 +334,28 @@ class TextColumn:
         return words
 
 
-def block_text(col, start: int, stop: int, where: str | None = None):
-    """Word columns of rows start..stop of a TextColumn or a numeric column,
-    each row's text followed by at least one NUL; the last column is the
-    caller's to change.
+def block_text(key, col, start: int, stop: int, where: str | None = None):
+    """Word columns of rows start..stop of `col`, one list per name of
+    `key`, each row's text followed by at least one NUL; the last column of
+    each list is the caller's to change.
 
-    Integer arrays are written with '%d', exactly at any size; others with
-    '%.12g'. With `where`, a non-finite float raises NumericalError
-    "<where> holds a non-finite value".
+    A TextColumn gives its text. Other columns are read once: under a tuple
+    key, as a tuple of arrays, one per name, each dropped once it is
+    encoded. Integer arrays are written with '%d', exactly at any size;
+    others with '%.12g'. With `where`, a non-finite float raises
+    NumericalError "<where> '<name>' holds a non-finite value".
     """
     if isinstance(col, TextColumn):
-        return col.block(start, stop)
-    piece = col[start:stop]
-    if np.issubdtype(piece.dtype, np.integer):
-        return [*text_rows(["%d" % v for v in piece.tolist()]).T.copy()]
-    return encode_g12(piece, where)
+        yield col.block(start, stop)
+        return
+    pieces = col[start:stop]
+    names, pieces = (key, list(pieces)) if isinstance(key, tuple) else ((key,), [pieces])
+    for name in names:
+        piece = pieces.pop(0)
+        if np.issubdtype(piece.dtype, np.integer):
+            yield [*text_rows(["%d" % v for v in piece.tolist()]).T.copy()]
+        else:
+            yield encode_g12(piece, where and f"{where} {name!r}")
 
 
 def join_rows(words: list[np.ndarray]):
@@ -374,21 +382,26 @@ def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict,
 
     A TextColumn is written as its text; a numeric column with %d if
     integer, else %.12g. A column is a list, or anything with len() and
-    [start:stop] slicing. Rows are read and encoded WRITE_CHUNK at a time,
-    and each block is written as soon as it is encoded. With `where`, the
-    first non-finite float raises NumericalError "<where> '<key>' holds a
-    non-finite value", with the blocks before it written.
+    [start:stop] slicing. A key may be a tuple of names: its column's
+    [start:stop] is then a tuple of arrays, one per name, so that one read
+    gives the block of all of them. Rows are read and encoded WRITE_CHUNK
+    at a time, each column once per block, and each block is written as
+    soon as it is encoded. With `where`, the first non-finite float raises
+    NumericalError "<where> '<name>' holds a non-finite value", with the
+    blocks before it written.
     """
     cols = [np.asarray(c) if isinstance(c, (list, tuple)) else c for c in columns.values()]
+    names = [name for key in columns for name in (key if isinstance(key, tuple) else (key,))]
     # Each separator goes into the last byte of its column's last word.
-    seps = [np.uint64(ord(sep) << 56) for sep in "," * (len(cols) - 1) + "\n"]
+    seps = [np.uint64(ord(sep) << 56) for sep in "," * (len(names) - 1) + "\n"]
     head = [f"# manifest_hash={manifest_hash}", *(f"# {k}={v}" for k, v in meta.items()),
-            ",".join(columns)]
+            ",".join(names)]
     with path.open("wb") as f:
         f.write(("\n".join(head) + "\n").encode())
         for i in range(0, len(cols[0]), WRITE_CHUNK):
-            words = []
-            for key, c, sep in zip(columns, cols, seps):
-                words += block_text(c, i, i + WRITE_CHUNK, where and f"{where} {key!r}")
-                words[-1] |= sep
+            words, sep = [], iter(seps)
+            for key, c in zip(columns, cols):
+                for block in block_text(key, c, i, i + WRITE_CHUNK, where):
+                    words += block
+                    words[-1] |= next(sep)
             f.writelines(join_rows(words))

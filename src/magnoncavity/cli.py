@@ -466,11 +466,11 @@ def _run_transfer(cfg: RunConfig) -> Iterator[tuple]:
     positions, Delta = symmetric_pair(cavity, emitter_radius(cfg, cavity), cfg.Delta_over_g,
                                       cfg.mu_B_scale)
     t_end, dt = _time_keys(cfg)
-    columns, swap, fidelity, meta = transfer_populations(cavity, positions, Delta, t_end, dt,
-                                                         cfg.n_samples, cfg.mu_B_scale)
-    t_us = sample_times(len(columns["P1"]), meta["dt_s"], US)
+    populations, swap, fidelity, meta = transfer_populations(cavity, positions, Delta, t_end,
+                                                             dt, cfg.n_samples, cfg.mu_B_scale)
+    t_us = sample_times(len(populations), meta["dt_s"], US)
     yield "transfer.csv", (
-        {"t_us": t_us, **columns},
+        {"t_us": t_us, ("P1", "P2", "Pb"): populations},
         {"g_rad_per_s": meta["g"], "Delta_rad_per_s": meta["Delta"],
          "swap_frequency_rad_per_s": swap, "fidelity": fidelity,
          "average_fidelity": meta["average_fidelity"], "dt_s": meta["dt_s"]})

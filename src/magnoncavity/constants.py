@@ -84,13 +84,6 @@ def tesla_to_field(muH: float) -> float:
     return muH / CONSTANTS.mu0
 
 
-def field_to_tesla(H: float) -> float:
-    """Convert a field H (A/m) into the induction mu0*H (T)."""
-    if not math.isfinite(H):
-        raise DomainError(f"non-finite field: {H!r}")
-    return H * CONSTANTS.mu0
-
-
 def GHz_to_rad_per_s(f_GHz: float) -> float:
     """Ordinary frequency in GHz -> angular frequency (rad/s)."""
     return f_GHz * GHZ * TWO_PI

@@ -32,7 +32,8 @@ Both solvers and the two-spin transfer sample only the components they read
 of w values over N samples so costs O(N w) and keeps O(sqrt(N) w), not
 O(N w^2) and N x w. The sampler gives any range of samples on demand:
 `decay_populations` and `network.transfer_populations` return `Samples`,
-which a caller reads a block at a time, or whole with `[:]`. All take their
+which a caller reads a block at a time, or whole with `[:]`: the decay's
+block is one column, the transfer's the tuple of its three. All take their
 step from `_time_step`, the one home of the step rule, which also checks
 samples x state width against the size budget (`constants.check_budget`).
 """
@@ -105,7 +106,8 @@ class Samples:
 
     `len()` and `[i:j]` read like an array's, negative and open bounds
     included, so a writer can take the series a block at a time without
-    ever holding all of it; `[:]` is the whole series."""
+    ever holding all of it; `[:]` is the whole series. A block is an array,
+    or a tuple of arrays, one per column, that one computation gives."""
 
     def __init__(self, n: int, block):
         self.n, self.block = n, block

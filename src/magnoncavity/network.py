@@ -16,23 +16,23 @@ only b and I are sampled, and each spin follows from
 c_j(t) = c_j(0) - i g_j I(t). beta and b obey lambda^2 - s lambda + G^2 = 0,
 s = i Delta - Gamma/2 and G^2 = g1^2 + g2^2, whose slow root gives the swap
 and its time before anything propagates. `transfer_populations` returns the
-populations as `dynamics.Samples`, computed a block at a time as they are
-read. In the dispersive window |Delta| >> g the magnon mediates an effective
-spin-spin coupling g_eff ~ g^2/Delta; the vacuum dipole-dipole baseline at
-separation d is g_dip/(2pi) = mu0*muB^2/(hbar*(2pi)^2*d^3).
+populations as one `dynamics.Samples`, whose block (P1, P2, Pb) comes from
+one sampler read, computed as it is read. In the dispersive window
+|Delta| >> g the magnon mediates an effective spin-spin coupling
+g_eff ~ g^2/Delta; the vacuum dipole-dipole baseline at separation d is
+g_dip/(2pi) = mu0*muB^2/(hbar*(2pi)^2*d^3).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 
 import numpy as np
 
 from .constants import CONSTANTS, DomainError, NumericalError, TWO_PI, check_budget
-from .dynamics import (MemoryKernel, POPULATION_TOL, Samples, _abs_square, _doubling_powers,
-                       _propagator, _time_step)
+from .dynamics import (MemoryKernel, POPULATION_TOL, Samples, _abs_square, _check_populations,
+                       _doubling_powers, _propagator, _time_step)
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, mode_table
 
@@ -101,29 +101,22 @@ def coupling_vs_separation_sweep(G: float, R_min: float, R_max: float, n_R: int,
             "g_eff_rad_per_s": g_eff, "g_dip_rad_per_s": dipole_dipole_coupling(2.0 * a)}
 
 
-def _check_total(P1: np.ndarray, P2: np.ndarray, Pb: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(P1, P2, Pb), refused if their total exceeds 1 beyond POPULATION_TOL."""
-    if np.any(P1 + P2 + Pb > 1.0 + POPULATION_TOL):
-        raise NumericalError("total single-excitation population exceeded 1")
-    return P1, P2, Pb
-
-
 def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: float,
                          dt: float | None = None, n_samples: int | None = None,
                          dipole_scale=1.0,
                          initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
-                         ) -> tuple[dict[str, Samples], float, float, dict]:
+                         ) -> tuple[Samples, float, float, dict]:
     """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel
-    mode: the populations {"P1", "P2", "Pb"} as `Samples` at the times
-    k * dt, the swap frequency, the fidelity and the metadata
-    {g, g2, Delta, Gamma, dt_s, average_fidelity}.
+    mode: the populations at the times k * dt as one `Samples`, whose block
+    is the tuple (P1, P2, Pb), the swap frequency, the fidelity and the
+    metadata {g, g2, Delta, Gamma, dt_s, average_fidelity}.
 
     positions (2, 3) in m, Delta = omega0 - omega_K in rad/s, dipole_scale
     one factor or one per emitter. The swap, its time t* and both fidelities
     come from the generator's slow root (`_swap`) before anything is
     propagated; a horizon that ends before t* is refused. A block of the
-    populations is then computed as it is read, once for all three columns,
-    and refused if their total exceeds 1 beyond POPULATION_TOL. Any range
+    populations is then computed as it is read, from one sampler read, and
+    refused if their total leaves [0, 1] beyond POPULATION_TOL. Any range
     has the bits of the same range of the whole read `[:]`.
     """
     if np.shape(positions) != (2, 3):
@@ -162,22 +155,15 @@ def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: f
     swap, fidelity, average = _swap(A, x0, target, g1, g2, (n - 1) * dt)
     read = _propagator(A, x0, n, dt, (1, 2))
 
-    # One sampler read gives a block of all three columns. Each column is
-    # handed out once and then dropped, so none outlives its encoding.
-    unread: dict[tuple[int, int, int], np.ndarray] = {}
+    def populations(i: int, j: int) -> tuple[np.ndarray, ...]:
+        b, I = read(i, j)
+        P = _spin_population(y0[0], g1, I), _spin_population(y0[1], g2, I), _abs_square(b)
+        _check_populations(P[0] + P[1] + P[2])
+        return P
 
-    def population(k: int, i: int, j: int) -> np.ndarray:
-        if (k, i, j) not in unread:
-            b, I = read(i, j)
-            unread.clear()
-            unread.update(((c, i, j), p) for c, p in enumerate(_check_total(
-                _spin_population(y0[0], g1, I), _spin_population(y0[1], g2, I), _abs_square(b))))
-        return unread.pop((k, i, j))
-
-    columns = {name: Samples(n, functools.partial(population, k))
-               for k, name in enumerate(("P1", "P2", "Pb"))}
-    return columns, swap, fidelity, {"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma,
-                                     "dt_s": dt, "average_fidelity": average}
+    metadata = {"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma, "dt_s": dt,
+                "average_fidelity": average}
+    return Samples(n, populations), swap, fidelity, metadata
 
 
 def _swap(A: np.ndarray, x0, target: tuple[complex, float], g1: float, g2: float,

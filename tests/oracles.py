@@ -29,7 +29,8 @@ the boxcar-smoothed series instead, which is unbiased only without loss
 and far from resonance.
 
 The memory kernel's values K(tau), which only the Volterra oracle and the
-kernel tests evaluate, live here too, as do the extractors that only tests
+kernel tests evaluate, and `field_to_tesla` (H to mu0*H), which only the
+unit tests call, live here too, as do the extractors that only tests
 read, on whole arrays: the resolution guard `max_stable_dt`,
 `local_extrema` and the Rabi, revival, decay-rate and ripple extractors
 built on it.
@@ -55,6 +56,13 @@ _SQRT2 = math.sqrt(2.0)
 # Circular unit vectors e(+-) = (e_x +- i e_y)/sqrt(2).
 E_PLUS = np.array([1.0 / _SQRT2, 1j / _SQRT2, 0.0], dtype=complex)
 E_MINUS = np.array([1.0 / _SQRT2, -1j / _SQRT2, 0.0], dtype=complex)
+
+
+def field_to_tesla(H: float) -> float:
+    """Convert a field H (A/m) into the induction mu0*H (T)."""
+    if not math.isfinite(H):
+        raise DomainError(f"non-finite field: {H!r}")
+    return H * CONSTANTS.mu0
 
 
 def cavity_volume(cavity: CavityConfig) -> float:

@@ -203,13 +203,13 @@ def test_criterion_6_spectral_structure():
 def test_criterion_7_dispersive_transfer():
     cavity = dynamics_cavity(Gamma=0.0)
     positions, Delta = symmetric_pair(cavity, a=36e-9, Delta_over_g=10.0)
-    columns, swap, _, metadata = transfer_populations(cavity, positions, Delta, t_end=3.0e-6,
-                                                      dt=1.0e-9)
+    populations, swap, _, metadata = transfer_populations(cavity, positions, Delta,
+                                                          t_end=3.0e-6, dt=1.0e-9)
     g = metadata["g"]
     g_eff = effective_coupling(g, Delta)
     rel_swap = abs(swap - g_eff) / g_eff
 
-    ripples = has_fast_ripples(columns["P1"][:])
+    ripples = has_fast_ripples(populations[:][0])
 
     g_eff_kHz = g_eff / TWO_PI / 1e3
     ok_geff = 100.0 / 3.0 <= g_eff_kHz <= 300.0

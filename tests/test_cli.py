@@ -876,7 +876,7 @@ def test_transfer_holds_the_sampler_and_one_block(tmp_path):
 @pytest.mark.parametrize("value, error", [
     (None, None),
     (np.nan, "transfer.csv column 'Pb' holds a non-finite value"),
-    (np.sqrt(1.1), "total single-excitation population exceeded 1"),
+    (np.sqrt(1.1), "populations left [0, 1] beyond tolerance"),
 ], ids=["clean", "nan", "above-one"])
 def test_bad_transfer_block_fails_the_run(tmp_path, monkeypatch, value, error):
     # The magnon amplitude at a sample of the second block is a NaN or
@@ -1117,14 +1117,14 @@ def test_public_surface():
     assert imported and imported <= set(magnoncavity.__all__)
     # The reference physics lives in tests/oracles.py, and the removed knobs stay gone.
     moved = set("mode_potential mode_field mode_frequency BOUNDARY_TOL E_PLUS E_MINUS "
-                "SusceptibilityTensor susceptibility NumericalSingularity".split())
+                "SusceptibilityTensor susceptibility NumericalSingularity field_to_tesla".split())
     for info in pkgutil.iter_modules(magnoncavity.__path__):
         assert not moved & set(vars(importlib.import_module(f"magnoncavity.{info.name}")))
-    from magnoncavity.constants import Constants, field_to_tesla, tesla_to_field
+    from magnoncavity.constants import Constants, tesla_to_field
     assert not hasattr(magnoncavity.CavityConfig, "volume")
     assert "mu0" not in magnoncavity.MaterialParams.__dataclass_fields__
     assert "c_light" not in Constants.__dataclass_fields__
-    assert [len(inspect.signature(f).parameters) for f in (tesla_to_field, field_to_tesla)] == [1, 1]
+    assert len(inspect.signature(tesla_to_field).parameters) == 1
 
 
 # The library call each experiment's runner makes, as `cli` binds it.
@@ -1192,6 +1192,33 @@ def test_write_csv_block_boundaries(tmp_path, nrows):
         "%d,%.12g,%.12g,%.12g" % (*row, row[1])
         for row in zip(n.tolist(), x.tolist(), y.tolist())]
     assert path.read_text().split("\n") == expected + [""]
+
+
+def test_write_csv_reads_a_tuple_key_once_per_block(tmp_path):
+    # A column under ("a", "b") gives both columns' block from one read: the
+    # bytes of {"a": a, "b": b}, one read per WRITE_CHUNK rows, and a NaN in
+    # its second array is refused under that array's own name.
+    from magnoncavity.cli import _write_csv
+    from magnoncavity.constants import NumericalError
+    from magnoncavity.dynamics import Samples
+
+    n = 2 * WRITE_CHUNK + 5
+    a, b = np.linspace(-1.0, 1.0, n), np.geomspace(1e-9, 1e9, n)
+    reads = []
+
+    def pair(i, j):
+        reads.append((i, j))
+        return a[i:j], b[i:j]
+
+    for name, columns in (("pair", {"n": np.arange(n), ("a", "b"): Samples(n, pair)}),
+                          ("apart", {"n": np.arange(n), "a": a, "b": b})):
+        _write_csv(tmp_path / f"{name}.csv", columns, "abc123", {"R_nm": 30.0})
+    assert (tmp_path / "pair.csv").read_bytes() == (tmp_path / "apart.csv").read_bytes()
+    assert reads == [(i, min(i + WRITE_CHUNK, n)) for i in range(0, n, WRITE_CHUNK)]
+    b[WRITE_CHUNK + 3] = np.nan
+    with pytest.raises(NumericalError, match=re.escape("t.csv column 'b' holds a non-finite")):
+        _write_csv(tmp_path / "t.csv", {("a", "b"): Samples(n, pair)}, "abc123", {},
+                   "t.csv column")
 
 
 def _write_g12(path, values):

@@ -250,14 +250,36 @@ def test_table_radius_scaling_is_exact(R, yig, fields):
     np.testing.assert_allclose(np.abs(t.g), np.abs(ref.g) * R**-1.5, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("R", [10e-9, 30e-9, 500e-9])
-def test_coupling_sum_converges_in_n_max(R, yig, fields):
+def coupling_sums(R, position, yig, fields):
+    """(sum of |g_n|^2 up to n_max, as a function of n_max; its closed form).
+
+    |g_n|^2 = |g_1|^2 C_n n (2n + 1) y^(n-1) / (3/2), C_n = binom(2n, n)/4^n
+    and y = (R/r)^2 sin^2(theta), so sum C_n y^n = (1 - y)^(-1/2) sums the
+    series to |g_1|^2 / (1 - y)^(5/2)."""
     def total(n_max):
         cav = CavityConfig(R=R, mat=yig, fields=fields, n_max=n_max)
-        return float(np.sum(mode_table(cav, (1.2 * R, 0.0, 0.0)).weights))
+        return float(np.sum(mode_table(cav, position).weights))
 
+    r = np.linalg.norm(position)
+    y = (R / r) ** 2 * (position[0] ** 2 + position[1] ** 2) / r ** 2
+    return total, total(1) / (1.0 - y) ** 2.5
+
+
+@pytest.mark.parametrize("R, position", [
+    (10e-9, (1.2, 0.0, 0.0)), (30e-9, (1.2, 0.0, 0.0)), (500e-9, (1.2, 0.0, 0.0)),
+    (30e-9, (-0.3, 1.1, -0.4)),             # oblique: y = 0.61
+], ids=["1e-08", "3e-08", "5e-07", "3e-08-oblique"])
+def test_coupling_sum_converges_in_n_max(R, position, yig, fields):
+    total, closed = coupling_sums(R, R * np.array(position), yig, fields)
     assert math.isfinite(total(200))
     assert total(200) == pytest.approx(total(50), rel=1e-6)
+    assert total(1000) == pytest.approx(closed, rel=1e-12)
+
+
+def test_default_truncation_keeps_its_share_of_the_coupling_sum(cavity, emitter, yig, fields):
+    # At R = 30 nm, a = 1.2 R the default n_max = 7 holds 0.6545 of the sum.
+    total, closed = coupling_sums(cavity.R, np.array(emitter.position), yig, fields)
+    assert total(cavity.n_max) / closed == pytest.approx(0.6545, abs=5e-5)
 
 
 # ------------------------------------------------------------------ coupling

@@ -18,10 +18,10 @@ from oracles import (boxcar_oracle, decay_series, eigen_swap_oracle, has_fast_ri
 
 
 def transfer(*args, **kwargs):
-    """`transfer_populations` with its columns read whole: (P, swap, fidelity,
-    metadata), where P maps "P1", "P2" and "Pb" to arrays."""
-    columns, swap, fidelity, metadata = transfer_populations(*args, **kwargs)
-    return {name: column[:] for name, column in columns.items()}, swap, fidelity, metadata
+    """`transfer_populations` with its populations read whole: (P, swap,
+    fidelity, metadata), where P maps "P1", "P2" and "Pb" to arrays."""
+    populations, swap, fidelity, metadata = transfer_populations(*args, **kwargs)
+    return dict(zip(("P1", "P2", "Pb"), populations[:])), swap, fidelity, metadata
 
 
 def times_of(P, metadata):
@@ -267,13 +267,13 @@ def test_streamed_transfer_is_transfer_dynamics(cavity_narrow, yig_lossless, fie
         positions = [dispersive[0], on_axis] if case == "decoupled" else dispersive
         args = cavity_narrow, positions, Delta, (size - 1) * 1e-9, 1e-9
     P, *whole = transfer(*args, initial_state=state)     # [swap, fidelity, metadata]
-    columns, swap, fidelity, metadata = transfer_populations(*args, initial_state=state)
+    populations, swap, fidelity, metadata = transfer_populations(*args, initial_state=state)
     n = P["P1"].size
     assert n == (100_001 if case == "dispersive" else size)
-    assert len(columns["P1"]) == n and metadata == whole[2]
-    for key, column in columns.items():
-        blocks = [column[i:i + WRITE_CHUNK] for i in range(0, n, WRITE_CHUNK)]
-        assert np.concatenate(blocks).tobytes() == P[key].tobytes(), key
+    assert len(populations) == n and metadata == whole[2]
+    blocks = [populations[i:i + WRITE_CHUNK] for i in range(0, n, WRITE_CHUNK)]
+    for key, column in zip(("P1", "P2", "Pb"), zip(*blocks)):
+        assert np.concatenate(column).tobytes() == P[key].tobytes(), key
     assert repr((swap, fidelity)) == repr(tuple(whole[:2]))
     g1, g2 = metadata["g"], metadata["g2"]
     expected = eigen_swap_oracle(g1, g2, args[2], metadata["Gamma"], state)
