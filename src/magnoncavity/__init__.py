@@ -9,8 +9,8 @@ from .constants import CONSTANTS, ConfigError, DomainError, NumericalError, tesl
 from .material import MaterialParams, internal_field, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_table
 from .spectral import field_sweep_map, spectral_grid
-from .dynamics import EmitterConfig, build_kernel, decay_populations
-from .network import coupling_vs_separation_sweep, symmetric_pair, transfer_populations
+from .dynamics import EmitterConfig, build_kernel, decay_populations, transfer_populations
+from .network import coupling_vs_separation_sweep, symmetric_pair
 
 __all__ = [
     "mode_table", "spectral_grid", "field_sweep_map", "build_kernel", "decay_populations",

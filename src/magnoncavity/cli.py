@@ -33,11 +33,11 @@ from ._text import TextColumn, write_csv as _write_csv
 from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
-from .dynamics import EmitterConfig, build_kernel, decay_populations, sample_times
+from .dynamics import (EmitterConfig, Samples, build_kernel, decay_populations, sample_times,
+                       transfer_populations)
 from .material import MaterialParams, internal_field, state_from_internal
 from .modes import CavityConfig, kittel_frequency, mode_table
-from .network import (coupling_vs_separation_sweep, dispersive_coupling,
-                      symmetric_pair, transfer_populations)
+from .network import coupling_vs_separation_sweep, dispersive_coupling, symmetric_pair
 from .spectral import field_sweep_map, spectral_grid
 
 EXPERIMENTS = ("modes", "spectrum", "fieldmap", "decay", "transfer", "coupling-sweep")
@@ -424,13 +424,13 @@ def _run_fieldmap(cfg: RunConfig) -> Iterator[tuple]:
     cavity = build_cavity(cfg)
     sweep = field_sweep_map(tesla_to_field(cfg.mu0_H0_min_T), tesla_to_field(cfg.mu0_H0_max_T),
                             cfg.n_H0, build_emitter(cfg, cavity), cavity, n_omega=cfg.n_omega)
-    # Each axis value is encoded once; rows gather their text by index.
-    n_H0, n_omega = sweep.J.shape
+    # Each axis value is encoded once; a block of rows gathers its text by index.
+    n_omega = sweep.J.shape[1]
     yield "fieldmap.csv", ({
         "H0_T": TextColumn(sweep.H0_values * CONSTANTS.mu0,
-                           np.repeat(np.arange(n_H0, dtype=np.int32), n_omega)),
+                           Samples(sweep.J.size, lambda i, j: np.arange(i, j) // n_omega)),
         "omega_GHz": TextColumn(sweep.omega_values / TWO_PI / 1e9,
-                                np.tile(np.arange(n_omega, dtype=np.int32), n_H0)),
+                                Samples(sweep.J.size, lambda i, j: np.arange(i, j) % n_omega)),
         "J": sweep.J.ravel(),
     }, sweep.metadata)
 

@@ -1,6 +1,7 @@
-"""Non-Markovian decay of a spin emitter into the magnon modes.
+"""Single-excitation propagation: a spin emitter's non-Markovian decay into
+the magnon modes, and two spins swapping an excitation through the Kittel mode.
 
-Rotating-frame amplitude c(t) (c_tilde, slowly varying at omega0) obeys
+Decay. The rotating-frame amplitude c(t) (c_tilde, slowly varying at omega0) obeys
 
     dc/dt = -Int_0^t K(t - t') c(t') dt',
     K(tau) = sum_n |g_n|^2 exp[(i(omega0 - omega_n) - Gamma_n/2) tau],
@@ -18,6 +19,23 @@ cross-validated against each other:
                     auxiliary amplitude per Lorentzian), sampled exactly by
                     matrix-exponential propagation, O(N * modes). The default.
 
+Transfer. The amplitudes (c1, c2, b) rotating at the common spin frequency
+omega0, with Delta = omega0 - omega_K and g1, g2 and Gamma from one
+`mode_table` over the two emitter positions, obey
+
+    dc1/dt = -i g1 b
+    dc2/dt = -i g2 b
+    db/dt  = -i (g1 c1 + g2 c2) + (i Delta - Gamma/2) b
+
+Magnon loss enters as the non-Hermitian -i Gamma/2 term, equivalent to the
+Lindblad evolution restricted to at most one excitation. The magnon sees the
+spins only through the bright sum beta = g1 c1 + g2 c2, so
+`transfer_populations` propagates (beta, b, I = Int b dt) exactly, samples
+only b and I, and takes each spin from c_j(t) = c_j(0) - i g_j I(t). beta
+and b obey lambda^2 - s lambda + G^2 = 0, s = i Delta - Gamma/2 and
+G^2 = g1^2 + g2^2, whose slow root gives the swap and its time before
+anything propagates (`_swap`).
+
 The matrix exponential is this module's own numpy scaling and squaring with
 [13/13] Pade values (`_doubling_powers`), fitted to the powers
 expm(A dt 2^i) the doubling fill asks for; nothing here imports scipy. A
@@ -25,24 +43,25 @@ small generator's Pade values, one per unsquared power and one base for the
 squared ones, come from one stacked evaluation, bit for bit those of one
 evaluation each; a wide generator's come one matrix at a time.
 
-Both solvers and the two-spin transfer sample only the components they read
-(c for decay; b and Int b for the transfer) by the same two-level doubling
-(`_row_sampler`): the pseudo-mode decay and the transfer through
-`_propagator`, the Volterra decay from the powers of its step map. A state
-of w values over N samples so costs O(N w) and keeps O(sqrt(N) w), not
-O(N w^2) and N x w. The sampler gives any range of samples on demand:
-`decay_populations` and `network.transfer_populations` return `Samples`,
-which a caller reads a block at a time, or whole with `[:]`: the decay's
-block is one column, the transfer's the tuple of its three. All take their
-step from `_time_step`, the one home of the step rule, which also checks
-samples x state width against the size budget (`constants.check_budget`).
+Each propagation is sized by one `Plan` that `_plan` makes, and checks
+against the size budget (`constants.check_budget`), before anything is
+allocated. Both solvers and the transfer sample only the components they read
+(c; b and Int b) by the same two-level doubling (`_row_sampler`): the
+pseudo-mode decay and the transfer through `_propagator`, the Volterra decay
+from the powers of its step map. A state of w values over N samples so costs
+O(N w) and keeps O(sqrt(N) w), not O(N w^2) and N x w. `decay_populations`
+and `transfer_populations` return `Samples`, read a block at a time or whole
+with `[:]`: the decay's block is one column, the transfer's the tuple of its
+three.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +151,35 @@ def build_kernel(emitter: EmitterConfig, cavity: CavityConfig) -> MemoryKernel:
     return MemoryKernel(weights=tuple(t.weights), rates=tuple(rates))
 
 
-def _dt_bounds(kernel: MemoryKernel) -> dict[str, float]:
-    """Resolution bound on dt per constraint: detuning, linewidth, coupling."""
+class Plan(NamedTuple):
+    """One propagation's n samples k*dt, fixed by `_plan` before anything is
+    allocated, and the split k = h B + l of `_row_sampler`.
+
+    `binding` names the resolution constraint that sets the guard on dt,
+    None where nothing bounds it. The sampler asks for count =
+    ceil(log2 n) powers M^(2^i): the first (count + 1) // 2 fill the
+    B = 2^ceil(count/2) states, the other count // 2 the H = ceil(n/B) rows,
+    and a read is cut from tiles of T rows."""
+
+    n: int
+    dt: float
+    binding: str | None
+    count: int
+    B: int
+    H: int
+    T: int
+
+
+def _plan(kernel: MemoryKernel, t_end: float, dt: float | None,
+          n_samples: int | None, width: int) -> Plan:
+    """The `Plan` of the sample times k*dt up to t_end for a state of
+    `width` values.
+
+    The resolution guard is the least bound on dt that the kernel's
+    detuning, linewidth and coupling set. dt is the given one, else
+    min(guard/2, t_end/n_samples), else guard/2. It must pass the guard,
+    and samples x width the size budget.
+    """
     bounds = {}
     if kernel.weights:
         det = max(abs(s.imag) for s in kernel.rates)
@@ -145,19 +191,8 @@ def _dt_bounds(kernel: MemoryKernel) -> dict[str, float]:
         gmax = math.sqrt(max(kernel.weights))
         if gmax > 0:
             bounds["max coupling"] = 1.0 / (10.0 * gmax) / 10.0
-    return bounds
-
-
-def _time_step(kernel: MemoryKernel, t_end: float, dt: float | None,
-               n_samples: int | None, width: int) -> tuple[int, float]:
-    """The number n of sample times k*dt up to t_end, and dt, for a state of
-    `width` values.
-
-    dt is the given one, else min(guard/2, t_end/n_samples), else guard/2.
-    It must pass the resolution guard, and samples x width the size budget.
-    """
-    bounds = _dt_bounds(kernel)
-    limit = min(bounds.values(), default=math.inf)
+    binding = min(bounds, key=bounds.get, default=None)
+    limit = bounds[binding] if bounds else math.inf
     if dt is None:
         dt = limit / 2.0
         if n_samples is not None:
@@ -166,10 +201,13 @@ def _time_step(kernel: MemoryKernel, t_end: float, dt: float | None,
         raise ConfigError("dt must be positive and finite")
     if dt > limit:
         raise ConfigError(f"dt = {dt:g} s exceeds the resolution guard {limit:g} s "
-                          f"(binding constraint: {min(bounds, key=bounds.get)})")
+                          f"(binding constraint: {binding})")
     samples = t_end / dt + 1.0
     check_budget(samples * width, f"{samples:.3g} samples x {width} state values")
-    return int(round(t_end / dt)) + 1, dt
+    n = int(round(t_end / dt)) + 1
+    count = (n - 1).bit_length()
+    B = 1 << (count + 1) // 2
+    return Plan(n, dt, binding, count, B, -(-n // B), max(2, _TILE_SAMPLES // B))
 
 
 def sample_times(n: int, dt: float, unit: float) -> Samples:
@@ -193,27 +231,24 @@ def _fill_by_doubling(y0: np.ndarray, n: int, powers) -> np.ndarray:
     return Y
 
 
-def _row_sampler(y0, n: int, powers, rows):
-    """read(i, j): components `rows` of y_k = M^k y0 for i <= k < j, as a
-    (len(rows), j - i) array, where k < n and `powers` yields M, M^2, M^4, ...
+def _row_sampler(y0, plan: Plan, powers, rows):
+    """read(i, j): components `rows` of y_k = M^k y0 for i <= k < j <= plan.n,
+    as a (len(rows), j - i) array, where `powers` yields M, M^2, M^4, ...
 
-    With k = h B + l, B = 2^ceil(c/2) and c = ceil(log2 n) powers in all,
-    y_k[r] = (e_r^T M^(hB)) (M^l y0). One fill gives the B states M^l y0
-    from the first powers; a second gives the H = ceil(n/B) rows
-    e_r^T M^(hB) from the rest, transposed. Only these are kept, O(sqrt(n) w)
-    values for a w-value state. A read is cut from fixed tiles: per
-    component, the product (T, w) @ (w, B) of T = max(2, _TILE_SAMPLES/B)
-    rows h, aligned to multiples of T, with the states. So every read takes
+    With k = h B + l in the plan's split, y_k[r] = (e_r^T M^(hB)) (M^l y0).
+    One fill gives the B states M^l y0 from the first powers; a second gives
+    the H rows e_r^T M^(hB) from the rest, transposed. Only these are kept,
+    O(sqrt(n) w) values for a w-value state. A read is cut from fixed tiles:
+    per component, the product (T, w) @ (w, B) of the plan's T rows h,
+    aligned to multiples of T, with the states. So every read takes
     each sample from the same product, and any range has the bits of the
     whole read at any w; a read computes every tile it touches, so n
     samples read in ranges aligned to the tiles cost O(n w); and each
     component is computed the same way whatever other rows are asked for.
     """
-    count = (n - 1).bit_length()
-    B = 1 << (count + 1) // 2
-    H = -(-n // B)
+    B, H, T = plan.B, plan.H, plan.T
     states = _fill_by_doubling(y0, B, powers)
-    later = list(itertools.islice(powers, (H - 1).bit_length()))
+    later = list(itertools.islice(powers, plan.count // 2))
     lefts = []
     for r in rows:
         e_r = np.zeros(len(y0), dtype=complex)
@@ -221,7 +256,6 @@ def _row_sampler(y0, n: int, powers, rows):
         lefts.append(_fill_by_doubling(e_r, H, (M.T for M in later)))
     lefts = np.stack(lefts)
     del later
-    T = max(2, _TILE_SAMPLES // B)
     span = T * B
 
     def read(i: int, j: int) -> np.ndarray:
@@ -235,15 +269,13 @@ def _row_sampler(y0, n: int, powers, rows):
     return read
 
 
-def _propagator(A: np.ndarray, y0, n: int, dt: float, rows):
-    """The `_row_sampler` of the components `rows` of expm(A k dt) y0, k < n.
-
-    It asks for M^(2^i) = expm(A dt 2^i), from `_doubling_powers`, only
-    while 2^i < n: ceil(log2 n) powers, none for a single sample.
+def _propagator(A: np.ndarray, y0, plan: Plan, rows):
+    """The `_row_sampler` of the components `rows` of expm(A k dt) y0 over
+    the plan's samples, from the plan's count of powers expm(A dt 2^i) of
+    `_doubling_powers`: none for a single sample.
     """
-    count = (n - 1).bit_length()
-    powers = _doubling_powers(A * dt, count) if count else iter(())
-    return _row_sampler(y0, n, powers, rows)
+    powers = _doubling_powers(A * plan.dt, plan.count) if plan.count else iter(())
+    return _row_sampler(y0, plan, powers, rows)
 
 
 def _squares(T: np.ndarray):
@@ -357,13 +389,13 @@ def decay_populations(kernel: MemoryKernel, t_end: float, dt: float | None = Non
     `solver` "pseudomode" propagates y = (c, b_1..b_n) exactly:
     dc/dt = -i sum_n g_n b_n, db_n/dt = -i g_n c + s_n b_n, with g_n^2 and
     s_n the kernel's weights and rates. "volterra" integrates the memory
-    equation by `_decay_sampler`'s recursion. The step follows `_time_step`.
+    equation by `_decay_sampler`'s recursion. The step follows `_plan`.
 
     Each block is computed as it is read and refused if it leaves [0, 1]
     beyond POPULATION_TOL. Any range has the bits of the same range of the
     whole read `[:]`, since both are cut from the sampler's fixed tiles."""
-    read, n, dt = _decay_sampler(kernel, t_end, dt, n_samples, solver)
-    return Samples(n, lambda i, j: _check_populations(_abs_square(read(i, j)[0]))), dt
+    read, plan = _decay_sampler(kernel, t_end, dt, n_samples, solver)
+    return Samples(plan.n, lambda i, j: _check_populations(_abs_square(read(i, j)[0]))), plan.dt
 
 
 def _abs_square(c: np.ndarray) -> np.ndarray:
@@ -373,8 +405,8 @@ def _abs_square(c: np.ndarray) -> np.ndarray:
 
 def _decay_sampler(kernel: MemoryKernel, t_end: float, dt: float | None,
                    n_samples: int | None, solver: str) -> tuple:
-    """(read, n, dt): the sampler read(i, j) of c by `solver`, "pseudomode"
-    or "volterra", over the n sample times k*dt of `_time_step`.
+    """(read, plan): the sampler read(i, j) of c by `solver`, "pseudomode"
+    or "volterra", over the sample times of the `_plan`.
 
     "volterra" is Crank-Nicolson in time with a trapezoid rule over the
     full history, second order in dt. With z_m = exp(s_m dt), the history
@@ -386,14 +418,15 @@ def _decay_sampler(kernel: MemoryKernel, t_end: float, dt: float | None,
     if solver not in ("pseudomode", "volterra"):
         raise ConfigError(f"unknown solver {solver!r}")
     w = len(kernel.weights)
-    n, dt = _time_step(kernel, t_end, dt, n_samples, w + 1 + (solver == "volterra"))
+    plan = _plan(kernel, t_end, dt, n_samples, w + 1 + (solver == "volterra"))
     if not w:
-        return (lambda i, j: np.ones((1, j - i), dtype=complex)), n, dt
+        return (lambda i, j: np.ones((1, j - i), dtype=complex)), plan
     if solver == "pseudomode":
         y0 = np.zeros(1 + w, dtype=complex)
         y0[0] = 1.0
-        return _propagator(_pseudomode_matrix(kernel), y0, n, dt, (0,)), n, dt
+        return _propagator(_pseudomode_matrix(kernel), y0, plan, (0,)), plan
 
+    dt = plan.dt
     z = np.exp(np.array(kernel.rates) * dt)
     wz = np.array(kernel.weights) * z
     K0 = kernel.K0
@@ -409,7 +442,7 @@ def _decay_sampler(kernel: MemoryKernel, t_end: float, dt: float | None,
     T[2:, 2:] = np.diag(z)
     x0 = np.full(a.size, -0.5, dtype=complex)
     x0[:2] = 1.0, 0.0
-    return _row_sampler(x0, n, _squares(T), (0,)), n, dt
+    return _row_sampler(x0, plan, _squares(T), (0,)), plan
 
 
 def _pseudomode_matrix(kernel: MemoryKernel) -> np.ndarray:
@@ -419,3 +452,111 @@ def _pseudomode_matrix(kernel: MemoryKernel) -> np.ndarray:
     A[0, 1:] = -1j * g
     A[1:, 0] = -1j * g
     return A
+
+
+def transfer_populations(cavity: CavityConfig, positions, Delta: float, t_end: float,
+                         dt: float | None = None, n_samples: int | None = None,
+                         dipole_scale=1.0,
+                         initial_state: tuple[complex, complex, complex] = (1.0, 0.0, 0.0)
+                         ) -> tuple[Samples, float, float, dict]:
+    """Single-excitation transfer from emitter 1 to emitter 2 via the Kittel
+    mode: the populations at the times k * dt as one `Samples`, whose block
+    is the tuple (P1, P2, Pb), the swap frequency, the fidelity and the
+    metadata {g, g2, Delta, Gamma, dt_s, average_fidelity}.
+
+    positions (2, 3) in m, Delta = omega0 - omega_K in rad/s, dipole_scale
+    one factor or one per emitter. The swap, its time t* and both fidelities
+    come from the generator's slow root (`_swap`) before anything is
+    propagated; a horizon that ends before t* is refused. A block of the
+    populations is then computed as it is read, from one sampler read, and
+    refused if their total leaves [0, 1] beyond POPULATION_TOL. Any range
+    has the bits of the same range of the whole read `[:]`.
+    """
+    if np.shape(positions) != (2, 3):
+        raise DomainError(f"positions must have shape (2, 3), got {np.shape(positions)}")
+    scale = np.broadcast_to(np.asarray(dipole_scale, dtype=float), (2,))
+    table = mode_table(cavity, positions, scale[:, None])
+    g1, g2 = np.abs(table.g[:, 0])
+
+    # A higher mode within 10x the Kittel detuning breaks the single-mode picture.
+    det = np.abs(table.omega[0] + Delta - table.omega[1:])
+    if np.any(det < 10.0 * abs(Delta)):
+        k = int(np.argmin(det))
+        warnings.warn(f"mode n = {table.n[k + 1]} detuned by only {det[k]:g} rad/s "
+                      f"(< 10x the Kittel detuning {abs(Delta):g}); "
+                      "single-mode approximation may be inaccurate", stacklevel=2)
+
+    Gamma = table.Gamma[0]
+    s = 1j * Delta - Gamma / 2.0
+    # Same step rule, guard and budget as the single-emitter solvers; the
+    # state is (beta, b, I).
+    plan = _plan(MemoryKernel(weights=(g1 * g1, g2 * g2), rates=(s,) * 2),
+                 t_end, dt, n_samples, 3)
+    y0 = np.array(initial_state, dtype=complex)
+    norm = np.sum(np.abs(y0) ** 2)
+    if abs(norm - 1.0) > POPULATION_TOL:
+        raise DomainError("initial state must be normalized in the single-excitation sector")
+    # (beta, b, I): dbeta/dt = -i (g1^2 + g2^2) b, db/dt = -i beta + s b,
+    # dI/dt = b. Unlike expm of the (c1, c2, b) matrix, which is not bitwise
+    # permutation-equivariant, this form makes a label swap exactly symmetric.
+    A = np.array([[0.0, -1j * (g1 * g1 + g2 * g2), 0.0],
+                  [-1j, s, 0.0],
+                  [0.0, 1.0, 0.0]])
+    x0 = [g1 * y0[0] + g2 * y0[1], y0[2], 0.0]
+    # Track the population of whichever emitter starts empty.
+    target = (y0[1], g2) if abs(y0[0]) >= abs(y0[1]) else (y0[0], g1)
+    swap, fidelity, average = _swap(A, x0, target, g1, g2, (plan.n - 1) * plan.dt)
+    read = _propagator(A, x0, plan, (1, 2))
+
+    def populations(i: int, j: int) -> tuple[np.ndarray, ...]:
+        b, I = read(i, j)
+        P = _spin_population(y0[0], g1, I), _spin_population(y0[1], g2, I), _abs_square(b)
+        _check_populations(P[0] + P[1] + P[2])
+        return P
+
+    metadata = {"g": g1, "g2": g2, "Delta": Delta, "Gamma": Gamma, "dt_s": plan.dt,
+                "average_fidelity": average}
+    return Samples(plan.n, populations), swap, fidelity, metadata
+
+
+def _swap(A: np.ndarray, x0, target: tuple[complex, float], g1: float, g2: float,
+          horizon: float) -> tuple[float, float, float]:
+    """(swap frequency, fidelity, average fidelity) of the (beta, b, I)
+    generator A, whose bright block has the characteristic polynomial
+    lambda^2 - s lambda + G^2, s = A[1, 1] and G^2 = g1^2 + g2^2.
+
+    The slow root lambda_s, of the two the one with the smaller |Im|, gives
+    the swap frequency |Im lambda_s|/2 and the swap time t* = pi/|Im lambda_s|.
+    The fidelity is |c0 - i g I(t*)|^2 for the target (c0, g) and the start
+    x0; the average fidelity is 1/2 + |f|/3 + |f|^2/6 with f = c2(t*) from
+    c(0) = (1, 0, 0) (Bose, Phys. Rev. Lett. 91, 207901 (2003)). Both come
+    from one expm(A t*). With g1 g2 = 0 nothing swaps: (nan, 0, 1/2).
+    """
+    if g1 * g2 == 0:
+        return math.nan, 0.0, 0.5
+    s, G = complex(A[1, 1]), math.hypot(g1, g2)
+    # The roots, scaled by m so that no square overflows: the larger one
+    # without cancellation, the other from the product of the two, G^2.
+    m = max(abs(s), G)
+    q = m * ((s / m) ** 2 / 4.0 - (G / m) ** 2) ** 0.5
+    fast = s / 2.0 + (q if (s.conjugate() * q).real >= 0 else -q)
+    rate = min(abs(fast.imag), abs((G * (G / fast)).imag))
+    if rate == 0:
+        raise NumericalError(f"the bright mode is overdamped (Gamma >= 4 sqrt(g1^2 + g2^2) "
+                             f"= {4.0 * G:g} rad/s at Delta = 0): the spins never swap")
+    t_star = math.pi / rate
+    if horizon < t_star:
+        raise NumericalError(f"the horizon {horizon:g} s ends before the first swap at "
+                             f"t* = {t_star:.6g} s; extend t_end")
+    to_I = next(_doubling_powers(A * t_star, 1))[2]      # I(t*) = to_I @ x(0)
+    c0, g = target
+    f = float(g1 * g2 * abs(to_I[0]))
+    return rate / 2.0, float(abs(c0 - 1j * g * (to_I @ x0)) ** 2), 0.5 + f / 3.0 + f * f / 6.0
+
+
+def _spin_population(c0: complex, g: float, I: np.ndarray) -> np.ndarray:
+    """|c0 - i g I|^2, built in place by the operations of that expression, in its order."""
+    P = np.multiply(1j * g, I)
+    np.subtract(c0, P, out=P)
+    P = np.abs(P)
+    return np.square(P, out=P)

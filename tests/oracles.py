@@ -23,7 +23,7 @@ Lorentzian oracle builds the spectral density's terms as one broadcast, the
 doubling-power oracle takes one Pade value per power, the extremum
 oracles are the loops that `local_extrema` replaced, and the eigenvalue
 swap oracle takes `np.linalg.eigvals` and a scipy expm of the plain
-(c1, c2, b) generator, where `network._swap` solves the bright block's
+(c1, c2, b) generator, where `dynamics._swap` solves the bright block's
 quadratic. The smoothed swap oracle reads the swap from the first peak of
 the boxcar-smoothed series instead, which is unbiased only without loss
 and far from resonance.
@@ -44,7 +44,7 @@ import numpy as np
 
 from magnoncavity import (CONSTANTS, CavityConfig, DomainError, MaterialParams, NumericalError,
                           decay_populations)
-from magnoncavity.dynamics import _dt_bounds, _pade13, _squarings, _squares, sample_times
+from magnoncavity.dynamics import _pade13, _squarings, _squares, sample_times
 from magnoncavity.material import StaticFieldState
 
 # Surface shell this thin (relative to R) is evaluated as exterior.
@@ -318,8 +318,16 @@ def doubling_powers_oracle(B, count: int):
 
 
 def max_stable_dt(kernel) -> float:
-    """Resolution guard: dt must not exceed min(2pi/max|detuning|, 1/Gamma, 1/(10 g_max))/10."""
-    return min(_dt_bounds(kernel).values(), default=math.inf)
+    """Resolution guard: dt must not exceed min(2pi/max|detuning|, 1/Gamma, 1/(10 g_max))/10,
+    each term where its scale is positive; inf without one."""
+    if not kernel.weights:
+        return math.inf
+    det = max(abs(s.imag) for s in kernel.rates)
+    Gamma = max(-2.0 * s.real for s in kernel.rates)
+    gmax = math.sqrt(max(kernel.weights))
+    return min(2.0 * math.pi / det / 10.0 if det > 0 else math.inf,
+               1.0 / Gamma / 10.0 if Gamma > 0 else math.inf,
+               1.0 / (10.0 * gmax) / 10.0 if gmax > 0 else math.inf)
 
 
 def decay_series(kernel, t_end: float, dt: float | None = None, n_samples: int | None = None,
@@ -431,7 +439,7 @@ def eigen_swap_oracle(g1: float, g2: float, Delta: float, Gamma: float,
                       initial_state=(1.0, 0.0, 0.0)) -> tuple[float, float, float]:
     """(swap frequency, fidelity, average fidelity) from `np.linalg.eigvals`
     and `scipy.linalg.expm` of the plain (c1, c2, b) generator, where
-    `network._swap` solves the bright block's quadratic in (beta, b, I).
+    `dynamics._swap` solves the bright block's quadratic in (beta, b, I).
 
     Of the three eigenvalues, the one nearest 0 is the dark state
     g2 c1 - g1 c2; of the two bright ones, the one with the smaller |Im|

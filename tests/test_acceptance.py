@@ -267,9 +267,9 @@ def test_criterion_8_property_suite(tmp_path):
     _, p = decay_series(kernel, 5e-8, dt)
     # The mode amplitudes b_n: every component of the same propagation.
     A = _pseudomode_matrix(kernel)
-    read, n, _ = _decay_sampler(kernel, 5e-8, dt, None, "pseudomode")
-    y = _propagator(A, np.eye(A.shape[0], dtype=complex)[0], n, dt, range(A.shape[0]))(0, n)
-    same_c = np.array_equal(y[0], read(0, n)[0])
+    read, plan = _decay_sampler(kernel, 5e-8, dt, None, "pseudomode")
+    y = _propagator(A, np.eye(A.shape[0], dtype=complex)[0], plan, range(A.shape[0]))(0, plan.n)
+    same_c = np.array_equal(y[0], read(0, plan.n)[0])
     total = p + np.sum(np.abs(y[1:]) ** 2, axis=0)
     norm_dev = float(np.max(np.abs(total - 1.0)))
     norm_ok = norm_dev <= 1e-9 and same_c

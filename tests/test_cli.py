@@ -246,8 +246,8 @@ def no_big_arrays(monkeypatch):
         assert num <= MAX_STATE_VALUES, f"linspace of {num} points"
         return linspace(start, stop, num, *args, **kwargs)
 
-    def guarded_sampler(y0, n, powers, rows):
-        read = sampler(y0, n, powers, rows)
+    def guarded_sampler(y0, plan, powers, rows):
+        read = sampler(y0, plan, powers, rows)
 
         def guarded_read(i, j):
             assert (j - i) * len(rows) <= MAX_STATE_VALUES, f"{j - i} x {len(rows)} sampled values"
@@ -719,7 +719,7 @@ def test_state_budget_counts_each_solvers_state():
     # 3 340 001 samples at n_max = 1: the Volterra state (c, dc/dt, one
     # history term) is over the budget, the pseudo-mode state (c, b) is not.
     from magnoncavity.cli import build_cavity, build_emitter, build_kernel
-    from magnoncavity.dynamics import _time_step, decay_populations
+    from magnoncavity.dynamics import _plan, decay_populations
 
     overrides = dict(zip(_VOLTERRA_OVER_BUDGET[1::2], _VOLTERRA_OVER_BUDGET[2::2]))
     cfg = parse_config(None, {k.lstrip("-"): v for k, v in overrides.items()})
@@ -727,9 +727,9 @@ def test_state_budget_counts_each_solvers_state():
     kernel = build_kernel(build_emitter(cfg, cavity), cavity)
     with pytest.raises(ConfigError, match="3 state values"):
         decay_populations(kernel, 3.34e-6, 1e-12, solver="volterra")
-    n, dt = _time_step(kernel, 3.34e-6, 1e-12, None, len(kernel.weights) + 1)
-    assert dt == pytest.approx(1e-12)
-    assert n == 3_340_001
+    plan = _plan(kernel, 3.34e-6, 1e-12, None, len(kernel.weights) + 1)
+    assert plan.dt == pytest.approx(1e-12)
+    assert plan.n == 3_340_001
 
 
 def test_decay_domain_error_writes_no_data(tmp_path):
@@ -823,7 +823,7 @@ def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, va
     sampler, made = dynamics._decay_sampler, []
 
     def injecting(*args):
-        read, n, dt = sampler(*args)
+        read, plan = sampler(*args)
         made.append(read)
         radius = len(made)
 
@@ -832,7 +832,7 @@ def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, va
             if radius == 2 and i <= k < j:
                 c[0, k - i] = value
             return c
-        return bad_read, n, dt
+        return bad_read, plan
 
     monkeypatch.setattr(dynamics, "_decay_sampler", injecting)
     argv = ["decay", "--R_list_nm", "30,50", "--n_samples", str(6 * WRITE_CHUNK),
@@ -841,6 +841,24 @@ def test_bad_population_in_a_later_block_fails_the_run(tmp_path, monkeypatch, va
     record = json.loads((tmp_path / "error.json").read_text())
     assert (record["type"], record["error"]) == ("NumericalError", error)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["error.json"]
+
+
+def test_fieldmap_holds_the_map_and_no_row_index(tmp_path):
+    # The rows' axis indices are computed a block at a time, so a default
+    # fieldmap holds the 41 x 2001 J map (656 KB) and the writer's block:
+    # 1.40 MB traced, where two 82 041-row int32 index arrays took 2.05 MB.
+    import tracemalloc
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert main(["fieldmap", "--out", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()      # caches built on a first call stay out of the peak
+    assert peak() < 1.6e6
 
 
 def test_transfer_holds_the_sampler_and_one_block(tmp_path):
@@ -884,9 +902,9 @@ def test_bad_transfer_block_fails_the_run(tmp_path, monkeypatch, value, error):
     # the run meets the bad block as it is streamed: it exits 3 with the
     # message of a whole-series check, and no data file is left. Each block
     # is read exactly once, for all three columns.
-    import magnoncavity.network as network
+    import magnoncavity.dynamics as dynamics
 
-    propagator, reads, k = network._propagator, [], WRITE_CHUNK + 5
+    propagator, reads, k = dynamics._propagator, [], WRITE_CHUNK + 5
 
     def injecting(*args):
         read = propagator(*args)
@@ -899,7 +917,7 @@ def test_bad_transfer_block_fails_the_run(tmp_path, monkeypatch, value, error):
             return out
         return bad_read
 
-    monkeypatch.setattr(network, "_propagator", injecting)
+    monkeypatch.setattr(dynamics, "_propagator", injecting)
     argv = ["transfer", "--Gamma_rad_per_s", "1e6", "--t_end_us", "3", "--n_samples", "30000",
             "--out", str(tmp_path)]
     if value is None:
@@ -1001,12 +1019,12 @@ def test_transfer_without_a_swap_in_reach_exits_3_before_propagating(tmp_path, m
     # Delta = 0, Gamma >= 4 sqrt(g1^2 + g2^2) damps the bright mode before
     # it swaps anything. Either is refused from the generator's roots, before
     # anything is propagated, and no data file is left.
-    import magnoncavity.network as network
+    import magnoncavity.dynamics as dynamics
 
     def unused(*args):
         raise AssertionError("propagated")
 
-    monkeypatch.setattr(network, "_propagator", unused)
+    monkeypatch.setattr(dynamics, "_propagator", unused)
     assert main(["transfer", *argv, "--out", str(tmp_path)]) == 3
     record = json.loads((tmp_path / "error.json").read_text())
     assert record["type"] == "NumericalError" and cause in record["error"]

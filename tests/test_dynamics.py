@@ -1,7 +1,9 @@
+import ast
 import collections
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from magnoncavity import (CavityConfig, ConfigError, DomainError, EmitterConfig,
                           kittel_frequency, mode_table, state_from_internal, tesla_to_field)
 from magnoncavity import dynamics
 from magnoncavity._text import WRITE_CHUNK
-from magnoncavity.dynamics import (MemoryKernel, _doubling_powers, _pade13, _propagator,
+from magnoncavity.dynamics import (MemoryKernel, _doubling_powers, _pade13, _plan, _propagator,
                                    _pseudomode_matrix, _squarings, sample_times)
 from oracles import (decay_series, doubling_powers_oracle, extract_rabi_frequency,
                      fast_ripples_oracle, first_revival_time, fit_decay_rate, has_fast_ripples,
@@ -23,8 +25,14 @@ from oracles import (decay_series, doubling_powers_oracle, extract_rabi_frequenc
 
 def amplitudes(kernel, t_end, dt, solver="pseudomode"):
     """c at every sample of `decay_populations`' grid, from its sampler."""
-    read, n, _ = dynamics._decay_sampler(kernel, t_end, dt, None, solver)
-    return read(0, n)[0]
+    read, plan = dynamics._decay_sampler(kernel, t_end, dt, None, solver)
+    return read(0, plan.n)[0]
+
+
+def grid_plan(n, dt=1.0):
+    """The `_plan` of n samples k * dt with no resolution guard: a kernel
+    without modes."""
+    return _plan(MemoryKernel(weights=(), rates=()), (n - 1) * dt, dt, None, 1)
 
 
 def unit_vector(w):
@@ -106,6 +114,66 @@ def test_dt_guard_binding_constraint(cavity_narrow):
         decay_populations(kernel, 1e-7, 10.0 * limit)
 
 
+def test_plan_names_the_binding_constraint(cavity_narrow):
+    # The default decay at R = 30 nm is bound by its n = 7 mode's detuning;
+    # the resonant single-mode kernel of the test above by its coupling.
+    from magnoncavity.cli import build_cavity, build_emitter, parse_config
+
+    cfg = parse_config(None)
+    cavity = build_cavity(cfg, R=30e-9)
+    kernel = build_kernel(build_emitter(cfg, cavity), cavity)
+    plan = _plan(kernel, 1e-6, None, cfg.n_samples, len(kernel.weights) + 1)
+    assert (plan.binding, plan.n) == ("max detuning", 100_001)
+    kernel, _ = resonant_kernel(cavity_narrow)
+    assert _plan(kernel, 1e-7, None, None, 2).binding == "max coupling"
+    assert grid_plan(3).binding is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4097, 100_001, 1_000_001])
+def test_plan_sizes_the_sampler(n):
+    # The split k = h B + l covers the n samples with no empty row h, from
+    # count = ceil(log2 n) powers, and the sampler asks its generator for
+    # those powers and no more.
+    plan = grid_plan(n)
+    assert plan.count == (n - 1).bit_length()
+    assert plan.B * (plan.H - 1) < n <= plan.B * plan.H
+    assert plan.T == max(2, 4096 // plan.B)
+    asked = []
+
+    def powers():
+        while True:
+            asked.append(len(asked))
+            yield np.eye(2, dtype=complex)
+
+    read = dynamics._row_sampler(unit_vector(2), plan, powers(), (0, 1))
+    assert len(asked) == plan.count
+    assert np.array_equal(read(n - 1, n), [[1.0], [0.0]])
+
+
+def test_only_dynamics_propagates():
+    # `network` keeps the coupling formulas and imports nothing from
+    # `dynamics`; no other module plans, propagates or samples.
+    package = Path(dynamics.__file__).parent
+    private = {"_plan", "_propagator", "_row_sampler"}
+    for path in package.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names |= {node.module or "", *(alias.name for alias in node.names)}
+            elif isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if path.stem == "network":
+            assert not any(name.split(".")[-1] == "dynamics" for name in names)
+        if path.stem != "dynamics":
+            assert not names & private, path.name
+
+
 def test_nonpositive_dt_rejected(cavity_narrow):
     kernel, _ = resonant_kernel(cavity_narrow)
     with pytest.raises(ConfigError):
@@ -153,7 +221,8 @@ def test_norm_conserved_without_loss(yig_lossless, fields):
     times, p = decay_series(kernel, 5e-8, dt)
     # The mode amplitudes b_n: every component of the same propagation.
     A = _pseudomode_matrix(kernel)
-    y = _propagator(A, unit_vector(A.shape[0]), times.size, dt, range(A.shape[0]))(0, times.size)
+    y = _propagator(A, unit_vector(A.shape[0]), grid_plan(times.size, dt),
+                    range(A.shape[0]))(0, times.size)
     assert np.array_equal(y[0], amplitudes(kernel, 5e-8, dt))
     total = p + np.sum(np.abs(y[1:]) ** 2, axis=0)
     assert np.max(np.abs(total - 1.0)) < 1e-9
@@ -234,7 +303,7 @@ def test_volterra_at_a_million_samples(cavity_narrow):
 def test_population_bounds_enforced(monkeypatch):
     # A population of 1.5 is refused where its block is read.
     def sampler(*args):
-        return (lambda i, j: np.full((1, j - i), math.sqrt(1.5), dtype=complex)), 2, 1.0
+        return (lambda i, j: np.full((1, j - i), math.sqrt(1.5), dtype=complex)), grid_plan(2)
 
     monkeypatch.setattr(dynamics, "_decay_sampler", sampler)
     populations, _ = decay_populations(MemoryKernel(weights=(), rates=()), 1.0, 1.0)
@@ -395,11 +464,11 @@ def test_pade_calls_per_propagation(request, monkeypatch, wide_step):
         w = A.shape[0]
         assert w <= 8
         shapes.clear()
-        _propagator(A, unit_vector(w), 100_001, dt, (0,))
+        _propagator(A, unit_vector(w), grid_plan(100_001, dt), (0,))
         assert len(shapes) == 1 and shapes[0][1:] == (w, w), name
     B, count = wide_step
     shapes.clear()
-    _propagator(B, unit_vector(301), 2 ** (count - 1) + 1, 1.0, (0,))
+    _propagator(B, unit_vector(301), grid_plan(2 ** (count - 1) + 1), (0,))
     assert shapes == [(1, 301, 301)] * (1 - _squarings(B))
 
 
@@ -431,7 +500,7 @@ def test_one_sample_grid_asks_for_no_power(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_doubling_powers", refuse)
     y0 = np.array([1.0, 0.0], dtype=complex)
-    Y = _propagator(np.ones((2, 2)), y0, 1, 0.0, (0, 1))(0, 1)
+    Y = _propagator(np.ones((2, 2)), y0, grid_plan(1), (0, 1))(0, 1)
     assert Y.shape == (2, 1) and np.array_equal(Y[:, 0], y0)
 
 
@@ -446,7 +515,7 @@ def test_propagate_matches_scipy_expm(request, name, n):
     y0 = rng.normal(size=w) + 1j * rng.normal(size=w)
     y0 /= np.linalg.norm(y0)
     times = np.arange(n) * dt
-    Y = _propagator(A, y0, n, dt, range(w))(0, n)
+    Y = _propagator(A, y0, grid_plan(n, dt), range(w))(0, n)
     assert Y.shape == (w, n)
     B = 2 ** (((n - 1).bit_length() + 1) // 2)     # the sampler's split k = h B + l
     ks = {0, 1, B - 1, B, B + 1, n - 1, *rng.integers(0, n, 6).tolist()}
@@ -463,9 +532,10 @@ def test_row_subset_is_bitwise_the_full_call(request, name):
     w = A.shape[0]
     y0 = unit_vector(w)
     for n in (3, 513, 100_001):
-        full = _propagator(A, y0, n, dt, range(w))(0, n)
+        plan = grid_plan(n, dt)
+        full = _propagator(A, y0, plan, range(w))(0, n)
         for rows in [(0,), (w - 1,), (1, 2), (w - 1, 0)]:
-            assert np.array_equal(_propagator(A, y0, n, dt, rows)(0, n), full[list(rows)])
+            assert np.array_equal(_propagator(A, y0, plan, rows)(0, n), full[list(rows)])
 
 
 def test_sampler_never_holds_the_whole_state(request, monkeypatch):
@@ -480,7 +550,7 @@ def test_sampler_never_holds_the_whole_state(request, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_fill_by_doubling", recording_fill)
     A, dt, _ = propagator_case(request, "decay-default")
-    c = _propagator(A, unit_vector(A.shape[0]), 100_001, dt, (0,))(0, 100_001)
+    c = _propagator(A, unit_vector(A.shape[0]), grid_plan(100_001, dt), (0,))(0, 100_001)
     assert c.shape == (1, 100_001)
     assert lengths == [512, 196]
 
@@ -497,7 +567,7 @@ def test_streamed_blocks_are_the_whole_series(cavity, solver, n):
     kernel, _ = resonant_kernel(cavity)
     dt = max_stable_dt(kernel) / 2.0
     populations, step = decay_populations(kernel, (n - 1) * dt, dt, solver=solver)
-    read, _, _ = dynamics._decay_sampler(kernel, (n - 1) * dt, dt, None, solver)
+    read, _ = dynamics._decay_sampler(kernel, (n - 1) * dt, dt, None, solver)
     whole, c = populations[:], amplitudes(kernel, (n - 1) * dt, dt, solver)
     assert step == dt and len(populations) == whole.size == n
     blocks = [populations[i:i + WRITE_CHUNK] for i in range(0, n, WRITE_CHUNK)]
@@ -527,7 +597,7 @@ def test_unaligned_reads_are_the_whole_read_at_wide_states(w, n):
             yield q
 
     y0 = rng.normal(size=w) + 1j * rng.normal(size=w)
-    read = dynamics._row_sampler(y0, n, powers(), (0, w - 1))
+    read = dynamics._row_sampler(y0, grid_plan(n), powers(), (0, w - 1))
     whole = read(0, n)
     for i, j in (sorted(rng.integers(0, n + 1, 2).tolist()) for _ in range(40)):
         assert read(i, j).tobytes() == whole[:, i:j].tobytes(), (i, j)

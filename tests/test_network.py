@@ -7,7 +7,7 @@ import pytest
 from magnoncavity import (CavityConfig, ConfigError, DomainError,
                           coupling_vs_separation_sweep, mode_table,
                           symmetric_pair, transfer_populations)
-from magnoncavity import network
+from magnoncavity import dynamics
 from magnoncavity._text import WRITE_CHUNK
 from magnoncavity.constants import TWO_PI
 from magnoncavity.dynamics import sample_times
@@ -122,7 +122,7 @@ def test_transfer_reads_one_mode_table(cavity, monkeypatch):
         calls.append(args)
         return mode_table(*args, **kwargs)
 
-    monkeypatch.setattr(network, "mode_table", counted)
+    monkeypatch.setattr(dynamics, "mode_table", counted)
     _, _, _, metadata = transfer(cavity, positions, Delta, t_end=3e-6, dt=1e-9,
                                  dipole_scale=(1.0, 0.0))
     assert len(calls) == 1
