@@ -21,8 +21,9 @@ within 1e-3 of a tie, |s - m| > 0.499 (Gay, "Correctly rounded
 binary-decimal and decimal-binary conversions", AT&T NAM 90-10, 1990).
 Those near-ties and every value outside the binades 2**-962 up to below
 2**963, which lie inside [1e-290, 1e290] (zeros, subnormals, infinities
-and nan among them), are formatted by Python's own `%`, as are integer
-columns (with '%d').
+and nan among them), are formatted by Python's own `%`. Integer columns
+are encoded the same way, since below 1e12 '%.12g' writes an integer as
+'%d' does (a mode index n is at most 1000).
 
 The 12 digits take two words, four bytes per group: the digits after the
 point move up one byte to make room for it and trailing zeros are masked
@@ -341,9 +342,8 @@ def block_text(key, col, start: int, stop: int, where: str | None = None):
 
     A TextColumn gives its text. Other columns are read once: under a tuple
     key, as a tuple of arrays, one per name, each dropped once it is
-    encoded. Integer arrays are written with '%d', exactly at any size;
-    others with '%.12g'. With `where`, a non-finite float raises
-    NumericalError "<where> '<name>' holds a non-finite value".
+    encoded, and written with '%.12g'. With `where`, a non-finite value
+    raises NumericalError "<where> '<name>' holds a non-finite value".
     """
     if isinstance(col, TextColumn):
         yield col.block(start, stop)
@@ -351,11 +351,7 @@ def block_text(key, col, start: int, stop: int, where: str | None = None):
     pieces = col[start:stop]
     names, pieces = (key, list(pieces)) if isinstance(key, tuple) else ((key,), [pieces])
     for name in names:
-        piece = pieces.pop(0)
-        if np.issubdtype(piece.dtype, np.integer):
-            yield [*text_rows(["%d" % v for v in piece.tolist()]).T.copy()]
-        else:
-            yield encode_g12(piece, where and f"{where} {name!r}")
+        yield encode_g12(pieces.pop(0), where and f"{where} {name!r}")
 
 
 def join_rows(words: list[np.ndarray]):
@@ -380,13 +376,13 @@ def write_csv(path: Path, columns: dict, manifest_hash: str, meta: dict,
               where: str | None = None) -> None:
     """Write 1-D columns (header row = keys) after '#' meta lines.
 
-    A TextColumn is written as its text; a numeric column with %d if
-    integer, else %.12g. A column is a list, or anything with len() and
+    A TextColumn is written as its text; a numeric column, integer or
+    float, with %.12g. A column is a list, or anything with len() and
     [start:stop] slicing. A key may be a tuple of names: its column's
     [start:stop] is then a tuple of arrays, one per name, so that one read
     gives the block of all of them. Rows are read and encoded WRITE_CHUNK
     at a time, each column once per block, and each block is written as
-    soon as it is encoded. With `where`, the first non-finite float raises
+    soon as it is encoded. With `where`, the first non-finite value raises
     NumericalError "<where> '<name>' holds a non-finite value", with the
     blocks before it written.
     """

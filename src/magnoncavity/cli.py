@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._text import TextColumn, write_csv as _write_csv
-from .constants import (CONSTANTS, ConfigError, DomainError, GHz_to_rad_per_s,
+from .constants import (MU0, ConfigError, DomainError, GHz_to_rad_per_s,
                         M3_TO_MM3, NM, NumericalError, TWO_PI, US,
                         tesla_to_field)
 from .dynamics import (EmitterConfig, Samples, build_kernel, decay_populations, sample_times,
@@ -142,6 +142,15 @@ def _file_entries(text: str):
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         yield f"line {lineno}: ", key, raw
+
+
+def _read_config(path: Path) -> str:
+    """The text of a --config file, read as UTF-8; undecodable bytes are a
+    configuration error that names the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config {path} is not UTF-8 text: {exc}") from exc
 
 
 def parse_config(text: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -317,7 +326,10 @@ def run(cfg: RunConfig) -> int:
     try:
         if not cfg.experiment:
             raise ConfigError("no experiment selected")
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {cfg.out} cannot be a directory: {exc.strerror}") from exc
         _remove_previous_run(outdir)
         _validate(cfg)
         mhash = _config_hash(cfg)
@@ -427,7 +439,7 @@ def _run_fieldmap(cfg: RunConfig) -> Iterator[tuple]:
     # Each axis value is encoded once; a block of rows gathers its text by index.
     n_omega = sweep.J.shape[1]
     yield "fieldmap.csv", ({
-        "H0_T": TextColumn(sweep.H0_values * CONSTANTS.mu0,
+        "H0_T": TextColumn(sweep.H0_values * MU0,
                            Samples(sweep.J.size, lambda i, j: np.arange(i, j) // n_omega)),
         "omega_GHz": TextColumn(sweep.omega_values / TWO_PI / 1e9,
                                 Samples(sweep.J.size, lambda i, j: np.arange(i, j) % n_omega)),
@@ -533,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     overrides = {k: v for k, v in vars(args).items() if k != "config" and v is not None}
     try:
-        cfg = parse_config(args.config.read_text() if args.config else None, overrides)
+        cfg = parse_config(_read_config(args.config) if args.config else None, overrides)
     except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

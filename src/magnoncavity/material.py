@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, DomainError
+from .constants import GAMMA, MU0, DomainError
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class MaterialParams:
     """
 
     Ms: float
-    gamma: float = CONSTANTS.gamma
+    gamma: float = GAMMA
     Gamma: float = 0.0
     alpha: float | None = None
 
@@ -44,7 +44,7 @@ class MaterialParams:
     @property
     def gamma_tilde(self) -> float:
         """gamma*mu0: converts an A/m field into a rad/s precession frequency."""
-        return self.gamma * CONSTANTS.mu0
+        return self.gamma * MU0
 
     def damping_rate(self, H0: float) -> float:
         """Linewidth Gamma for internal field H0 (recomputed from alpha if set)."""

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError
+from .constants import HBAR, MU0, MU_B, DomainError
 from .material import MaterialParams, StaticFieldState
 
 _SQRT2 = math.sqrt(2.0)
@@ -134,7 +134,7 @@ def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
     S = 2.0 * math.pi * math.sqrt(math.pi) * np.exp(
         [math.lgamma(k + 1.0) - math.lgamma(k + 1.5) for k in n.tolist()])
     N = S * (n * D + n + 1.0)
-    s = np.sqrt(CONSTANTS.hbar * omega / (CONSTANTS.mu0 * N))
+    s = np.sqrt(HBAR * omega / (MU0 * N))
     g = None
     if position is not None:
         position = np.asarray(position, dtype=float)
@@ -145,7 +145,7 @@ def mode_table(cavity: CavityConfig, position=None, dipole_scale: float = 1.0,
         u = x / r - 1j * (y / r)
         # u^(n+1) with |u| <= 1 and rho^-(n+2) <= 1 underflow to 0, never overflow.
         phase = np.cumprod(np.repeat(u, n.size + 1, axis=-1), axis=-1)[..., 1:]
-        g = (CONSTANTS.mu0 * CONSTANTS.muB * dipole_scale / CONSTANTS.hbar
+        g = (MU0 * MU_B * dipole_scale / HBAR
              * (2 * n + 1) * s * R**-1.5 * phase * (R / r) ** (n + 2))
     return ModeTable(n=n, omega=omega,
                      Gamma=np.broadcast_to(mat.damping_rate(H0), omega.shape),

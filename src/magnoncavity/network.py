@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import CONSTANTS, DomainError, TWO_PI, check_budget
+from .constants import HBAR, MU0, MU_B, DomainError, TWO_PI, check_budget
 from .material import MaterialParams, state_from_internal
 from .modes import CavityConfig, mode_table
 
@@ -45,9 +45,7 @@ def dipole_dipole_coupling(separation):
     """Vacuum dipole-dipole coupling at distance `separation` (m; arrays allowed), in rad/s."""
     if np.any(separation <= 0):
         raise DomainError("separation must be positive")
-    g_dip_hz = CONSTANTS.mu0 * CONSTANTS.muB**2 / (
-        CONSTANTS.hbar * TWO_PI**2 * separation**3
-    )
+    g_dip_hz = MU0 * MU_B**2 / (HBAR * TWO_PI**2 * separation**3)
     return TWO_PI * g_dip_hz
 
 

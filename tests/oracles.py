@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from magnoncavity import (CONSTANTS, CavityConfig, DomainError, MaterialParams, NumericalError,
-                          decay_populations)
+from magnoncavity import CavityConfig, DomainError, MaterialParams, NumericalError, decay_populations
+from magnoncavity.constants import HBAR, MU0
 from magnoncavity.dynamics import _pade13, _squarings, _squares, sample_times
 from magnoncavity.material import StaticFieldState
 
@@ -62,7 +62,7 @@ def field_to_tesla(H: float) -> float:
     """Convert a field H (A/m) into the induction mu0*H (T)."""
     if not math.isfinite(H):
         raise DomainError(f"non-finite field: {H!r}")
-    return H * CONSTANTS.mu0
+    return H * MU0
 
 
 def cavity_volume(cavity: CavityConfig) -> float:
@@ -221,16 +221,16 @@ def quantization_integral(n: int, cavity, n_rad: int = 80, n_theta: int = 80) ->
     r_out = R / u
     outer = (shell_value(r_out, np.eye(3, dtype=complex)) * r_out**2 * (R / u**2)) @ wu
 
-    return float(2.0 * np.pi * CONSTANTS.mu0 * (inner + outer))
+    return float(2.0 * np.pi * MU0 * (inner + outer))
 
 
 def quantized_mode_oracle(n: int, cavity) -> dict:
     """Zero-point amplitude and effective volume from the quadrature route."""
     omega = mode_frequency(n, cavity.fields, cavity.mat)
     integral = quantization_integral(n, cavity)
-    scale = np.sqrt(CONSTANTS.hbar * omega / integral)
+    scale = np.sqrt(HBAR * omega / integral)
     Hzp = scale * np.sqrt(2.0) * n * cavity.R ** (n - 1)
-    Veff = CONSTANTS.hbar * omega / (CONSTANTS.mu0 * Hzp**2)
+    Veff = HBAR * omega / (MU0 * Hzp**2)
     return {"scale": scale, "Hzp": Hzp, "Veff": Veff}
 
 

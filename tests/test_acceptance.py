@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from magnoncavity import (CONSTANTS, CavityConfig, EmitterConfig,
+from magnoncavity import (CavityConfig, EmitterConfig,
                           MaterialParams, build_kernel, kittel_frequency, mode_table,
                           state_from_internal, symmetric_pair, tesla_to_field,
                           transfer_populations)
 from magnoncavity.cli import parse_config, run
+from magnoncavity.constants import HBAR, MU0, MU_B
 from magnoncavity.dynamics import _decay_sampler, _propagator, _pseudomode_matrix
 from magnoncavity.network import dipole_dipole_coupling, effective_coupling
 from magnoncavity.spectral import spectral_density
@@ -215,7 +216,7 @@ def test_criterion_7_dispersive_transfer():
     ok_geff = 100.0 / 3.0 <= g_eff_kHz <= 300.0
 
     g_dip = dipole_dipole_coupling(72e-9)
-    direct = CONSTANTS.mu0 * CONSTANTS.muB**2 / (CONSTANTS.hbar * TWO_PI * (72e-9) ** 3)
+    direct = MU0 * MU_B**2 / (HBAR * TWO_PI * (72e-9) ** 3)
     ok_dip = (abs(g_dip / TWO_PI - 70.0) <= 0.01 * 70.0 * 2 and
               abs(g_dip - direct) <= 1e-10 * direct)
 

@@ -25,7 +25,7 @@ import magnoncavity
 from magnoncavity import ConfigError
 from magnoncavity._text import WRITE_CHUNK
 from magnoncavity.cli import EXPERIMENTS, RunConfig, main, parse_config, run
-from magnoncavity.constants import CONSTANTS, MAX_STATE_VALUES, TWO_PI, US
+from magnoncavity.constants import MAX_STATE_VALUES, MU0, TWO_PI, US
 
 
 def read_csv(path):
@@ -300,12 +300,49 @@ def test_exit_code_2_for_missing_config_file(tmp_path, capsys):
     assert main(["modes", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_exit_code_2_for_undecodable_config_file(tmp_path, capsys):
+    # A --config file is read as UTF-8; bytes that do not decode are refused
+    # as a configuration error naming the file, and nothing is written.
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe x\n")
+    out = tmp_path / "out"
+    assert main(["modes", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--config {bad} is not UTF-8 text" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("file", "File exists"),
+    ("file/out", "Not a directory"),
+], ids=["a-file", "under-a-file"])
+def test_exit_code_2_for_out_that_cannot_be_a_directory(tmp_path, capsys, where, reason):
+    # An --out that is a regular file, or lies under one, is a configuration
+    # error naming --out and the OS reason; the file is left as it was.
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / where
+    assert main(["modes", "--out", str(out)]) == 2
+    assert f"--out {out} cannot be a directory: {reason}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_exit_code_3_for_domain_error(tmp_path, capsys):
     # Emitter placed inside the sphere is a physics-domain failure, not a parse one.
     code = main(["modes", "--a_over_R", "0.5", "--out", str(tmp_path)])
     assert code == 3
     err = json.loads((tmp_path / "error.json").read_text())
     assert "outside" in err["error"]
+
+
+def test_modes_writes_each_index_as_its_integer_text(tmp_path):
+    # The integer column n goes through the same '%.12g' encoder as every
+    # other column; up to n_max = 1000 its text is '%d' of the index.
+    assert main(["modes", "--n_max", "1000", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "modes.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0][0] == "n"
+    assert [row[0] for row in rows[1:]] == ["%d" % n for n in range(1, 1001)]
 
 
 def test_main_end_to_end_with_config_file(tmp_path):
@@ -1126,7 +1163,7 @@ def test_public_surface():
         "mode_table spectral_grid field_sweep_map build_kernel decay_populations symmetric_pair "
         "transfer_populations coupling_vs_separation_sweep CavityConfig "
         "MaterialParams EmitterConfig state_from_internal internal_field tesla_to_field "
-        "kittel_frequency CONSTANTS ConfigError DomainError NumericalError".split())
+        "kittel_frequency ConfigError DomainError NumericalError".split())
     assert all(hasattr(magnoncavity, name) for name in magnoncavity.__all__)
     # A trim must leave every name the benchmark's correctness check imports.
     checks = ast.parse((Path(__file__).parents[1] / "perfbench" / "checks.py").read_text())
@@ -1138,11 +1175,11 @@ def test_public_surface():
                 "SusceptibilityTensor susceptibility NumericalSingularity field_to_tesla".split())
     for info in pkgutil.iter_modules(magnoncavity.__path__):
         assert not moved & set(vars(importlib.import_module(f"magnoncavity.{info.name}")))
-    from magnoncavity.constants import Constants, tesla_to_field
+    from magnoncavity import constants
     assert not hasattr(magnoncavity.CavityConfig, "volume")
     assert "mu0" not in magnoncavity.MaterialParams.__dataclass_fields__
-    assert "c_light" not in Constants.__dataclass_fields__
-    assert len(inspect.signature(tesla_to_field).parameters) == 1
+    assert not {"C_LIGHT", "c_light", "Constants", "CONSTANTS"} & set(vars(constants))
+    assert len(inspect.signature(constants.tesla_to_field).parameters) == 1
 
 
 # The library call each experiment's runner makes, as `cli` binds it.
@@ -1201,7 +1238,7 @@ def test_write_csv_block_boundaries(tmp_path, nrows):
     from magnoncavity.cli import _write_csv
 
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 15.661334567890123]
-    n = np.arange(nrows) + (2**53 - 3)     # odd values past 2**53 have no exact float
+    n = np.arange(nrows) + (10**12 - 1 - nrows)   # up to 10**12 - 1, whose %.12g is its %d
     x = np.resize(specials, nrows)
     y = np.linspace(-1.0, 1.0, nrows)
     path = tmp_path / "t.csv"
@@ -1587,7 +1624,7 @@ def test_fieldmap_text_axes_match_numeric_rows(tmp_path, monkeypatch):
     assert main(["fieldmap", "--n_H0", "3", "--n_omega", "5", "--out", str(tmp_path)]) == 0
     (sweep,) = sweeps
     n_H0, n_omega = sweep.J.shape
-    rows = zip(np.repeat(sweep.H0_values * CONSTANTS.mu0, n_omega).tolist(),
+    rows = zip(np.repeat(sweep.H0_values * MU0, n_omega).tolist(),
                np.tile(sweep.omega_values / TWO_PI / 1e9, n_H0).tolist(),
                sweep.J.ravel().tolist())
     assert _data_lines(tmp_path / "fieldmap.csv") == ["%.12g,%.12g,%.12g" % row for row in rows]

@@ -3,25 +3,22 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from magnoncavity import CONSTANTS, DomainError, tesla_to_field
-from magnoncavity.constants import Constants
+from magnoncavity import DomainError, tesla_to_field
+from magnoncavity.constants import GAMMA, HBAR, MU0, MU_B
 from oracles import field_to_tesla
 
 
 def test_defaults():
-    assert CONSTANTS.gamma_over_2pi_GHz_per_T == 28.0
-    assert CONSTANTS.gamma == pytest.approx(2 * math.pi * 28e9)
-    assert CONSTANTS.mu0 == pytest.approx(1.2566370614e-6)
+    assert GAMMA == pytest.approx(2 * math.pi * 28e9)
+    assert MU0 == pytest.approx(1.2566370614e-6)
 
 
-def test_constants_immutable():
-    with pytest.raises(Exception):
-        CONSTANTS.muB = 0.0
-
-
-def test_gamma_must_be_positive():
-    with pytest.raises(DomainError):
-        Constants(gamma_over_2pi_GHz_per_T=-28.0)
+def test_constants_are_the_literals_bitwise():
+    # Each constant is exactly the double of its defining expression; GAMMA
+    # is TWO_PI * 28 GHz/T * GHZ, multiplied left to right.
+    expected = (4e-7 * math.pi, 9.2740100783e-24, 1.054571817e-34, 2.0 * math.pi * 28.0 * 1e9)
+    for value, literal in zip((MU0, MU_B, HBAR, GAMMA), expected):
+        assert type(value) is float and value.hex() == literal.hex()
 
 
 def test_tesla_to_field_zero():

@@ -120,3 +120,5 @@ def test_invalid_material_params():
         MaterialParams(Ms=-1.0)
     with pytest.raises(DomainError):
         MaterialParams(Ms=1.0, Gamma=-1.0)
+    with pytest.raises(DomainError, match="gamma must be positive"):
+        MaterialParams(Ms=1.0, gamma=-1.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magnoncavity import (CONSTANTS, CavityConfig, DomainError,
+from magnoncavity import (CavityConfig, DomainError,
                           kittel_frequency, mode_table, state_from_internal)
+from magnoncavity.constants import HBAR, MU0, MU_B
 
 from oracles import (E_MINUS, E_PLUS, cavity_volume, fd_curl_and_divergence,
                      fd_gradient_of_potential, mode_field, mode_frequency, mode_potential,
@@ -191,7 +192,7 @@ def test_quantization_against_quadrature(n, cavity):
 def test_one_quantum_of_energy(cavity):
     t = mode_table(cavity)
     energy = shape_scale(t, 1, cavity.R) ** 2 * quantization_integral(1, cavity)
-    assert energy == pytest.approx(CONSTANTS.hbar * t.omega[0], rel=1e-8)
+    assert energy == pytest.approx(HBAR * t.omega[0], rel=1e-8)
 
 
 def test_veff_closed_form_n1(cavity):
@@ -217,8 +218,8 @@ def test_veff_scales_with_volume(yig, fields):
 def test_hzp_consistent_with_veff(cavity):
     t = mode_table(cavity)
     for n in (1, 2, 3):
-        assert CONSTANTS.mu0 * t.Hzp[n - 1] ** 2 * t.Veff[n - 1] == pytest.approx(
-            CONSTANTS.hbar * t.omega[n - 1], rel=1e-12)
+        assert MU0 * t.Hzp[n - 1] ** 2 * t.Veff[n - 1] == pytest.approx(
+            HBAR * t.omega[n - 1], rel=1e-12)
 
 
 def test_mode_list(cavity):
@@ -301,7 +302,7 @@ def test_coupling_closed_form_projection(cavity, emitter):
             math.sqrt(2.0) * a ** (n + 2))
         assert proj == pytest.approx(expected, rel=1e-12)
         assert abs(t.g[n - 1]) == pytest.approx(
-            math.sqrt(2.0) * CONSTANTS.mu0 * CONSTANTS.muB * proj / CONSTANTS.hbar,
+            math.sqrt(2.0) * MU0 * MU_B * proj / HBAR,
             rel=1e-12)
 
 
