@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from magnoncavity import DomainError, tesla_to_field
+from magnoncavity import DomainError, MaterialParams, tesla_to_field
 from magnoncavity.constants import GAMMA, HBAR, MU0, MU_B
 from oracles import field_to_tesla
 
@@ -19,6 +19,14 @@ def test_constants_are_the_literals_bitwise():
     expected = (4e-7 * math.pi, 9.2740100783e-24, 1.054571817e-34, 2.0 * math.pi * 28.0 * 1e9)
     for value, literal in zip((MU0, MU_B, HBAR, GAMMA), expected):
         assert type(value) is float and value.hex() == literal.hex()
+
+
+def test_gamma_must_be_positive():
+    # GAMMA is positive, and the record that carries it as its default
+    # refuses the negated ratio (-28 GHz/T).
+    assert GAMMA > 0
+    with pytest.raises(DomainError, match="gamma must be positive"):
+        MaterialParams(Ms=1.0, gamma=-GAMMA)
 
 
 def test_tesla_to_field_zero():
